@@ -166,25 +166,6 @@ span_log()
     return l.records;
 }
 
-std::vector<std::pair<std::string, double>>
-span_wall_totals()
-{
-    std::vector<std::pair<std::string, double>> out;
-    for (const SpanRecord& rec : span_log()) {
-        bool found = false;
-        for (auto& [name, total] : out) {
-            if (name == rec.name) {
-                total += rec.wall_ms;
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            out.emplace_back(rec.name, rec.wall_ms);
-    }
-    return out;
-}
-
 namespace detail {
 
 void

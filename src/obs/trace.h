@@ -84,10 +84,6 @@ class Span {
  *  Spans still open at snapshot time have wall_ms 0. */
 std::vector<SpanRecord> span_log();
 
-/** Total wall_ms per span name over the current log (convenience for
- *  reports and regression gates). */
-std::vector<std::pair<std::string, double>> span_wall_totals();
-
 namespace detail {
 
 /** Clear the span log (Registry::reset() calls this). */

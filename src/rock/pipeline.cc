@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_set>
 
 #include "cache/artifact_cache.h"
 #include "graph/digraph.h"
@@ -64,198 +63,652 @@ majority_filter(std::vector<graph::Arborescence>& forests)
 
 namespace {
 
-/** Candidate (parent idx, child idx) edges a solved subtype fact
- *  contradicts; absent from the distance map and the weighted graphs. */
-using PrunedEdges =
-    std::unordered_set<std::pair<int, int>, EdgeKeyHash>;
-
-/** solve_family() output plus the tallies a "famsolve" artifact needs
- *  to replay the stage's counters on a warm hit. */
-struct SolveOutcome {
-    FamilyResult fam;
-    /** 1 when the family was structurally ambiguous. */
-    int ambiguous = 0;
-    /** Forests enumerated / ties the majority vote resolved. */
-    std::uint64_t cooptimal = 0;
-    std::uint64_t resolved = 0;
+/** How the solve treats one feasible candidate edge; the values are
+ *  the edge codes folded into the "famsolve" content key. */
+enum class EdgeKind : std::uint8_t {
+    Weighed = 0, ///< distance in a slot of the run's edge arrays
+    Forced = 1,  ///< rule-3 constructor evidence: costs nothing
+    Pruned = 2,  ///< contradicts a solved subtype fact
 };
 
-/** Solve one family: enumerate co-optimal forests over the weighted
- *  feasible-edge graph and majority-filter the ties. Pure function of
- *  its inputs (runs on pool workers, one family per call). */
-SolveOutcome
-solve_family(int family_id, std::vector<int> members,
-             const structural::StructuralResult& structural,
-             const DistanceMap& distances, const PrunedEdges& pruned,
-             const RockConfig& config)
-{
-    SolveOutcome out;
-    FamilyResult& fam = out.fam;
-    fam.family_id = family_id;
-    fam.members = std::move(members);
-    const int m = static_cast<int>(fam.members.size());
+/** One feasible (parent, child) edge, in member positions. */
+struct CandidateEdge {
+    int parent = 0;
+    int child = 0;
+    EdgeKind kind = EdgeKind::Weighed;
+    /** Index into RunContext::edges / edge_weights (Weighed only). */
+    std::size_t slot = 0;
+};
 
-    // Family counters: one-per-call and per-forest counts are pure
-    // functions of the input, so the totals survive any scheduling.
-    static obs::Counter& solved =
-        obs::Registry::global().counter("arborescence.families_solved");
-    solved.add();
+/** One family's candidate-edge table and tail state. */
+struct FamilyPlan {
+    /** Every feasible edge of a multi-member family in (member,
+     *  possible-parent) order, the order ties are enumerated in. */
+    std::vector<CandidateEdge> candidates;
+    /** The family's weighed slots, [edge_begin, edge_end). */
+    std::size_t edge_begin = 0;
+    std::size_t edge_end = 0;
+    /** "famdist" key; loaded when its probe pre-filled the weights. */
+    std::uint64_t famdist_content = 0;
+    bool famdist_loaded = false;
+    /** Distance-chunk work tallies, stored for warm-hit replay. */
+    std::atomic<std::uint64_t> pairs{0};
+    std::atomic<std::uint64_t> words{0};
+    std::atomic<std::uint64_t> escapes{0};
+};
 
-    if (m == 1) {
-        static obs::Counter& singleton = obs::Registry::global().counter(
-            "arborescence.singleton_families");
-        singleton.add();
-        fam.alternatives.push_back({-1});
-        return out;
-    }
-
-    std::map<int, int> local; // global type index -> member pos
-    for (int i = 0; i < m; ++i)
-        local[fam.members[static_cast<std::size_t>(i)]] = i;
-
-    // Structural ambiguity: is there more than one zero-weight
-    // spanning forest over the feasible edges alone?
-    graph::Digraph skeleton(m);
-    for (int i = 0; i < m; ++i) {
-        int child = fam.members[static_cast<std::size_t>(i)];
-        for (int p :
-             structural.possible_parents[static_cast<std::size_t>(
-                 child)]) {
-            skeleton.add_edge(local.at(p), i, 0.0);
-        }
-    }
+/** Everything one reconstruct() call shares between its stages. */
+struct RunContext {
+    RunContext(const bir::BinaryImage& image_, const RockConfig& config_,
+               ReconstructionResult& result_)
+        : image(image_), config(config_), result(result_)
     {
-        // Zero-weight landscapes are the enumerator's worst case;
-        // a modest budget suffices to detect a second forest and
-        // errs toward "ambiguous" on truncation, never the
-        // reverse (the seed guarantees one result).
-        graph::EnumerateConfig probe;
-        probe.epsilon = 0.0;
-        probe.max_results = 2;
-        probe.max_steps = 200000;
-        fam.structurally_ambiguous =
-            graph::enumerate_min_forests(skeleton, probe).size() > 1;
-    }
-    if (fam.structurally_ambiguous)
-        out.ambiguous = 1;
-
-    // Behaviorally weighted graph. Edges fixed by rule-3
-    // constructor evidence are structural certainties: they cost
-    // nothing, so the optimizer can never prefer re-rooting a
-    // chain over honoring them. Every non-forced feasible edge was
-    // precomputed into `distances` by the distance stage -- except
-    // those a solved subtype fact contradicts, which are pruned from
-    // the candidate graph entirely (the skeleton probe above stays
-    // raw: structural ambiguity is a property of the evidence, not of
-    // what typeinf resolved).
-    graph::Digraph weighted(m);
-    for (int i = 0; i < m; ++i) {
-        int child = fam.members[static_cast<std::size_t>(i)];
-        auto forced = structural.forced_parents.find(child);
-        for (int p :
-             structural.possible_parents[static_cast<std::size_t>(
-                 child)]) {
-            bool is_forced = forced != structural.forced_parents.end() &&
-                             forced->second == p;
-            if (!is_forced && pruned.count({p, child}))
-                continue;
-            weighted.add_edge(local.at(p), i,
-                              is_forced ? 0.0
-                                        : distances.at({p, child}));
-        }
-    }
-    graph::EnumerateConfig ties;
-    ties.epsilon = config.tie_epsilon;
-    ties.max_results = config.max_alternatives;
-    auto forests = graph::enumerate_min_forests(weighted, ties);
-    const std::size_t cooptimal = forests.size();
-    detail::majority_filter(forests);
-    ROCK_ASSERT(!forests.empty(), "no forest survived filtering");
-    out.cooptimal = cooptimal;
-    out.resolved = cooptimal - forests.size();
-    {
-        static obs::Counter& enumerated = obs::Registry::global().counter(
-            "arborescence.cooptimal_forests");
-        static obs::Counter& resolved = obs::Registry::global().counter(
-            "arborescence.ties_majority_resolved");
-        enumerated.add(out.cooptimal);
-        resolved.add(out.resolved);
-        if (fam.structurally_ambiguous) {
-            static obs::Counter& structurally =
-                obs::Registry::global().counter(
-                    "arborescence.structurally_ambiguous");
-            structurally.add();
-        }
     }
 
-    for (const auto& forest : forests) {
-        std::vector<int> parents(static_cast<std::size_t>(m), -1);
-        for (int i = 0; i < m; ++i) {
-            int lp = forest.parent[static_cast<std::size_t>(i)];
-            if (lp >= 0) {
-                parents[static_cast<std::size_t>(i)] =
-                    fam.members[static_cast<std::size_t>(lp)];
-            }
-        }
-        fam.alternatives.push_back(std::move(parents));
-    }
-    return out;
-}
+    const bir::BinaryImage& image;
+    const RockConfig& config;
+    ReconstructionResult& result;
+    const int threads = support::resolve_threads(config.threads);
+    support::ThreadPool pool{threads};
 
-/** Position of @p type in the ascending @p members list. */
-int
-member_pos(const std::vector<int>& members, int type)
+    // Artifact cache (null when caching is off).
+    std::shared_ptr<cache::ArtifactCache> store;
+    bool warm = false;
+    std::uint64_t manifest_content = 0;
+    std::uint64_t manifest_fp = 0;
+    std::uint64_t fp_slm = 0;
+    std::uint64_t fp_dist = 0;
+    std::uint64_t fp_solve = 0;
+    /** Per-type "slm" content keys. */
+    std::vector<std::uint64_t> type_seq_hash;
+
+    int alphabet_size = 1;
+    /** Per-type training cost: 1 + total symbol count. */
+    std::vector<std::uint64_t> type_costs;
+    const bool observed_union = config.words.strategy ==
+                                divergence::WordSetStrategy::ObservedUnion;
+    std::vector<divergence::WordSet> type_words;
+
+    /** Candidate tables, indexed like result.families. */
+    std::vector<FamilyPlan> families;
+    // Weighed edges, family-contiguous: (parent, child) type indices,
+    // solved-subtype agreement and final weights.
+    std::vector<std::pair<int, int>> edges;
+    std::vector<char> edge_discounted;
+    std::vector<double> edge_weights;
+
+    // Wall time of this call's own tail spans.
+    std::atomic<double> train_ms{0.0};
+    std::atomic<double> distances_ms{0.0};
+    std::atomic<double> arborescence_ms{0.0};
+};
+
+/** Run @p body under a span named @p name; returns its wall time. */
+template <typename Body>
+double
+timed(const char* name, Body&& body)
 {
-    auto it = std::lower_bound(members.begin(), members.end(), type);
-    ROCK_ASSERT(it != members.end() && *it == type,
-                "type outside its family");
-    return static_cast<int>(it - members.begin());
+    obs::Span span(name);
+    body();
+    span.end();
+    return span.wall_ms();
 }
 
 /**
- * Content key of one "famsolve" artifact: everything solve_family()
- * consumes, in its iteration order -- family size, every feasible
- * (member, parent) pair as local indices, its forced/pruned state and
- * (for weighed edges) the exact distance bits.
+ * Resolve the opt-in artifact cache (config.cache, else the process
+ * default the CLIs set) and probe the run's "manifest": a hit means a
+ * completed run of this exact image and configuration populated the
+ * store, and the zero-length pipeline.warm span marks the run warm.
  */
-std::uint64_t
-famsolve_content(const std::vector<int>& members,
-                 const structural::StructuralResult& structural,
-                 const DistanceMap& distances, const PrunedEdges& pruned)
+void
+open_cache(RunContext& ctx)
 {
-    std::uint64_t h = cache::mix(cache::kFnvSeed, members.size());
-    for (std::size_t i = 0; i < members.size(); ++i) {
-        const int child = members[i];
-        auto forced = structural.forced_parents.find(child);
-        for (int p :
-             structural.possible_parents[static_cast<std::size_t>(
-                 child)]) {
-            const bool is_forced =
-                forced != structural.forced_parents.end() &&
-                forced->second == p;
-            const bool is_pruned =
-                !is_forced && pruned.count({p, child}) > 0;
-            h = cache::mix(
-                h, static_cast<std::uint64_t>(member_pos(members, p)));
-            h = cache::mix(h, static_cast<std::uint64_t>(i));
-            h = cache::mix(h, is_forced ? 1 : (is_pruned ? 2 : 0));
-            if (!is_forced && !is_pruned)
-                h = cache::mix_double(h, distances.at({p, child}));
+    ctx.store = cache::resolve_cache(ctx.config.cache);
+    if (!ctx.store)
+        return;
+    ctx.manifest_content = cfg::image_digest(ctx.image);
+    ctx.manifest_fp = config_fingerprint(ctx.config);
+    std::vector<std::uint8_t> blob;
+    if (ctx.store->get(
+            {kManifestKind, ctx.manifest_content, ctx.manifest_fp},
+            blob)) {
+        ctx.warm = true;
+        obs::Span warm_span("pipeline.warm");
+        warm_span.end();
+    }
+}
+
+/** cfg -> verify -> analyze -> structural -> typeinf, one span each. */
+void
+run_front_end(RunContext& ctx)
+{
+    ReconstructionResult& result = ctx.result;
+    StageTiming& timing = result.timing;
+
+    // Shared CFG recovery (parallel over functions): built once,
+    // consumed by the verifier, the behavioral analysis and typeinf;
+    // nobody downstream rebuilds a CFG or re-decodes a body.
+    cfg::CfgCache cfgs(ctx.image);
+    timing.cfg_ms =
+        timed("pipeline.cfg", [&] { cfgs.build_all(ctx.pool); });
+
+    if (ctx.config.verify) {
+        timing.verify_ms = timed("pipeline.verify", [&] {
+            result.diagnostics =
+                cfg::verify_image(ctx.image, ctx.pool, cfgs);
+        });
+        if (!result.diagnostics.empty()) {
+            ROCK_LOG_WARN << "rockcheck: " << result.diagnostics.size()
+                          << " diagnostic(s) on the input image, e.g. "
+                          << cfg::to_string(result.diagnostics.front());
         }
+    }
+
+    timing.analyze_ms = timed("pipeline.analyze", [&] {
+        analysis::SymExecConfig symexec = ctx.config.symexec;
+        symexec.threads = ctx.threads;
+        result.analysis =
+            analysis::analyze(ctx.image, symexec, cfgs, ctx.store);
+    });
+
+    timing.structural_ms = timed("pipeline.structural", [&] {
+        result.structural = structural::structural_analysis(
+            result.analysis.vtables, result.analysis.evidence,
+            result.analysis.ctor_types);
+    });
+
+    // Solved derives-from facts sharpen the arborescence objective;
+    // inconsistent evidence joins the rockcheck findings.
+    if (ctx.config.typeinf) {
+        timing.typeinf_ms = timed("pipeline.typeinf", [&] {
+            result.typeinf =
+                typeinf::infer(ctx.image, cfgs, result.analysis.vtables,
+                               ctx.pool, ctx.store);
+        });
+        for (cfg::Diagnostic& d : result.typeinf.diagnostics())
+            result.diagnostics.push_back(std::move(d));
+    }
+}
+
+/** Train prelude (serial): alphabet interning in type order, so symbol
+ *  ids are deterministic, plus training costs and the fingerprints.
+ *  Each per-family train task then writes only its own model slots. */
+void
+intern_alphabet(RunContext& ctx)
+{
+    ReconstructionResult& result = ctx.result;
+    const auto& types = result.structural.types;
+    const std::size_t n = types.size();
+    auto& seqs = result.type_sequences;
+    seqs.assign(n, {});
+    // Training cost is linear in a type's total symbol count; chunking
+    // by it keeps one tracelet-heavy type from serializing a chain.
+    ctx.type_costs.assign(n, 1);
+    for (std::size_t t = 0; t < n; ++t) {
+        auto it = result.analysis.type_tracelets.find(types[t]);
+        if (it == result.analysis.type_tracelets.end())
+            continue;
+        for (const auto& tracelet : it->second) {
+            seqs[t].push_back(result.alphabet.intern(tracelet));
+            ctx.type_costs[t] += seqs[t].back().size();
+        }
+    }
+    ctx.alphabet_size = std::max(1, result.alphabet.size());
+    result.models.resize(n);
+
+    // Tries store interned symbol ids, so every fingerprint folds the
+    // alphabet digest; the per-type key is the member-sequence
+    // multiset hash (identical multisets share one snapshot).
+    if (ctx.store) {
+        const std::uint64_t alpha = alphabet_digest(result.alphabet);
+        ctx.fp_slm =
+            slm_fingerprint(ctx.config.slm, ctx.alphabet_size, alpha);
+        ctx.fp_dist =
+            distance_fingerprint(ctx.config, ctx.alphabet_size, alpha);
+        ctx.fp_solve = solve_fingerprint(ctx.config);
+        ctx.type_seq_hash.resize(n);
+        for (std::size_t t = 0; t < n; ++t)
+            ctx.type_seq_hash[t] = sequence_multiset_hash(seqs[t]);
+    }
+}
+
+/**
+ * Candidate planning (serial): classify every feasible edge once. A
+ * forced rule-3 edge outranks everything; p -> child is pruned when
+ * typeinf proved p derives from child (it would invert a known
+ * derivation); every other edge is weighed, at a discount when the
+ * agreeing fact is solved. Then each family probes its "famdist" blob.
+ */
+void
+plan_candidates(RunContext& ctx)
+{
+    ReconstructionResult& result = ctx.result;
+    const structural::StructuralResult& st = result.structural;
+    const auto& types = st.types;
+    const auto num_families = static_cast<std::size_t>(st.num_families());
+    ctx.families = std::vector<FamilyPlan>(num_families);
+    result.families.resize(num_families);
+    // Members in ascending type order; each type's position in them.
+    std::vector<int> pos(types.size(), 0);
+    for (std::size_t t = 0; t < types.size(); ++t) {
+        const auto f = static_cast<std::size_t>(st.family[t]);
+        pos[t] = static_cast<int>(result.families[f].members.size());
+        result.families[f].members.push_back(static_cast<int>(t));
+    }
+
+    const bool fuse = ctx.config.typeinf && !result.typeinf.types.empty();
+    std::uint64_t forced_count = 0;
+    std::uint64_t pruned_count = 0;
+    std::uint64_t discounted = 0;
+    for (std::size_t f = 0; f < num_families; ++f) {
+        FamilyPlan& fam = ctx.families[f];
+        const auto& members = result.families[f].members;
+        result.families[f].family_id = static_cast<int>(f);
+        fam.edge_begin = fam.edge_end = ctx.edges.size();
+        if (members.size() < 2)
+            continue;
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            const auto c = static_cast<std::size_t>(members[i]);
+            auto forced = st.forced_parents.find(members[i]);
+            for (int parent : st.possible_parents[c]) {
+                const auto p = static_cast<std::size_t>(parent);
+                ROCK_ASSERT(st.family[p] == static_cast<int>(f),
+                            "type outside its family");
+                CandidateEdge edge{pos[p], static_cast<int>(i),
+                                   EdgeKind::Weighed, ctx.edges.size()};
+                if (forced != st.forced_parents.end() &&
+                    forced->second == parent) {
+                    edge.kind = EdgeKind::Forced;
+                    ++forced_count;
+                } else if (fuse &&
+                           result.typeinf.subtype(types[p], types[c])) {
+                    edge.kind = EdgeKind::Pruned;
+                    ++pruned_count;
+                } else {
+                    const bool agrees =
+                        fuse && result.typeinf.subtype(types[c], types[p]);
+                    discounted += agrees ? 1 : 0;
+                    ctx.edges.emplace_back(parent, members[i]);
+                    ctx.edge_discounted.push_back(agrees ? 1 : 0);
+                }
+                fam.candidates.push_back(edge);
+            }
+        }
+        fam.edge_end = ctx.edges.size();
+    }
+    // DKL pairs actually scheduled vs. pruned away by structural
+    // certainty or by a contradicting solved subtype fact.
+    obs::Registry& reg = obs::Registry::global();
+    reg.counter("divergence.pairs_scheduled").add(ctx.edges.size());
+    reg.counter("divergence.pairs_pruned_forced").add(forced_count);
+    reg.counter("typeinf.edges_pruned").add(pruned_count);
+    reg.counter("typeinf.edges_discounted").add(discounted);
+
+    ctx.edge_weights.assign(ctx.edges.size(), 0.0);
+    if (ctx.observed_union)
+        ctx.type_words.resize(types.size());
+
+    // A "famdist" hit pre-fills the family's weights and replays the
+    // work counters the skipped evaluation would have bumped.
+    for (FamilyPlan& fam : ctx.families) {
+        if (!ctx.store || fam.edge_begin == fam.edge_end)
+            continue;
+        std::uint64_t h =
+            cache::mix(cache::kFnvSeed, fam.edge_end - fam.edge_begin);
+        for (std::size_t e = fam.edge_begin; e < fam.edge_end; ++e) {
+            const auto [p, c] = ctx.edges[e];
+            h = cache::mix(h, static_cast<std::uint32_t>(p));
+            h = cache::mix(h, static_cast<std::uint32_t>(c));
+            h = cache::mix(h, ctx.type_seq_hash[static_cast<std::size_t>(p)]);
+            h = cache::mix(h, ctx.type_seq_hash[static_cast<std::size_t>(c)]);
+            h = cache::mix(h, ctx.edge_discounted[e] ? 1 : 0);
+        }
+        fam.famdist_content = h;
+        std::vector<std::uint8_t> blob;
+        if (!ctx.store->get({kFamilyDistanceKind, h, ctx.fp_dist}, blob))
+            continue;
+        cache::ByteReader in(blob);
+        FamilyDistanceBlob dist;
+        if (!decode_family_distances(in, &dist) ||
+            dist.weights.size() != fam.edge_end - fam.edge_begin)
+            continue;
+        std::copy(dist.weights.begin(), dist.weights.end(),
+                  ctx.edge_weights.begin() +
+                      static_cast<std::ptrdiff_t>(fam.edge_begin));
+        fam.famdist_loaded = true;
+        reg.counter("divergence.pairs").add(dist.pairs);
+        reg.counter("divergence.words").add(dist.words);
+        reg.counter("slm.escapes").add(dist.escapes);
+    }
+}
+
+/** Train type @p t's model, or restore its "slm" snapshot. */
+void
+train_type(RunContext& ctx, std::size_t t)
+{
+    const auto& seqs = ctx.result.type_sequences[t];
+    auto& model = ctx.result.models[t];
+    cache::ArtifactKey key{kSlmArtifactKind, 0, ctx.fp_slm};
+    std::vector<std::uint8_t> blob;
+    if (ctx.store) {
+        key.content = ctx.type_seq_hash[t];
+        if (ctx.store->get(key, blob)) {
+            cache::ByteReader in(blob);
+            model = slm::restore_model(ctx.config.slm, ctx.alphabet_size,
+                                       in);
+        }
+    }
+    if (model) {
+        slm::record_training_metrics(*model, seqs);
+        return;
+    }
+    model = slm::train_model(ctx.config.slm, ctx.alphabet_size, seqs);
+    if (ctx.store) {
+        cache::ByteWriter out;
+        slm::snapshot_model(*model, out);
+        ctx.store->put(key, out.take());
+    }
+}
+
+/** Train task: the models of family @p f's members in @p chunk, then
+ *  their ObservedUnion word sets when the family still needs them. */
+void
+train_chunk(RunContext& ctx, std::size_t f, support::Chunk chunk,
+            bool need_words)
+{
+    const auto& members = ctx.result.families[f].members;
+    ctx.train_ms += timed("pipeline.train", [&] {
+        for (std::size_t pos = chunk.begin; pos < chunk.end; ++pos)
+            train_type(ctx, static_cast<std::size_t>(members[pos]));
+    });
+    if (!need_words)
+        return;
+    // Sort-deduplicate each type's sequences once, so each edge is a
+    // linear merge instead of a fresh std::set over both types.
+    ctx.distances_ms += timed("pipeline.distances", [&] {
+        for (std::size_t pos = chunk.begin; pos < chunk.end; ++pos) {
+            const auto t = static_cast<std::size_t>(members[pos]);
+            ctx.type_words[t] = divergence::sorted_unique_words(
+                ctx.result.type_sequences[t]);
+        }
+    });
+}
+
+/** Distance of weighed edge @p e under the configured metric. */
+double
+edge_weight(const RunContext& ctx, std::size_t e)
+{
+    const ReconstructionResult& result = ctx.result;
+    const auto p = static_cast<std::size_t>(ctx.edges[e].first);
+    const auto c = static_cast<std::size_t>(ctx.edges[e].second);
+    divergence::WordSet words =
+        ctx.observed_union
+            ? divergence::merge_word_sets(ctx.type_words[p],
+                                          ctx.type_words[c])
+            : divergence::build_word_set(
+                  ctx.config.words, result.type_sequences[p],
+                  result.type_sequences[c], result.models[p].get(),
+                  ctx.alphabet_size);
+    double weight = 0.0;
+    if (!words.empty()) {
+        weight = divergence::pair_distance(ctx.config.metric,
+                                           *result.models[p],
+                                           *result.models[c], words);
+    }
+    // Solved-subtype agreement: cheapen the edge without ever touching
+    // the zero-cost floor forced edges stand on.
+    if (ctx.edge_discounted[e] && weight > 0.0)
+        weight *= ctx.config.typeinf_discount;
+    return weight;
+}
+
+/** Distance task: weigh family @p f's slots in @p chunk (relative to
+ *  its edge_begin), unless its "famdist" probe already filled them. */
+void
+weigh_chunk(RunContext& ctx, std::size_t f, support::Chunk chunk)
+{
+    FamilyPlan& fam = ctx.families[f];
+    ctx.distances_ms += timed("pipeline.distances", [&] {
+        if (fam.famdist_loaded)
+            return;
+        const auto before = divergence::thread_pair_tally();
+        const std::uint64_t escapes_before = slm::thread_escape_tally();
+        for (std::size_t e = fam.edge_begin + chunk.begin;
+             e < fam.edge_begin + chunk.end; ++e)
+            ctx.edge_weights[e] = edge_weight(ctx, e);
+        const auto after = divergence::thread_pair_tally();
+        fam.pairs += after.pairs - before.pairs;
+        fam.words += after.words - before.words;
+        fam.escapes += slm::thread_escape_tally() - escapes_before;
+    });
+}
+
+/** Content key of one "famsolve" artifact: everything solve_family()
+ *  reads, in its order -- family size, then every candidate's parent
+ *  and child positions, kind and (weighed) exact distance bits. */
+std::uint64_t
+famsolve_content(const RunContext& ctx, const FamilyPlan& fam, int m)
+{
+    std::uint64_t h =
+        cache::mix(cache::kFnvSeed, static_cast<std::uint64_t>(m));
+    for (const CandidateEdge& edge : fam.candidates) {
+        h = cache::mix(h, static_cast<std::uint64_t>(edge.parent));
+        h = cache::mix(h, static_cast<std::uint64_t>(edge.child));
+        h = cache::mix(h, static_cast<std::uint64_t>(edge.kind));
+        if (edge.kind == EdgeKind::Weighed)
+            h = cache::mix_double(h, ctx.edge_weights[edge.slot]);
     }
     return h;
 }
 
-/** Sum of @p name over a span_wall_totals() snapshot. */
-double
-span_total(const std::vector<std::pair<std::string, double>>& totals,
-           const char* name)
+/** Solve a multi-member family from its candidate table: enumerate
+ *  co-optimal forests and majority-filter the ties. A pure function
+ *  of its inputs; returns exactly what a "famsolve" hit decodes. */
+FamilySolveBlob
+solve_family(const RunContext& ctx, const FamilyPlan& fam, int m)
 {
-    for (const auto& [n, ms] : totals) {
-        if (n == name)
-            return ms;
+    const auto contractions_before = graph::thread_contraction_tally();
+    FamilySolveBlob sol;
+    sol.m = m;
+    // Structural ambiguity: is there more than one zero-weight spanning
+    // forest over all feasible edges, pruned ones too? Zero-weight
+    // landscapes are the enumerator's worst case; a modest budget
+    // suffices to detect a second forest and errs toward "ambiguous"
+    // on truncation, never the reverse. The skeleton stays alive
+    // through the weighted enumeration below: freeing it first changes
+    // how that enumeration reuses the heap, and measured slower.
+    graph::Digraph skeleton(m);
+    for (const CandidateEdge& edge : fam.candidates)
+        skeleton.add_edge(edge.parent, edge.child, 0.0);
+    graph::EnumerateConfig probe;
+    probe.epsilon = 0.0;
+    probe.max_results = 2;
+    probe.max_steps = 200000;
+    sol.structurally_ambiguous =
+        graph::enumerate_min_forests(skeleton, probe).size() > 1;
+
+    // Forced edges cost nothing, so the optimizer never prefers
+    // re-rooting a chain over honoring them.
+    graph::Digraph weighted(m);
+    for (const CandidateEdge& edge : fam.candidates) {
+        if (edge.kind != EdgeKind::Pruned) {
+            weighted.add_edge(edge.parent, edge.child,
+                              edge.kind == EdgeKind::Forced
+                                  ? 0.0
+                                  : ctx.edge_weights[edge.slot]);
+        }
     }
-    return 0.0;
+    graph::EnumerateConfig ties;
+    ties.epsilon = ctx.config.tie_epsilon;
+    ties.max_results = ctx.config.max_alternatives;
+    auto forests = graph::enumerate_min_forests(weighted, ties);
+    sol.cooptimal = forests.size();
+    detail::majority_filter(forests);
+    ROCK_ASSERT(!forests.empty(), "no forest survived filtering");
+    sol.resolved = sol.cooptimal - forests.size();
+    for (auto& forest : forests)
+        sol.alternatives.push_back(std::move(forest.parent));
+    sol.contractions =
+        graph::thread_contraction_tally() - contractions_before;
+    return sol;
+}
+
+/**
+ * Solve task, the end of family @p f's chain: store fresh weights,
+ * take the solution from the store or solve it, then replay its
+ * counters and map member positions to type indices on one path for
+ * hits and misses (only a hit replays Edmonds contractions).
+ */
+void
+solve_stage(RunContext& ctx, std::size_t f)
+{
+    FamilyPlan& fam = ctx.families[f];
+    FamilyResult& out = ctx.result.families[f];
+    const int m = static_cast<int>(out.members.size());
+    obs::Span span("pipeline.arborescence");
+    if (ctx.store && fam.edge_end > fam.edge_begin &&
+        !fam.famdist_loaded) {
+        const auto first = ctx.edge_weights.begin();
+        const FamilyDistanceBlob dist{
+            {first + static_cast<std::ptrdiff_t>(fam.edge_begin),
+             first + static_cast<std::ptrdiff_t>(fam.edge_end)},
+            fam.pairs, fam.words, fam.escapes};
+        cache::ByteWriter w;
+        encode_family_distances(dist, w);
+        ctx.store->put(
+            {kFamilyDistanceKind, fam.famdist_content, ctx.fp_dist},
+            w.take());
+    }
+
+    obs::Registry& reg = obs::Registry::global();
+    reg.counter("arborescence.families_solved").add();
+    FamilySolveBlob sol;
+    if (m == 1) {
+        reg.counter("arborescence.singleton_families").add();
+        sol.alternatives.push_back({-1});
+    } else {
+        cache::ArtifactKey key{kFamilySolveKind, 0, ctx.fp_solve};
+        std::vector<std::uint8_t> blob;
+        bool hit = false;
+        if (ctx.store) {
+            key.content = famsolve_content(ctx, fam, m);
+            if (ctx.store->get(key, blob)) {
+                cache::ByteReader in(blob);
+                hit = decode_family_solution(in, &sol) && sol.m == m;
+            }
+        }
+        if (!hit) {
+            sol = solve_family(ctx, fam, m);
+            if (ctx.store) {
+                cache::ByteWriter w;
+                encode_family_solution(sol, w);
+                ctx.store->put(key, w.take());
+            }
+        }
+        reg.counter("arborescence.cooptimal_forests").add(sol.cooptimal);
+        reg.counter("arborescence.ties_majority_resolved").add(sol.resolved);
+        if (sol.structurally_ambiguous)
+            reg.counter("arborescence.structurally_ambiguous").add();
+        if (hit)
+            reg.counter("graph.edmonds.contractions").add(sol.contractions);
+    }
+
+    out.structurally_ambiguous = sol.structurally_ambiguous;
+    for (auto& parents : sol.alternatives) {
+        for (int& p : parents)
+            p = p < 0 ? -1 : out.members[static_cast<std::size_t>(p)];
+        out.alternatives.push_back(std::move(parents));
+    }
+    span.end();
+    ctx.arborescence_ms += span.wall_ms();
+}
+
+/**
+ * The pipelined tail: one task chain per family, train chunks ->
+ * distance chunks -> solve, run as one dependency DAG on the pool. The
+ * fixed chunk fan-out keeps the task graph (and threadpool.items)
+ * independent of the pool size.
+ */
+void
+run_family_chains(RunContext& ctx)
+{
+    constexpr std::size_t kTaskFanout = 16;
+    std::vector<support::Task> tasks;
+    for (std::size_t f = 0; f < ctx.families.size(); ++f) {
+        const FamilyPlan& fam = ctx.families[f];
+        const auto& members = ctx.result.families[f].members;
+        const std::size_t num_edges = fam.edge_end - fam.edge_begin;
+        const bool need_words =
+            ctx.observed_union && num_edges > 0 && !fam.famdist_loaded;
+
+        std::vector<std::uint64_t> member_costs(members.size());
+        for (std::size_t pos = 0; pos < members.size(); ++pos)
+            member_costs[pos] = ctx.type_costs[static_cast<std::size_t>(
+                members[pos])];
+        // Edge cost ~ word-set size x per-word model walks; both scale
+        // with the two types' sequence volume.
+        std::vector<std::uint64_t> edge_costs(num_edges);
+        for (std::size_t i = 0; i < num_edges; ++i) {
+            const auto [p, c] = ctx.edges[fam.edge_begin + i];
+            edge_costs[i] = ctx.type_costs[static_cast<std::size_t>(p)] +
+                            ctx.type_costs[static_cast<std::size_t>(c)];
+        }
+
+        support::ChunkPlan plan;
+        plan.costs = member_costs.data();
+        std::vector<std::size_t> train_ids;
+        for (const support::Chunk& chunk :
+             support::plan_chunks(members.size(), kTaskFanout, plan)) {
+            train_ids.push_back(tasks.size());
+            tasks.push_back({[&ctx, f, chunk, need_words] {
+                                 train_chunk(ctx, f, chunk, need_words);
+                             },
+                             {}});
+        }
+        plan.costs = edge_costs.data();
+        std::vector<std::size_t> dist_ids;
+        for (const support::Chunk& chunk :
+             support::plan_chunks(num_edges, kTaskFanout, plan)) {
+            dist_ids.push_back(tasks.size());
+            tasks.push_back(
+                {[&ctx, f, chunk] { weigh_chunk(ctx, f, chunk); },
+                 train_ids});
+        }
+        tasks.push_back({[&ctx, f] { solve_stage(ctx, f); },
+                         dist_ids.empty() ? train_ids : dist_ids});
+    }
+    ctx.pool.run_tasks(tasks);
+}
+
+/** Serial merges (deterministic order), the selected hierarchy and the
+ *  manifest that vouches for every artifact this run stored. */
+void
+merge_results(RunContext& ctx)
+{
+    ReconstructionResult& result = ctx.result;
+    ctx.distances_ms += timed("pipeline.distances", [&] {
+        result.distances.reserve(ctx.edges.size());
+        for (std::size_t e = 0; e < ctx.edges.size(); ++e)
+            result.distances.emplace(ctx.edges[e], ctx.edge_weights[e]);
+    });
+    ctx.arborescence_ms += timed("pipeline.arborescence", [&] {
+        for (const FamilyResult& fam : result.families)
+            result.ambiguous_families += fam.structurally_ambiguous;
+    });
+    result.timing.train_ms = ctx.train_ms;
+    result.timing.distances_ms = ctx.distances_ms;
+    result.timing.arborescence_ms = ctx.arborescence_ms;
+
+    std::vector<int> first(result.families.size(), 0);
+    result.hierarchy = result.hierarchy_with(first);
+
+    if (ctx.store && !ctx.warm) {
+        cache::ByteWriter w;
+        w.u64(ctx.manifest_content);
+        ctx.store->put(
+            {kManifestKind, ctx.manifest_content, ctx.manifest_fp},
+            w.take());
+    }
 }
 
 } // namespace
@@ -290,692 +743,37 @@ ReconstructionResult::hierarchy_with(const std::vector<int>& pick) const
 ReconstructionResult
 reconstruct(const bir::BinaryImage& image, const RockConfig& config)
 {
-    const int threads = support::resolve_threads(config.threads);
-    support::ThreadPool pool(threads);
-
     ReconstructionResult result;
-    // Every stage runs under a span; StageTiming is populated from the
-    // span tree (spans are the source of truth, the struct is the
-    // stable legacy surface). Spans are ended explicitly so wall_ms()
-    // is final before it is copied.
+    RunContext ctx(image, config, result);
+    // Every stage runs under a "pipeline.<stage>" span; StageTiming is
+    // filled from this call's own spans only.
     obs::Span total_span("pipeline.reconstruct");
     obs::Registry::global().counter("pipeline.runs").add();
 
-    // ---- Artifact cache ------------------------------------------------
-    // Opt-in, resolved against the process-wide default so the CLIs
-    // can enable it (--cache-dir) without plumbing a handle through
-    // every call site. A "manifest" hit means a completed run with
-    // this exact image and configuration already populated the store;
-    // the zero-length pipeline.warm span marks the run as warm for
-    // rockstat and the bench harnesses. Fingerprints never fold the
-    // thread count: warm results are bit-identical across pool sizes.
-    std::shared_ptr<cache::ArtifactCache> artifacts =
-        cache::resolve_cache(config.cache);
-    cache::ArtifactCache* store = artifacts.get();
-    std::uint64_t manifest_content = 0;
-    std::uint64_t manifest_fp = 0;
-    bool warm = false;
-    if (store) {
-        manifest_content = cfg::image_digest(image);
-        manifest_fp = config_fingerprint(config);
-        std::vector<std::uint8_t> blob;
-        if (store->get({kManifestKind, manifest_content, manifest_fp},
-                       blob)) {
-            warm = true;
-            obs::Span warm_span("pipeline.warm");
-            warm_span.end();
-        }
-    }
+    open_cache(ctx);
+    run_front_end(ctx);
+    ctx.train_ms += timed("pipeline.train", [&] { intern_alphabet(ctx); });
+    ctx.distances_ms +=
+        timed("pipeline.distances", [&] { plan_candidates(ctx); });
+    run_family_chains(ctx);
+    merge_results(ctx);
 
-    // ---- Shared CFG recovery (parallel over functions) -----------------
-    // Built once, consumed by both the verifier and the behavioral
-    // analysis; nobody downstream rebuilds a CFG or re-decodes a body.
-    cfg::CfgCache cfgs(image);
-    {
-        obs::Span cfg_span("pipeline.cfg");
-        cfgs.build_all(pool);
-        cfg_span.end();
-        result.timing.cfg_ms = cfg_span.wall_ms();
-    }
-
-    // ---- Image verification (parallel over functions) ------------------
-    if (config.verify) {
-        obs::Span span("pipeline.verify");
-        result.diagnostics = cfg::verify_image(image, pool, cfgs);
-        span.end();
-        result.timing.verify_ms = span.wall_ms();
-        if (!result.diagnostics.empty()) {
-            ROCK_LOG_WARN << "rockcheck: " << result.diagnostics.size()
-                          << " diagnostic(s) on the input image, e.g. "
-                          << cfg::to_string(result.diagnostics.front());
-        }
-    }
-
-    // ---- Behavioral analysis (parallel over functions) -----------------
-    obs::Span analyze_span("pipeline.analyze");
-    analysis::SymExecConfig symexec = config.symexec;
-    symexec.threads = threads;
-    result.analysis = analysis::analyze(image, symexec, cfgs, artifacts);
-    analyze_span.end();
-    result.timing.analyze_ms = analyze_span.wall_ms();
-
-    // ---- Structural analysis (serial; cheap) ---------------------------
-    obs::Span structural_span("pipeline.structural");
-    result.structural = structural::structural_analysis(
-        result.analysis.vtables, result.analysis.evidence,
-        result.analysis.ctor_types);
-    structural_span.end();
-    result.timing.structural_ms = structural_span.wall_ms();
-
-    const auto& types = result.structural.types;
-    const int n = static_cast<int>(types.size());
-
-    // ---- Subtyping constraint pass (parallel over unique bodies) -------
-    // Solved derives-from facts sharpen the arborescence objective
-    // below; inconsistent evidence joins the rockcheck findings.
-    if (config.typeinf) {
-        obs::Span typeinf_span("pipeline.typeinf");
-        result.typeinf = typeinf::infer(
-            image, cfgs, result.analysis.vtables, pool, artifacts);
-        typeinf_span.end();
-        result.timing.typeinf_ms = typeinf_span.wall_ms();
-        for (cfg::Diagnostic& d : result.typeinf.diagnostics())
-            result.diagnostics.push_back(std::move(d));
-    }
-
-    // ==== Pipelined tail: train -> distances -> arborescence ============
-    // The last three stages no longer run as global barriers. After
-    // two serial preludes (alphabet interning; the feasible-edge work
-    // list), every family owns an independent task chain
-    //
-    //     train chunks -> distance chunks -> solve
-    //
-    // executed as one dependency DAG on the pool, so a small family's
-    // arborescence finishes while a big family is still training. Big
-    // families still chunk internally; chunk plans use a *fixed*
-    // pseudo-worker fan-out, so the task count and graph shape depend
-    // only on the input, never on the pool size (the threadpool.items
-    // counter stays bit-identical across thread counts). StageTiming
-    // attribution survives via per-task spans: each task logs its work
-    // under the owning stage's span name, and the per-stage fields
-    // below are span_wall_totals() deltas over the tail.
-    const auto tail_before = obs::span_wall_totals();
-
-    // ---- Train prelude (serial): alphabet interning --------------------
-    // Interning mutates shared state, so it runs serially in type
-    // order (deterministic symbol ids); training itself happens in the
-    // per-family tasks, each type writing its own model slot.
-    analysis::Alphabet& alphabet = result.alphabet;
-    auto& seqs = result.type_sequences;
-    // Training cost is linear in a type's total symbol count; chunk
-    // accordingly so one tracelet-heavy type cannot serialize a
-    // family's chain.
-    std::vector<std::uint64_t> type_costs(
-        static_cast<std::size_t>(n), 1);
-    {
-        obs::Span span("pipeline.train");
-        seqs.assign(static_cast<std::size_t>(n), {});
-        for (int t = 0; t < n; ++t) {
-            auto it = result.analysis.type_tracelets.find(
-                types[static_cast<std::size_t>(t)]);
-            if (it == result.analysis.type_tracelets.end())
-                continue;
-            for (const auto& tracelet : it->second)
-                seqs[static_cast<std::size_t>(t)].push_back(
-                    alphabet.intern(tracelet));
-        }
-        for (int t = 0; t < n; ++t) {
-            for (const auto& seq : seqs[static_cast<std::size_t>(t)])
-                type_costs[static_cast<std::size_t>(t)] += seq.size();
-        }
-        span.end();
-    }
-    const int alphabet_size = std::max(1, alphabet.size());
-    auto& models = result.models;
-    models.resize(static_cast<std::size_t>(n));
-
-    // Per-type content hashes and stage fingerprints. Tries store
-    // interned symbol ids, so every fingerprint folds the alphabet
-    // digest; the per-type key is the member-sequence multiset hash
-    // (identical multisets share one snapshot).
-    std::uint64_t fp_slm = 0;
-    std::uint64_t fp_dist = 0;
-    std::uint64_t fp_solve = 0;
-    std::vector<std::uint64_t> type_seq_hash;
-    if (store) {
-        const std::uint64_t alpha = alphabet_digest(alphabet);
-        fp_slm = slm_fingerprint(config.slm, alphabet_size, alpha);
-        fp_dist = distance_fingerprint(config, alphabet_size, alpha);
-        fp_solve = solve_fingerprint(config);
-        type_seq_hash.resize(static_cast<std::size_t>(n));
-        for (int t = 0; t < n; ++t)
-            type_seq_hash[static_cast<std::size_t>(t)] =
-                sequence_multiset_hash(
-                    seqs[static_cast<std::size_t>(t)]);
-    }
-
-    // ---- Distances prelude (serial): the feasible-edge work list -------
-    // Every non-forced feasible (parent, child) pair of every
-    // multi-member family, in (family, member, parent) order -- edges
-    // of one family are contiguous, [fam_edge_begin, fam_edge_end).
-    const int num_families = result.structural.num_families();
-    std::vector<std::vector<int>> family_members(
-        static_cast<std::size_t>(num_families));
-    std::vector<std::pair<int, int>> edges;
-    std::vector<char> edge_discounted;
-    std::vector<std::size_t> fam_edge_begin(
-        static_cast<std::size_t>(num_families), 0);
-    std::vector<std::size_t> fam_edge_end(
-        static_cast<std::size_t>(num_families), 0);
-    PrunedEdges typeinf_pruned;
-    std::vector<char> famdist_loaded(
-        static_cast<std::size_t>(num_families), 0);
-    std::vector<std::uint64_t> famdist_content(
-        static_cast<std::size_t>(num_families), 0);
-    std::vector<double> edge_weights;
-    std::vector<std::uint64_t> edge_costs;
-    const bool observed_union = config.words.strategy ==
-                                divergence::WordSetStrategy::ObservedUnion;
-    std::vector<divergence::WordSet> type_words;
-    {
-        obs::Span span("pipeline.distances");
-        for (int f = 0; f < num_families; ++f)
-            family_members[static_cast<std::size_t>(f)] =
-                result.structural.family_members(f);
-
-        std::uint64_t pairs_pruned = 0;
-        std::uint64_t discounted = 0;
-        // A candidate edge p -> child contradicts a solved fact when
-        // typeinf proved p itself derives from child (the edge would
-        // invert a known derivation): hard-pruned, never weighed. The
-        // agreeing direction (child derives from p) keeps the edge but
-        // discounts its distance. Forced rule-3 edges outrank both.
-        const bool fuse =
-            config.typeinf && !result.typeinf.types.empty();
-        for (int f = 0; f < num_families; ++f) {
-            fam_edge_begin[static_cast<std::size_t>(f)] = edges.size();
-            const auto& members =
-                family_members[static_cast<std::size_t>(f)];
-            if (members.size() >= 2) {
-                for (int child : members) {
-                    auto forced =
-                        result.structural.forced_parents.find(child);
-                    std::uint32_t child_vt =
-                        types[static_cast<std::size_t>(child)];
-                    for (int p :
-                         result.structural.possible_parents
-                             [static_cast<std::size_t>(child)]) {
-                        bool is_forced =
-                            forced !=
-                                result.structural.forced_parents.end() &&
-                            forced->second == p;
-                        if (is_forced) {
-                            ++pairs_pruned;
-                            continue;
-                        }
-                        std::uint32_t p_vt =
-                            types[static_cast<std::size_t>(p)];
-                        if (fuse &&
-                            result.typeinf.subtype(p_vt, child_vt)) {
-                            typeinf_pruned.insert({p, child});
-                            continue;
-                        }
-                        bool agrees =
-                            fuse &&
-                            result.typeinf.subtype(child_vt, p_vt);
-                        discounted += agrees ? 1 : 0;
-                        edges.emplace_back(p, child);
-                        edge_discounted.push_back(agrees ? 1 : 0);
-                    }
-                }
-            }
-            fam_edge_end[static_cast<std::size_t>(f)] = edges.size();
-        }
-        {
-            // DKL pairs actually scheduled vs. pruned away by
-            // structural certainty (forced rule-3 parents cost nothing
-            // to keep) or by a contradicting solved subtype fact.
-            obs::Registry& reg = obs::Registry::global();
-            reg.counter("divergence.pairs_scheduled").add(edges.size());
-            reg.counter("divergence.pairs_pruned_forced")
-                .add(pairs_pruned);
-            reg.counter("typeinf.edges_pruned")
-                .add(typeinf_pruned.size());
-            reg.counter("typeinf.edges_discounted").add(discounted);
-        }
-        // Edge cost ~ word-set size x per-word model walks; both scale
-        // with the two types' sequence volume.
-        edge_weights.assign(edges.size(), 0.0);
-        edge_costs.assign(edges.size(), 1);
-        for (std::size_t e = 0; e < edges.size(); ++e) {
-            const auto [p, c] = edges[e];
-            edge_costs[e] = type_costs[static_cast<std::size_t>(p)] +
-                            type_costs[static_cast<std::size_t>(c)];
-        }
-        if (observed_union)
-            type_words.resize(static_cast<std::size_t>(n));
-
-        // Per-family distance-blob probe: a hit pre-fills the family's
-        // weight range (final, post-discount values) and replays the
-        // work counters the skipped evaluation would have bumped.
-        if (store) {
-            for (int f = 0; f < num_families; ++f) {
-                const std::size_t eb =
-                    fam_edge_begin[static_cast<std::size_t>(f)];
-                const std::size_t ee =
-                    fam_edge_end[static_cast<std::size_t>(f)];
-                if (eb == ee)
-                    continue;
-                std::uint64_t h =
-                    cache::mix(cache::kFnvSeed, ee - eb);
-                for (std::size_t e = eb; e < ee; ++e) {
-                    const auto [p, c] = edges[e];
-                    h = cache::mix(h, static_cast<std::uint64_t>(
-                                          static_cast<std::uint32_t>(p)));
-                    h = cache::mix(h, static_cast<std::uint64_t>(
-                                          static_cast<std::uint32_t>(c)));
-                    h = cache::mix(
-                        h, type_seq_hash[static_cast<std::size_t>(p)]);
-                    h = cache::mix(
-                        h, type_seq_hash[static_cast<std::size_t>(c)]);
-                    h = cache::mix(
-                        h, edge_discounted[e] ? 1 : 0);
-                }
-                famdist_content[static_cast<std::size_t>(f)] = h;
-                std::vector<std::uint8_t> blob;
-                if (!store->get({kFamilyDistanceKind, h, fp_dist},
-                                blob))
-                    continue;
-                cache::ByteReader in(blob);
-                FamilyDistanceBlob dist;
-                if (!decode_family_distances(in, &dist) ||
-                    dist.weights.size() != ee - eb)
-                    continue;
-                std::copy(dist.weights.begin(), dist.weights.end(),
-                          edge_weights.begin() +
-                              static_cast<std::ptrdiff_t>(eb));
-                famdist_loaded[static_cast<std::size_t>(f)] = 1;
-                obs::Registry& reg = obs::Registry::global();
-                reg.counter("divergence.pairs").add(dist.pairs);
-                reg.counter("divergence.words").add(dist.words);
-                reg.counter("slm.escapes").add(dist.escapes);
-            }
-        }
-        span.end();
-    }
-
-    // ---- Per-family task chains ----------------------------------------
-    result.families.resize(static_cast<std::size_t>(num_families));
-    std::vector<int> ambiguous(static_cast<std::size_t>(num_families),
-                               0);
-    // Per-family tallies of the work the distance chunks performed,
-    // captured via the thread-local mirrors (metrics.h, ppm.h) so a
-    // cold run can store exactly what a warm hit must replay.
-    std::vector<std::atomic<std::uint64_t>> fam_pairs(
-        static_cast<std::size_t>(num_families));
-    std::vector<std::atomic<std::uint64_t>> fam_words(
-        static_cast<std::size_t>(num_families));
-    std::vector<std::atomic<std::uint64_t>> fam_escapes(
-        static_cast<std::size_t>(num_families));
-
-    // Fixed chunk fan-out: larger than any sane worker count so big
-    // families spread across the pool, yet independent of it so the
-    // task graph is identical for every thread count.
-    constexpr std::size_t kTaskFanout = 16;
-
-    std::vector<support::Task> tasks;
-    for (int f = 0; f < num_families; ++f) {
-        const auto& members =
-            family_members[static_cast<std::size_t>(f)];
-        const std::size_t m = members.size();
-        const std::size_t eb =
-            fam_edge_begin[static_cast<std::size_t>(f)];
-        const std::size_t ee = fam_edge_end[static_cast<std::size_t>(f)];
-        const bool need_words =
-            observed_union && ee > eb &&
-            !famdist_loaded[static_cast<std::size_t>(f)];
-
-        std::vector<std::uint64_t> member_costs(m);
-        for (std::size_t pos = 0; pos < m; ++pos)
-            member_costs[pos] =
-                type_costs[static_cast<std::size_t>(members[pos])];
-        support::ChunkPlan member_plan;
-        member_plan.costs = member_costs.data();
-
-        std::vector<std::size_t> train_ids;
-        for (const support::Chunk& chunk :
-             support::plan_chunks(m, kTaskFanout, member_plan)) {
-            train_ids.push_back(tasks.size());
-            tasks.push_back(
-                {[&, f, chunk, need_words]() {
-                     const auto& mem =
-                         family_members[static_cast<std::size_t>(f)];
-                     {
-                         obs::Span span("pipeline.train");
-                         for (std::size_t pos = chunk.begin;
-                              pos < chunk.end; ++pos) {
-                             const std::size_t t =
-                                 static_cast<std::size_t>(mem[pos]);
-                             if (store) {
-                                 cache::ArtifactKey key{
-                                     kSlmArtifactKind, type_seq_hash[t],
-                                     fp_slm};
-                                 std::vector<std::uint8_t> blob;
-                                 if (store->get(key, blob)) {
-                                     cache::ByteReader in(blob);
-                                     if (auto model = slm::restore_model(
-                                             config.slm, alphabet_size,
-                                             in)) {
-                                         slm::record_training_metrics(
-                                             *model, seqs[t]);
-                                         models[t] = std::move(model);
-                                     }
-                                 }
-                                 if (!models[t]) {
-                                     models[t] = slm::train_model(
-                                         config.slm, alphabet_size,
-                                         seqs[t]);
-                                     cache::ByteWriter out;
-                                     slm::snapshot_model(*models[t],
-                                                         out);
-                                     store->put(key, out.take());
-                                 }
-                             } else {
-                                 models[t] = slm::train_model(
-                                     config.slm, alphabet_size,
-                                     seqs[t]);
-                             }
-                         }
-                         span.end();
-                     }
-                     if (need_words) {
-                         // ObservedUnion word sets: sort-deduplicate
-                         // each type's sequences once, so each edge is
-                         // a linear merge instead of a fresh std::set
-                         // over both types.
-                         obs::Span span("pipeline.distances");
-                         for (std::size_t pos = chunk.begin;
-                              pos < chunk.end; ++pos) {
-                             const std::size_t t =
-                                 static_cast<std::size_t>(mem[pos]);
-                             type_words[t] =
-                                 divergence::sorted_unique_words(
-                                     seqs[t]);
-                         }
-                         span.end();
-                     }
-                 },
-                 {}});
-        }
-
-        std::vector<std::size_t> dist_ids;
-        if (ee > eb) {
-            support::ChunkPlan edge_plan;
-            edge_plan.costs = edge_costs.data() + eb;
-            for (const support::Chunk& chunk :
-                 support::plan_chunks(ee - eb, kTaskFanout, edge_plan)) {
-                dist_ids.push_back(tasks.size());
-                tasks.push_back(
-                    {[&, f, eb, chunk]() {
-                         obs::Span span("pipeline.distances");
-                         if (!famdist_loaded[static_cast<std::size_t>(
-                                 f)]) {
-                             const divergence::PairTally before =
-                                 divergence::thread_pair_tally();
-                             const std::uint64_t escapes_before =
-                                 slm::thread_escape_tally();
-                             for (std::size_t i = chunk.begin;
-                                  i < chunk.end; ++i) {
-                                 const std::size_t e = eb + i;
-                                 const auto [p, c] = edges[e];
-                                 divergence::WordSet words =
-                                     observed_union
-                                         ? divergence::merge_word_sets(
-                                               type_words
-                                                   [static_cast<
-                                                       std::size_t>(p)],
-                                               type_words
-                                                   [static_cast<
-                                                       std::size_t>(c)])
-                                         : divergence::build_word_set(
-                                               config.words,
-                                               seqs[static_cast<
-                                                   std::size_t>(p)],
-                                               seqs[static_cast<
-                                                   std::size_t>(c)],
-                                               models[static_cast<
-                                                          std::size_t>(
-                                                          p)]
-                                                   .get(),
-                                               alphabet_size);
-                                 if (!words.empty()) {
-                                     edge_weights[e] =
-                                         divergence::pair_distance(
-                                             config.metric,
-                                             *models[static_cast<
-                                                 std::size_t>(p)],
-                                             *models[static_cast<
-                                                 std::size_t>(c)],
-                                             words);
-                                 }
-                                 // Solved-subtype agreement: cheapen
-                                 // the edge without ever touching the
-                                 // zero-cost floor forced edges stand
-                                 // on.
-                                 if (edge_discounted[e] &&
-                                     edge_weights[e] > 0.0)
-                                     edge_weights[e] *=
-                                         config.typeinf_discount;
-                             }
-                             const divergence::PairTally after =
-                                 divergence::thread_pair_tally();
-                             fam_pairs[static_cast<std::size_t>(f)] +=
-                                 after.pairs - before.pairs;
-                             fam_words[static_cast<std::size_t>(f)] +=
-                                 after.words - before.words;
-                             fam_escapes[static_cast<std::size_t>(f)] +=
-                                 slm::thread_escape_tally() -
-                                 escapes_before;
-                         }
-                         span.end();
-                     },
-                     train_ids});
-            }
-        }
-
-        tasks.push_back(
-            {[&, f, eb, ee]() {
-                 obs::Span span("pipeline.arborescence");
-                 auto& mem =
-                     family_members[static_cast<std::size_t>(f)];
-                 // The family's weight range is final: persist it (plus
-                 // the counter tallies) if this run computed it.
-                 if (store && ee > eb &&
-                     !famdist_loaded[static_cast<std::size_t>(f)]) {
-                     FamilyDistanceBlob blob;
-                     blob.weights.assign(
-                         edge_weights.begin() +
-                             static_cast<std::ptrdiff_t>(eb),
-                         edge_weights.begin() +
-                             static_cast<std::ptrdiff_t>(ee));
-                     blob.pairs =
-                         fam_pairs[static_cast<std::size_t>(f)].load();
-                     blob.words =
-                         fam_words[static_cast<std::size_t>(f)].load();
-                     blob.escapes =
-                         fam_escapes[static_cast<std::size_t>(f)]
-                             .load();
-                     cache::ByteWriter out;
-                     encode_family_distances(blob, out);
-                     store->put(
-                         {kFamilyDistanceKind,
-                          famdist_content[static_cast<std::size_t>(f)],
-                          fp_dist},
-                         out.take());
-                 }
-                 // Local view of this family's distances (solve_family
-                 // and the famsolve content key both read it).
-                 DistanceMap local;
-                 local.reserve(ee - eb);
-                 for (std::size_t e = eb; e < ee; ++e)
-                     local.emplace(edges[e], edge_weights[e]);
-
-                 bool solved = false;
-                 std::uint64_t content = 0;
-                 if (store && mem.size() >= 2) {
-                     content = famsolve_content(mem, result.structural,
-                                                local, typeinf_pruned);
-                     std::vector<std::uint8_t> blob;
-                     if (store->get({kFamilySolveKind, content,
-                                     fp_solve},
-                                    blob)) {
-                         cache::ByteReader in(blob);
-                         FamilySolveBlob sol;
-                         if (decode_family_solution(in, &sol) &&
-                             sol.m == static_cast<int>(mem.size())) {
-                             obs::Registry& reg =
-                                 obs::Registry::global();
-                             reg.counter(
-                                    "arborescence.families_solved")
-                                 .add();
-                             reg.counter(
-                                    "arborescence.cooptimal_forests")
-                                 .add(sol.cooptimal);
-                             reg.counter("arborescence."
-                                         "ties_majority_resolved")
-                                 .add(sol.resolved);
-                             if (sol.structurally_ambiguous) {
-                                 reg.counter(
-                                        "arborescence."
-                                        "structurally_ambiguous")
-                                     .add();
-                             }
-                             reg.counter("graph.edmonds.contractions")
-                                 .add(sol.contractions);
-                             FamilyResult fam;
-                             fam.family_id = f;
-                             fam.structurally_ambiguous =
-                                 sol.structurally_ambiguous;
-                             for (const auto& lp : sol.alternatives) {
-                                 std::vector<int> parents(mem.size(),
-                                                          -1);
-                                 for (std::size_t i = 0;
-                                      i < mem.size(); ++i) {
-                                     if (lp[i] >= 0)
-                                         parents[i] =
-                                             mem[static_cast<
-                                                 std::size_t>(lp[i])];
-                                 }
-                                 fam.alternatives.push_back(
-                                     std::move(parents));
-                             }
-                             ambiguous[static_cast<std::size_t>(f)] =
-                                 sol.structurally_ambiguous ? 1 : 0;
-                             fam.members = std::move(mem);
-                             result.families[static_cast<std::size_t>(
-                                 f)] = std::move(fam);
-                             solved = true;
-                         }
-                     }
-                 }
-                 if (!solved) {
-                     const std::uint64_t contractions_before =
-                         graph::thread_contraction_tally();
-                     SolveOutcome out = solve_family(
-                         f, std::move(mem), result.structural, local,
-                         typeinf_pruned, config);
-                     const std::uint64_t contractions =
-                         graph::thread_contraction_tally() -
-                         contractions_before;
-                     ambiguous[static_cast<std::size_t>(f)] =
-                         out.ambiguous;
-                     if (store && out.fam.members.size() >= 2) {
-                         FamilySolveBlob sol;
-                         sol.m = static_cast<int>(
-                             out.fam.members.size());
-                         sol.structurally_ambiguous =
-                             out.fam.structurally_ambiguous;
-                         sol.cooptimal = out.cooptimal;
-                         sol.resolved = out.resolved;
-                         sol.contractions = contractions;
-                         for (const auto& parents :
-                              out.fam.alternatives) {
-                             std::vector<int> lp(parents.size(), -1);
-                             for (std::size_t i = 0;
-                                  i < parents.size(); ++i) {
-                                 if (parents[i] >= 0)
-                                     lp[i] = member_pos(
-                                         out.fam.members, parents[i]);
-                             }
-                             sol.alternatives.push_back(std::move(lp));
-                         }
-                         cache::ByteWriter w;
-                         encode_family_solution(sol, w);
-                         store->put(
-                             {kFamilySolveKind, content, fp_solve},
-                             w.take());
-                     }
-                     result.families[static_cast<std::size_t>(f)] =
-                         std::move(out.fam);
-                 }
-                 span.end();
-             },
-             dist_ids.empty() ? train_ids : dist_ids});
-    }
-    pool.run_tasks(tasks);
-
-    // ---- Serial merges (deterministic order) ---------------------------
-    {
-        obs::Span span("pipeline.distances");
-        result.distances.reserve(edges.size());
-        for (std::size_t e = 0; e < edges.size(); ++e)
-            result.distances.emplace(edges[e], edge_weights[e]);
-        span.end();
-    }
-    {
-        obs::Span span("pipeline.arborescence");
-        for (int flag : ambiguous)
-            result.ambiguous_families += flag;
-        span.end();
-    }
-    const auto tail_after = obs::span_wall_totals();
-    result.timing.train_ms =
-        span_total(tail_after, "pipeline.train") -
-        span_total(tail_before, "pipeline.train");
-    result.timing.distances_ms =
-        span_total(tail_after, "pipeline.distances") -
-        span_total(tail_before, "pipeline.distances");
-    result.timing.arborescence_ms =
-        span_total(tail_after, "pipeline.arborescence") -
-        span_total(tail_before, "pipeline.arborescence");
-
-    std::vector<int> first(result.families.size(), 0);
-    result.hierarchy = result.hierarchy_with(first);
-
-    // A completed run vouches for every artifact it stored: publish
-    // the manifest so the next identical run reports itself warm.
-    if (store && !warm) {
-        cache::ByteWriter w;
-        w.u64(manifest_content);
-        store->put({kManifestKind, manifest_content, manifest_fp},
-                   w.take());
-    }
     total_span.end();
     result.timing.total_ms = total_span.wall_ms();
 
+    const std::size_t n = result.structural.types.size();
     if (obs::metrics_enabled()) {
         obs::Registry& reg = obs::Registry::global();
-        reg.counter("pipeline.types").add(
-            static_cast<std::uint64_t>(n));
-        reg.counter("pipeline.families").add(
-            static_cast<std::uint64_t>(num_families));
+        reg.counter("pipeline.types").add(n);
+        reg.counter("pipeline.families").add(result.families.size());
         reg.counter("pipeline.ambiguous_families").add(
             static_cast<std::uint64_t>(result.ambiguous_families));
     }
 
-    ROCK_LOG_INFO << "reconstruct: " << n << " types, " << num_families
-                  << " families (" << result.ambiguous_families
-                  << " behaviorally resolved), " << threads
+    ROCK_LOG_INFO << "reconstruct: " << n << " types, "
+                  << result.families.size() << " families ("
+                  << result.ambiguous_families
+                  << " behaviorally resolved), " << ctx.threads
                   << " threads";
     return result;
 }

@@ -106,11 +106,15 @@ struct RockConfig {
  * stage (milliseconds). Populated on every reconstruct() call;
  * bench/pipeline_scaling emits these as machine-readable JSON.
  *
- * Deprecated-but-stable: since the obs layer landed, each field is
- * copied from the corresponding "pipeline.<stage>" obs::Span
- * (obs/trace.h), which is the source of truth -- new consumers should
- * read the span tree via obs::MetricsReport instead. Equality between
- * the two surfaces is pinned by tests/obs_test.cc.
+ * Deprecated-but-stable: since the obs layer landed, each field comes
+ * from the call's own "pipeline.<stage>" obs::Span records
+ * (obs/trace.h), which are the source of truth -- new consumers should
+ * read the span tree via obs::MetricsReport instead. A front-end field
+ * is its one span's wall time; train/distances/arborescence sum every
+ * span of that stage the call opened (preludes, per-family tasks,
+ * merges), so a concurrent call's spans never leak in, while at
+ * threads > 1 overlapping task spans can sum past total_ms. Both
+ * properties are pinned by tests/obs_test.cc.
  */
 struct StageTiming {
     /** Shared per-image CFG recovery (cfg::CfgCache::build_all). */

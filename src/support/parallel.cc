@@ -51,8 +51,8 @@ ms_between(std::chrono::steady_clock::time_point a,
 int
 resolve_threads(int threads)
 {
-    if (threads > 0)
-        return threads;
+    if (threads != 0)
+        return std::max(1, threads);
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
 }
@@ -117,10 +117,8 @@ ThreadPool::ThreadPool(int threads)
         return;
     num_workers_ = static_cast<std::size_t>(n);
     workers_.reserve(static_cast<std::size_t>(n));
-    for (int w = 0; w < n; ++w) {
-        workers_.emplace_back(
-            [this, w] { worker_loop(static_cast<std::size_t>(w)); });
-    }
+    for (int w = 0; w < n; ++w)
+        workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -141,14 +139,15 @@ ThreadPool::size() const
 }
 
 void
-ThreadPool::run_generation(std::size_t count,
+ThreadPool::run_generation(const std::vector<Chunk>& chunks,
                            const std::function<void(std::size_t)>& body)
 {
     PoolMetrics& metrics = pool_metrics();
     auto t0 = std::chrono::steady_clock::now();
     std::unique_lock<std::mutex> lock(mutex_);
     body_ = &body;
-    count_ = count;
+    chunks_ = &chunks;
+    next_chunk_.store(0, std::memory_order_relaxed);
     error_ = nullptr;
     busy_ms_accum_ = 0.0;
     active_ = num_workers_;
@@ -168,31 +167,6 @@ ThreadPool::run_generation(std::size_t count,
         error_ = nullptr;
         std::rethrow_exception(err);
     }
-}
-
-void
-ThreadPool::parallel_for(std::size_t count,
-                         const std::function<void(std::size_t)>& body)
-{
-    PoolMetrics& metrics = pool_metrics();
-    metrics.loops.add();
-    metrics.items.add(count);
-    metrics.workers.set(static_cast<double>(num_workers_));
-
-    // Serial pool, tiny loop: run inline so `threads=1` executes the
-    // exact instruction stream of a plain for loop.
-    if (workers_.empty() || count < 2) {
-        auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < count; ++i)
-            body(i);
-        double busy =
-            ms_between(t0, std::chrono::steady_clock::now());
-        metrics.busy_ms.observe(busy);
-        metrics.utilization.set(1.0);
-        return;
-    }
-
-    run_generation(count, body);
 }
 
 void
@@ -223,9 +197,7 @@ ThreadPool::parallel_for(std::size_t count, const ChunkPlan& plan,
         return;
     }
 
-    chunks_ = &chunks;
-    next_chunk_.store(0, std::memory_order_relaxed);
-    run_generation(count, body);
+    run_generation(chunks, body);
 }
 
 void
@@ -349,18 +321,20 @@ ThreadPool::run_tasks(std::vector<Task>& tasks)
                 cv.notify_all();
         }
     };
-    run_generation(num_workers_, body);
+    // One chunk per worker: each runs the claim loop above once.
+    std::vector<Chunk> per_worker;
+    for (std::size_t w = 0; w < num_workers_; ++w)
+        per_worker.push_back({w, w + 1});
+    run_generation(per_worker, body);
     if (first_error)
         std::rethrow_exception(first_error);
 }
 
 void
-ThreadPool::worker_loop(std::size_t worker_index)
+ThreadPool::worker_loop()
 {
-    const std::size_t stride = num_workers_;
     std::size_t seen_generation = 0;
     for (;;) {
-        std::size_t count;
         const std::function<void(std::size_t)>* body;
         const std::vector<Chunk>* chunks;
         {
@@ -371,33 +345,21 @@ ThreadPool::worker_loop(std::size_t worker_index)
             if (stop_)
                 return;
             seen_generation = generation_;
-            count = count_;
             body = body_;
             chunks = chunks_;
         }
         auto t0 = std::chrono::steady_clock::now();
         try {
-            if (chunks) {
-                // Dynamic dispatch: idle workers claim the next
-                // unstarted chunk. Placement depends on scheduling;
-                // per-item effects never do (slot-confined writes).
-                for (;;) {
-                    std::size_t c = next_chunk_.fetch_add(
-                        1, std::memory_order_relaxed);
-                    if (c >= chunks->size())
-                        break;
-                    const Chunk& chunk = (*chunks)[c];
-                    for (std::size_t i = chunk.begin; i < chunk.end;
-                         ++i)
-                        (*body)(i);
-                }
-            } else {
-                // Static stride partition: worker w owns w, w+W,
-                // w+2W... The assignment depends only on (index, pool
-                // size), never on scheduling, so any per-item effects
-                // are reproducible.
-                for (std::size_t i = worker_index; i < count;
-                     i += stride)
+            // Idle workers claim the next unstarted chunk. Placement
+            // depends on scheduling; per-item effects never do
+            // (slot-confined writes).
+            for (;;) {
+                std::size_t c =
+                    next_chunk_.fetch_add(1, std::memory_order_relaxed);
+                if (c >= chunks->size())
+                    break;
+                const Chunk& chunk = (*chunks)[c];
+                for (std::size_t i = chunk.begin; i < chunk.end; ++i)
                     (*body)(i);
             }
         } catch (...) {
@@ -415,17 +377,6 @@ ThreadPool::worker_loop(std::size_t worker_index)
                 done_cv_.notify_all();
         }
     }
-}
-
-void
-parallel_for(std::size_t count, int threads,
-             const std::function<void(std::size_t)>& body)
-{
-    int n = std::min<std::size_t>(
-        static_cast<std::size_t>(std::max(1, threads)),
-        std::max<std::size_t>(1, count));
-    ThreadPool pool(static_cast<int>(n));
-    pool.parallel_for(count, body);
 }
 
 } // namespace rock::support

@@ -10,24 +10,20 @@
  * code base uses:
  *
  *  - ThreadPool: a small fixed-size pool of workers that executes
- *    index-space loops (`parallel_for`). A pool of size 1 runs the
- *    loop inline on the caller, making the serial path *exactly* the
- *    code the parallel path runs.
+ *    index-space loops (`parallel_for`) and task graphs
+ *    (`run_tasks`). A pool of size 1 runs the loop inline on the
+ *    caller, making the serial path *exactly* the code the parallel
+ *    path runs.
  *
- * Two scheduling modes are offered:
+ * There is one scheduling mode, cost-aware dynamic chunks: the index
+ * space is pre-partitioned into contiguous chunks of roughly equal
+ * *cost* (per-item costs supplied by the caller, e.g. instruction
+ * counts; uniform when none are given), and idle workers claim the
+ * next unstarted chunk from a shared atomic cursor -- cheap work
+ * stealing at chunk granularity, so one expensive item cannot
+ * serialize the tail of the loop.
  *
- *  - Static stride (legacy `parallel_for(count, body)`): worker w
- *    handles indices w, w+W, w+2W, ... Zero planning cost; fine for
- *    uniform items.
- *  - Cost-aware dynamic chunks (`parallel_for(count, plan, body)`):
- *    the index space is pre-partitioned into contiguous chunks of
- *    roughly equal *cost* (per-item costs supplied by the caller,
- *    e.g. instruction counts), and idle workers claim the next
- *    unstarted chunk from a shared atomic cursor -- cheap work
- *    stealing at chunk granularity, so one expensive item cannot
- *    serialize the tail of the loop.
- *
- * Determinism contract (both modes): every item writes only its own
+ * Determinism contract: every item writes only its own
  * pre-allocated output slot and callers merge slots in index order
  * afterwards. Chunk *placement* varies with scheduling, but the
  * item->slot mapping never does, so the observable output is
@@ -126,22 +122,13 @@ class ThreadPool {
     int size() const;
 
     /**
-     * Run @p body(i) for every i in [0, count), statically strided
-     * over the workers, and block until all of them finish. The first
-     * exception thrown by any body is rethrown on the caller after
-     * the loop has quiesced (remaining items of the throwing worker's
-     * stride are skipped; other workers complete their strides).
-     */
-    void parallel_for(std::size_t count,
-                      const std::function<void(std::size_t)>& body);
-
-    /**
      * Run @p body(i) for every i in [0, count) over cost-balanced
-     * chunks claimed dynamically by idle workers. Same blocking and
-     * exception semantics as the static overload; a worker that
-     * throws abandons the remainder of its current chunk but other
-     * chunks still run. A pool of size 1 executes the chunks in
-     * index order inline -- the exact serial instruction stream.
+     * chunks claimed dynamically by idle workers, and block until all
+     * of them finish. The first exception thrown by any body is
+     * rethrown on the caller after the loop has quiesced; a worker
+     * that throws abandons the remainder of its current chunk but
+     * other chunks still run. A pool of size 1 executes the chunks
+     * in index order inline -- the exact serial instruction stream.
      */
     void parallel_for(std::size_t count, const ChunkPlan& plan,
                       const std::function<void(std::size_t)>& body);
@@ -169,10 +156,9 @@ class ThreadPool {
     void run_tasks(std::vector<Task>& tasks);
 
   private:
-    void worker_loop(std::size_t worker_index);
-    void run_generation(
-        std::size_t count,
-        const std::function<void(std::size_t)>& body);
+    void worker_loop();
+    void run_generation(const std::vector<Chunk>& chunks,
+                        const std::function<void(std::size_t)>& body);
 
     /** Worker count fixed before any thread starts (1 = inline). */
     std::size_t num_workers_ = 1;
@@ -185,9 +171,8 @@ class ThreadPool {
     std::size_t generation_ = 0;
     /** Workers still running the current generation. */
     std::size_t active_ = 0;
-    std::size_t count_ = 0;
     const std::function<void(std::size_t)>* body_ = nullptr;
-    /** Non-null selects dynamic chunk dispatch for the generation. */
+    /** Chunks of the current generation. */
     const std::vector<Chunk>* chunks_ = nullptr;
     /** Next unclaimed chunk index of the current generation. */
     std::atomic<std::size_t> next_chunk_{0};
@@ -197,14 +182,5 @@ class ThreadPool {
     double busy_ms_accum_ = 0.0;
     bool stop_ = false;
 };
-
-/**
- * One-shot convenience: run @p body over [0, count) on
- * resolve_threads(@p threads) workers. Spawns (and joins) a transient
- * pool when threads > 1; callers with several loops should hold a
- * ThreadPool instead.
- */
-void parallel_for(std::size_t count, int threads,
-                  const std::function<void(std::size_t)>& body);
 
 } // namespace rock::support

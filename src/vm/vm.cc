@@ -823,7 +823,8 @@ Interpreter::run_image(int threads) const
     const std::size_t variants = config_.opaque_values.size();
     const std::size_t total = image_.functions.size() * variants;
     std::vector<VmResult> slots(total);
-    support::parallel_for(total, threads, [&](std::size_t i) {
+    support::ThreadPool pool(support::resolve_threads(threads));
+    pool.parallel_for(total, support::ChunkPlan{}, [&](std::size_t i) {
         std::size_t fi = i / variants;
         std::size_t vi = i % variants;
         slots[i] = run_entry(fi, config_.opaque_values[vi]);

@@ -129,8 +129,8 @@ TEST(Determinism, HardwareConcurrencyKnob)
 TEST(Determinism, OversubscribedThreadCounts)
 {
     // Way more workers than work items: a 5-class program has far
-    // fewer functions/types than 33 threads, so most workers see an
-    // empty stride. The merge must not depend on which ones did.
+    // fewer functions/types than 33 threads, so most workers claim
+    // no chunk. The merge must not depend on which ones did.
     corpus::GeneratorSpec spec;
     spec.num_classes = 5;
     spec.num_trees = 1;

@@ -9,7 +9,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <exception>
 #include <stdexcept>
+#include <thread>
 
 #include "corpus/generator.h"
 #include "obs/json.h"
@@ -33,7 +36,7 @@ TEST(Metrics, CounterSumExactUnderParallelFor)
         obs::Registry::global().counter("test.parallel_sum");
     support::ThreadPool pool(4);
     constexpr std::size_t kItems = 20000;
-    pool.parallel_for(kItems, [&](std::size_t i) {
+    pool.parallel_for(kItems, support::ChunkPlan{}, [&](std::size_t i) {
         c.add();
         if (i % 2 == 0)
             c.add(2);
@@ -383,6 +386,54 @@ TEST(EndToEnd, StageTimingMatchesSpanTree)
               totals.at("pipeline.arborescence"));
     EXPECT_EQ(result.timing.total_ms,
               totals.at("pipeline.reconstruct"));
+}
+
+TEST(EndToEnd, StageTimingOnlyCountsItsOwnCall)
+{
+    // Each call's StageTiming sums its own spans, never another
+    // call's: with a second thread reconstructing a bigger image at the
+    // same time, no stage may absorb the other call's work. At
+    // threads=1 every stage span lies inside the call's total span and
+    // no two overlap, so the eight stage fields stay within total_ms.
+    obs::Registry::global().reset();
+    auto compile = [](int classes, std::uint64_t seed) {
+        corpus::GeneratorSpec spec;
+        spec.num_classes = classes;
+        spec.num_trees = std::max(2, classes / 40);
+        spec.max_depth = 6;
+        spec.seed = seed;
+        return toyc::compile(corpus::generate_program(spec));
+    };
+    const toyc::CompileResult big = compile(400, 3);
+    const toyc::CompileResult small = compile(40, 5);
+    auto stage_sum = [](const core::StageTiming& t) {
+        return t.cfg_ms + t.verify_ms + t.analyze_ms + t.structural_ms +
+               t.typeinf_ms + t.train_ms + t.distances_ms +
+               t.arborescence_ms;
+    };
+
+    std::vector<core::StageTiming> big_timings;
+    std::exception_ptr big_error;
+    {
+        // Leaving the scope (normally or by exception) stops and joins.
+        std::jthread background([&](std::stop_token stop) {
+            try {
+                while (!stop.stop_requested())
+                    big_timings.push_back(core::reconstruct(big.image).timing);
+            } catch (...) {
+                big_error = std::current_exception();
+            }
+        });
+        for (int call = 0; call < 60; ++call) {
+            const core::StageTiming t =
+                core::reconstruct(small.image).timing;
+            EXPECT_LE(stage_sum(t), t.total_ms) << "small call " << call;
+        }
+    }
+    if (big_error)
+        std::rethrow_exception(big_error);
+    for (const core::StageTiming& t : big_timings)
+        EXPECT_LE(stage_sum(t), t.total_ms) << "big call";
 }
 
 } // namespace

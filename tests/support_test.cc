@@ -196,7 +196,7 @@ TEST(Parallel, EveryIndexRunsExactlyOnce)
         ThreadPool pool(threads);
         EXPECT_EQ(pool.size(), threads);
         std::vector<int> hits(101, 0);
-        pool.parallel_for(hits.size(), [&](std::size_t i) {
+        pool.parallel_for(hits.size(), ChunkPlan{}, [&](std::size_t i) {
             hits[i] += 1; // slot write, no synchronization needed
         });
         EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 101);
@@ -210,7 +210,7 @@ TEST(Parallel, PoolIsReusableAcrossLoops)
     ThreadPool pool(4);
     for (int round = 0; round < 3; ++round) {
         std::atomic<int> sum{0};
-        pool.parallel_for(50, [&](std::size_t i) {
+        pool.parallel_for(50, ChunkPlan{}, [&](std::size_t i) {
             sum += static_cast<int>(i);
         });
         EXPECT_EQ(sum.load(), 49 * 50 / 2);
@@ -221,7 +221,7 @@ TEST(Parallel, ExceptionPropagatesToCaller)
 {
     for (int threads : {1, 4}) {
         ThreadPool pool(threads);
-        EXPECT_THROW(pool.parallel_for(10,
+        EXPECT_THROW(pool.parallel_for(10, ChunkPlan{},
                                        [](std::size_t i) {
                                            if (i == 7)
                                                throw std::runtime_error(
@@ -230,7 +230,7 @@ TEST(Parallel, ExceptionPropagatesToCaller)
                      std::runtime_error);
         // The pool must survive a throwing loop and run the next one.
         std::atomic<int> count{0};
-        pool.parallel_for(10, [&](std::size_t) { ++count; });
+        pool.parallel_for(10, ChunkPlan{}, [&](std::size_t) { ++count; });
         EXPECT_EQ(count.load(), 10);
     }
 }
@@ -239,9 +239,9 @@ TEST(Parallel, EmptyAndSingleItemLoops)
 {
     ThreadPool pool(4);
     int calls = 0;
-    pool.parallel_for(0, [&](std::size_t) { ++calls; });
+    pool.parallel_for(0, ChunkPlan{}, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 0);
-    pool.parallel_for(1, [&](std::size_t) { ++calls; });
+    pool.parallel_for(1, ChunkPlan{}, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 1);
 }
 
@@ -254,21 +254,21 @@ TEST(Parallel, ZeroItemLoopAcrossPoolSizes)
         SCOPED_TRACE(threads);
         ThreadPool pool(threads);
         int calls = 0;
-        pool.parallel_for(0, [&](std::size_t) { ++calls; });
+        pool.parallel_for(0, ChunkPlan{}, [&](std::size_t) { ++calls; });
         EXPECT_EQ(calls, 0);
         std::atomic<int> after{0};
-        pool.parallel_for(3, [&](std::size_t) { ++after; });
+        pool.parallel_for(3, ChunkPlan{}, [&](std::size_t) { ++after; });
         EXPECT_EQ(after.load(), 3);
     }
 }
 
 TEST(Parallel, OversubscribedPoolCoversEveryItem)
 {
-    // More workers than items: most strides are empty, every item
-    // still runs exactly once.
+    // More workers than items: most workers find no chunk to claim,
+    // every item still runs exactly once.
     ThreadPool pool(16);
     std::vector<int> hits(5, 0);
-    pool.parallel_for(hits.size(),
+    pool.parallel_for(hits.size(), ChunkPlan{},
                       [&](std::size_t i) { hits[i] += 1; });
     EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
                             [](int h) { return h == 1; }));
@@ -276,10 +276,10 @@ TEST(Parallel, OversubscribedPoolCoversEveryItem)
 
 TEST(Parallel, AllWorkersThrowingStillRecovers)
 {
-    // Every stride throws on its first item; exactly one exception
+    // Every chunk throws on its first item; exactly one exception
     // reaches the caller and the pool keeps working afterwards.
     ThreadPool pool(4);
-    EXPECT_THROW(pool.parallel_for(8,
+    EXPECT_THROW(pool.parallel_for(8, ChunkPlan{},
                                    [](std::size_t i) {
                                        throw std::runtime_error(
                                            "item " +
@@ -287,7 +287,7 @@ TEST(Parallel, AllWorkersThrowingStillRecovers)
                                    }),
                  std::runtime_error);
     std::atomic<int> count{0};
-    pool.parallel_for(8, [&](std::size_t) { ++count; });
+    pool.parallel_for(8, ChunkPlan{}, [&](std::size_t) { ++count; });
     EXPECT_EQ(count.load(), 8);
 }
 
@@ -296,7 +296,7 @@ TEST(Parallel, InlinePoolPropagatesExceptionAndSurvives)
     // threads=1 runs inline on the caller; the exception path must
     // behave exactly like the threaded one.
     ThreadPool pool(1);
-    EXPECT_THROW(pool.parallel_for(4,
+    EXPECT_THROW(pool.parallel_for(4, ChunkPlan{},
                                    [](std::size_t i) {
                                        if (i == 2)
                                            throw std::logic_error(
@@ -304,7 +304,7 @@ TEST(Parallel, InlinePoolPropagatesExceptionAndSurvives)
                                    }),
                  std::logic_error);
     int calls = 0;
-    pool.parallel_for(4, [&](std::size_t) { ++calls; });
+    pool.parallel_for(4, ChunkPlan{}, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 4);
 }
 
@@ -314,28 +314,19 @@ TEST(Parallel, HeterogeneousStageReuse)
     // shapes (many tiny items, then few heavy ones, then none).
     ThreadPool pool(3);
     std::vector<int> small(200, 0);
-    pool.parallel_for(small.size(),
+    pool.parallel_for(small.size(), ChunkPlan{},
                       [&](std::size_t i) { small[i] = 1; });
     std::vector<long> heavy(2, 0);
-    pool.parallel_for(heavy.size(), [&](std::size_t i) {
+    pool.parallel_for(heavy.size(), ChunkPlan{}, [&](std::size_t i) {
         long acc = 0;
         for (int j = 0; j < 10000; ++j)
             acc += static_cast<long>(i) + j;
         heavy[i] = acc;
     });
-    pool.parallel_for(0, [&](std::size_t) { FAIL(); });
+    pool.parallel_for(0, ChunkPlan{}, [&](std::size_t) { FAIL(); });
     EXPECT_EQ(std::accumulate(small.begin(), small.end(), 0), 200);
     EXPECT_EQ(heavy[0] + 10000 * static_cast<long>(1),
               heavy[1]);
-}
-
-TEST(Parallel, OneShotHelperMatchesPool)
-{
-    std::vector<int> hits(37, 0);
-    parallel_for(hits.size(), 3,
-                 [&](std::size_t i) { hits[i] += 1; });
-    EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
-                            [](int h) { return h == 1; }));
 }
 
 // ---------------------------------------------------------------------
