@@ -24,13 +24,15 @@
  *    cannot actually run in parallel.
  *
  * Every run is also checked bit-identical to the serial baseline
- * (hierarchy and distance map); the paper's Section 3.2 argument --
+ * (core::first_difference(), the whole determinism contract); the
+ * paper's Section 3.2 argument --
  * strictly intra-procedural analysis -- is what makes the stages
  * embarrassingly parallel in the first place. On a single-core host
  * the speedup columns stay ~1.0; the determinism check still runs.
  */
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -130,9 +132,7 @@ main(int argc, char** argv)
             toyc::compile(corpus::generate_program(spec));
 
         core::StageTiming serial;
-        std::string serial_forest;
-        std::vector<std::pair<std::pair<int, int>, double>>
-            serial_distances;
+        std::optional<core::ReconstructionResult> serial_result;
         for (int threads : {1, 2, 4, 8}) {
             if (threads == 1)
                 pin_serial_affinity();
@@ -153,21 +153,17 @@ main(int argc, char** argv)
                     core::reconstruct(compiled.image, config);
                 if (r.timing.total_ms < best.total_ms)
                     best = r.timing;
-                identical =
-                    identical &&
-                    r.hierarchy.to_string() ==
-                        result.hierarchy.to_string() &&
-                    r.sorted_distances() == result.sorted_distances();
+                identical = identical &&
+                            core::first_difference(result, r).empty();
             }
 
-            if (threads == 1) {
+            if (threads == 1)
                 serial = best;
-                serial_forest = result.hierarchy.to_string();
-                serial_distances = result.sorted_distances();
-            }
-            identical = identical &&
-                        result.hierarchy.to_string() == serial_forest &&
-                        result.sorted_distances() == serial_distances;
+            else
+                identical =
+                    identical &&
+                    core::first_difference(*serial_result, result)
+                        .empty();
             all_identical = all_identical && identical;
 
             const core::StageTiming& t = best;
@@ -202,6 +198,8 @@ main(int argc, char** argv)
                 identical ? "true" : "false",
                 underprovisioned ? "true" : "false");
             std::fflush(stdout);
+            if (threads == 1)
+                serial_result = std::move(result);
         }
         full_affinity(hw);
     }

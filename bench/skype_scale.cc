@@ -13,7 +13,9 @@
  * the same image is reconstructed at each worker count and one JSON
  * line per run goes to --json FILE (or stdout), carrying total and
  * per-stage wall times, speedup_vs_serial against the sweep's
- * threads=1 run, hw_threads, and the bit-identical check. CI feeds
+ * threads=1 run, hw_threads, and "identical_to_serial": the run's
+ * core::first_difference() against that threads=1 result is empty
+ * (the whole determinism contract, not just the forest). CI feeds
  * the file to `rockstat --check --min-speedup T:R`, which enforces
  * the ratio only on hosts with >= T hardware threads.
  *
@@ -23,14 +25,17 @@
  *               [--cache-dir DIR]
  *
  * Default is a single all-hardware-threads run (the historical
- * behavior); --threads "1,4" runs the gate pair.
+ * behavior); --threads "1,4" runs the gate pair. The 5000-class
+ * default needs more than 12 GB in the arborescence stage; CI passes
+ * --classes 2000 (peak RSS about 670 MB for the 1,4 pair).
  *
  * --warm-runs N appends an artifact-cache phase: one cold
  * reconstruction populating a content-addressed cache
  * (cache/artifact_cache.h; in-memory unless --cache-dir is given),
  * then N warm reconstructions of the same image in the same process.
  * Each run emits a JSON line with "warm", "warm_speedup" (cold total
- * over this run's total), "cache_hits" and "identical_to_cold"; CI
+ * over this run's total), "cache_hits" and "identical_to_cold"
+ * (first_difference() against the cold result is empty); CI
  * gates the file with `rockstat --check --min-warm-speedup R`, which
  * is hardware-independent (cold and warm share one process and one
  * thread count).
@@ -47,6 +52,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,7 +181,7 @@ main(int argc, char** argv)
     bool covered = true;
     bool all_identical = true;
     double serial_ms = 0.0;
-    std::string serial_forest;
+    std::optional<core::ReconstructionResult> serial;
     for (int threads : thread_counts) {
         core::RockConfig config;
         config.threads = threads;
@@ -185,13 +191,12 @@ main(int argc, char** argv)
         double reconstruct_ms = ms_since(t0);
         const core::StageTiming& t = result.timing;
 
-        if (threads == 1) {
-            serial_ms = t.total_ms;
-            serial_forest = result.hierarchy.to_string();
-        }
-        bool identical =
-            serial_forest.empty() ||
-            result.hierarchy.to_string() == serial_forest;
+        std::string diff =
+            serial ? core::first_difference(*serial, result) : "";
+        if (!diff.empty())
+            std::fprintf(stderr, "threads=%d: %s differs from serial\n",
+                         threads, diff.c_str());
+        const bool identical = diff.empty();
         all_identical = all_identical && identical;
 
         std::printf("  reconstruct[threads=%d]: %.1f ms "
@@ -242,7 +247,12 @@ main(int argc, char** argv)
         else
             std::fputs(line, stdout);
         std::fflush(stdout);
+        if (threads == 1 && !serial) {
+            serial_ms = t.total_ms;
+            serial = std::move(result);
+        }
     }
+    serial.reset(); // the warm phase keeps its own reference alive
     bool warm_identical = true;
     if (warm_runs > 0) {
         cache::CacheOptions opts;
@@ -254,7 +264,7 @@ main(int argc, char** argv)
                     cache_dir.empty() ? " (memory tier only)" : "");
 
         double cold_ms = 0.0;
-        std::string cold_forest;
+        std::optional<core::ReconstructionResult> cold;
         for (int run = 0; run <= warm_runs; ++run) {
             core::RockConfig config;
             config.threads = 1;
@@ -268,12 +278,11 @@ main(int argc, char** argv)
             const core::StageTiming& t = result.timing;
 
             const bool warm = run > 0;
-            if (!warm) {
+            if (!warm)
                 cold_ms = t.total_ms;
-                cold_forest = result.hierarchy.to_string();
-            }
-            bool identical =
-                !warm || result.hierarchy.to_string() == cold_forest;
+            std::string diff =
+                warm ? core::first_difference(*cold, result) : "";
+            const bool identical = diff.empty();
             warm_identical = warm_identical && identical;
             covered = covered &&
                       result.hierarchy.size() ==
@@ -291,7 +300,8 @@ main(int argc, char** argv)
                 t.typeinf_ms, t.train_ms, t.distances_ms,
                 t.arborescence_ms,
                 static_cast<unsigned long long>(run_hits),
-                warm && !identical ? " [HIERARCHY MISMATCH]" : "");
+                identical ? ""
+                          : (" [MISMATCH: " + diff + " differs]").c_str());
 
             char line[1024];
             std::snprintf(
@@ -325,6 +335,8 @@ main(int argc, char** argv)
             else
                 std::fputs(line, stdout);
             std::fflush(stdout);
+            if (!warm)
+                cold = std::move(result);
         }
     }
     if (json)
@@ -340,12 +352,12 @@ main(int argc, char** argv)
         }
     }
     if (!all_identical) {
-        std::fprintf(stderr, "MISMATCH: parallel hierarchy differs "
+        std::fprintf(stderr, "MISMATCH: parallel result differs "
                              "from serial baseline\n");
         return 1;
     }
     if (!warm_identical) {
-        std::fprintf(stderr, "MISMATCH: warm-cache hierarchy differs "
+        std::fprintf(stderr, "MISMATCH: warm-cache result differs "
                              "from cold baseline\n");
         return 1;
     }

@@ -147,15 +147,7 @@ symexec_fingerprint(const bir::BinaryImage& image,
     std::uint64_t fp = cache::kFnvSeed;
     fp = cache::mix(fp, cache::kSchemaVersion);
     fp = cache::mix(fp, cfg::image_digest(image));
-    fp = cache::mix(fp, static_cast<std::uint64_t>(config.tracelet_len));
-    fp = cache::mix(fp, static_cast<std::uint64_t>(config.max_paths));
-    fp = cache::mix(fp, static_cast<std::uint64_t>(config.max_steps));
-    fp = cache::mix(fp,
-                    static_cast<std::uint64_t>(config.max_backjumps));
-    fp = cache::mix(fp, config.sliding_windows ? 1 : 0);
-    fp = cache::mix(fp,
-                    config.attribute_shared_methods_to_all ? 1 : 0);
-    return fp;
+    return mix_symexec_config(fp, config);
 }
 
 /** Fold a phase's `this`-callee set into @p fp (sets are sorted, so
@@ -253,6 +245,18 @@ record_metrics(const AnalysisResult& result, std::size_t functions)
 }
 
 } // namespace
+
+std::uint64_t
+mix_symexec_config(std::uint64_t h, const SymExecConfig& config)
+{
+    h = cache::mix(h, static_cast<std::uint64_t>(config.tracelet_len));
+    h = cache::mix(h, static_cast<std::uint64_t>(config.max_paths));
+    h = cache::mix(h, static_cast<std::uint64_t>(config.max_steps));
+    h = cache::mix(h, static_cast<std::uint64_t>(config.max_backjumps));
+    h = cache::mix(h, config.sliding_windows ? 1 : 0);
+    h = cache::mix(h, config.attribute_shared_methods_to_all ? 1 : 0);
+    return h; // config.threads deliberately excluded
+}
 
 std::set<std::uint32_t>
 this_callee_set(const AnalysisResult& result)

@@ -51,6 +51,8 @@ struct AnalysisResult {
     std::map<std::uint32_t, std::uint32_t> ctor_types;
     /** Total completed symbolic paths (diagnostics). */
     long total_paths = 0;
+
+    bool operator==(const AnalysisResult&) const = default;
 };
 
 /**
@@ -60,6 +62,15 @@ struct AnalysisResult {
  * dynamic side) must treat as taking `this` first.
  */
 std::set<std::uint32_t> this_callee_set(const AnalysisResult& result);
+
+/**
+ * Fold every knob of @p config except `threads` into the cache hash
+ * @p h (cache::mix). The one place both the "symexec" artifact
+ * fingerprints and the run manifest (rock/artifacts.h) hash a
+ * SymExecConfig, so a new knob reaches both keys or neither.
+ */
+std::uint64_t mix_symexec_config(std::uint64_t h,
+                                 const SymExecConfig& config);
 
 /** Analyze @p image: discover vtables, extract tracelets + evidence. */
 AnalysisResult analyze(const bir::BinaryImage& image,

@@ -85,6 +85,9 @@ class Alphabet {
     /** Map @p tracelet without interning; unseen events map to -1. */
     std::vector<int> lookup(const Tracelet& tracelet) const;
 
+    /** Same events under the same ids. */
+    bool operator==(const Alphabet&) const = default;
+
   private:
     std::map<Event, int> ids_;
     std::vector<Event> events_;

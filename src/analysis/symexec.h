@@ -76,6 +76,8 @@ struct ObjectEvidence {
      * ctor/dtor-like.
      */
     bool from_this_param = false;
+
+    bool operator==(const ObjectEvidence&) const = default;
 };
 
 /** Result of symbolically executing one function. */

@@ -217,19 +217,6 @@ ImageBuilder::resolve_alias(FuncId id) const
 }
 
 std::size_t
-ImageBuilder::num_defined_functions() const
-{
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < functions_.size(); ++i) {
-        if (functions_[i].defined && resolve_alias(
-                static_cast<FuncId>(i)) == static_cast<FuncId>(i)) {
-            ++n;
-        }
-    }
-    return n;
-}
-
-std::size_t
 ImageBuilder::fold_identical_functions()
 {
     std::size_t removed = 0;

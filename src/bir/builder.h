@@ -154,12 +154,6 @@ class ImageBuilder {
      */
     std::size_t fold_identical_functions();
 
-    /** Number of declared functions that currently have bodies. */
-    std::size_t num_defined_functions() const;
-
-    /** Number of declared vtables. */
-    std::size_t num_vtables() const { return vtables_.size(); }
-
     /**
      * Lay out code and data, resolve all symbolic references, and
      * produce the image. May be called once.

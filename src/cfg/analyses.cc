@@ -46,30 +46,6 @@ struct ReachingProblem {
     }
 };
 
-struct LivenessProblem {
-    using Domain = std::uint32_t;
-
-    Domain boundary() const { return 0; }
-    Domain top() const { return 0; }
-    void meet(Domain& into, const Domain& from) const { into |= from; }
-    Domain transfer(const Cfg& graph, int block, Domain live) const
-    {
-        const BasicBlock& bb =
-            graph.blocks[static_cast<std::size_t>(block)];
-        for (int s = bb.last - 1; s >= bb.first; --s) {
-            const Slot& slot = graph.slots[static_cast<std::size_t>(s)];
-            if (!slot.instr)
-                continue;
-            int def = bir::reg_def(*slot.instr);
-            if (def >= 0)
-                live &= ~(1u << def);
-            for (int use : bir::reg_uses(*slot.instr))
-                live |= 1u << use;
-        }
-        return live;
-    }
-};
-
 /** Apply one slot's effect to a RegConsts value. */
 void
 apply_consts(const Slot& slot, RegConsts& value)
@@ -148,26 +124,7 @@ ReachingDefs
 reaching_definitions(const Cfg& cfg)
 {
     ReachingProblem problem{cfg};
-    return ReachingDefs{solve(cfg, problem, Direction::Forward)};
-}
-
-bool
-Liveness::live_in(int block, int reg) const
-{
-    return (facts[static_cast<std::size_t>(block)].out >> reg) & 1u;
-}
-
-bool
-Liveness::live_out(int block, int reg) const
-{
-    return (facts[static_cast<std::size_t>(block)].in >> reg) & 1u;
-}
-
-Liveness
-liveness(const Cfg& cfg)
-{
-    LivenessProblem problem;
-    return Liveness{solve(cfg, problem, Direction::Backward)};
+    return ReachingDefs{solve(cfg, problem)};
 }
 
 ConstVal
@@ -185,7 +142,7 @@ ConstProp
 constant_propagation(const Cfg& cfg)
 {
     ConstPropProblem problem;
-    return ConstProp{solve(cfg, problem, Direction::Forward)};
+    return ConstProp{solve(cfg, problem)};
 }
 
 } // namespace rock::cfg

@@ -1,9 +1,9 @@
 /**
  * @file
- * The stock dataflow analyses: reaching definitions, liveness, and
+ * The stock dataflow analyses: reaching definitions and
  * intra-procedural constant propagation over VM32 registers.
  *
- * All three are instances of the framework in cfg/dataflow.h. Block
+ * Both are instances of the framework in cfg/dataflow.h. Block
  * facts are exposed raw (for tests that assert them exactly) next to
  * per-instruction query helpers that re-apply the block transfer up
  * to a slot (the usual two-level scheme: O(blocks) state, O(block
@@ -54,20 +54,6 @@ struct ReachingDefs {
  * Every register starts with the kUninitDef pseudo-def at entry.
  */
 ReachingDefs reaching_definitions(const Cfg& cfg);
-
-/** Solved liveness (backward may-analysis) of one function. */
-struct Liveness {
-    /** Per block (backward solve: in = at block *exit*). */
-    std::vector<BlockFacts<std::uint32_t>> facts;
-
-    /** Is @p reg live at the entry of block @p block? */
-    bool live_in(int block, int reg) const;
-    /** Is @p reg live at the exit of block @p block? */
-    bool live_out(int block, int reg) const;
-};
-
-/** A register is live when some path to a use avoids redefinition. */
-Liveness liveness(const Cfg& cfg);
 
 /** Constant-propagation lattice value for one register. */
 struct ConstVal {

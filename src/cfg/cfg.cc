@@ -176,16 +176,6 @@ build_cfg(const bir::BinaryImage& image, const bir::FunctionEntry& fn)
     return cfg;
 }
 
-std::vector<Cfg>
-build_all_cfgs(const bir::BinaryImage& image)
-{
-    std::vector<Cfg> out;
-    out.reserve(image.functions.size());
-    for (const auto& fn : image.functions)
-        out.push_back(build_cfg(image, fn));
-    return out;
-}
-
 std::string
 to_dot(const Cfg& cfg, const bir::BinaryImage& image, int cluster_id)
 {

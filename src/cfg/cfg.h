@@ -4,7 +4,7 @@
  *
  * Rock's behavioral analysis (paper Sections 3-4) walks raw bytes
  * path by path; this layer recovers the classical static structure
- * underneath it -- basic blocks, edges, dominators, dataflow facts --
+ * underneath it -- basic blocks, edges, dataflow facts --
  * the substrate mature binary type-recovery systems (TIE, retypd,
  * BinSub) are built on. Everything here is strictly intra-procedural,
  * so recovery cost stays linear in the number of functions, matching
@@ -101,9 +101,6 @@ struct Cfg {
  */
 Cfg build_cfg(const bir::BinaryImage& image,
               const bir::FunctionEntry& fn);
-
-/** Recover every function's CFG, in function-table order. */
-std::vector<Cfg> build_all_cfgs(const bir::BinaryImage& image);
 
 /**
  * Render @p cfg as a GraphViz digraph body (one `subgraph cluster`

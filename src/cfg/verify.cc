@@ -315,10 +315,10 @@ verify_function_impl(const bir::BinaryImage& image, const Cfg& cfg,
     }
 
     EverDefinedProblem def_problem;
-    auto ever_defined = solve(cfg, def_problem, Direction::Forward);
+    auto ever_defined = solve(cfg, def_problem);
     ConstProp consts = constant_propagation(cfg);
     CallSeenProblem call_problem;
-    auto call_seen = solve(cfg, call_problem, Direction::Forward);
+    auto call_seen = solve(cfg, call_problem);
 
     std::vector<int> reachable = cfg.reachable();
     std::set<int> reachable_set(reachable.begin(), reachable.end());

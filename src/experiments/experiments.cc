@@ -202,20 +202,12 @@ run_typeinf_ablation()
     out.with_typeinf_worst = eval::application_distance_worst(full, gt);
 
     // Determinism spot-check: the fused pipeline at all hardware
-    // threads must reproduce the serial hierarchy and solved facts
-    // bit-for-bit.
+    // threads must reproduce the serial result bit-for-bit.
     core::RockConfig parallel = fused;
     parallel.threads = 0;
     core::ReconstructionResult wide =
         core::reconstruct(compiled.image, parallel);
-    out.thread_invariant =
-        wide.typeinf.direct_edges == full.typeinf.direct_edges &&
-        wide.typeinf.subtype_edges == full.typeinf.subtype_edges &&
-        wide.typeinf.var_type == full.typeinf.var_type &&
-        wide.typeinf.stats == full.typeinf.stats;
-    for (int t = 0; t < out.types && out.thread_invariant; ++t)
-        out.thread_invariant =
-            wide.hierarchy.parents(t) == full.hierarchy.parents(t);
+    out.thread_invariant = core::first_difference(wide, full).empty();
     return out;
 }
 

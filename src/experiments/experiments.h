@@ -97,7 +97,7 @@ struct TypeinfAblation {
     eval::AppDistance dkl_only_worst;
     eval::AppDistance with_typeinf_worst;
     /** Fused run repeated at 1 and all hardware threads produced
-     *  bit-identical hierarchies and solved facts. */
+     *  bit-identical results (core::first_difference() empty). */
     bool thread_invariant = false;
 };
 

@@ -640,48 +640,6 @@ check_extend_stable(const OracleContext& ctx)
 
 // ---- differential oracles ----------------------------------------------
 
-/** Bit-identical comparison (the determinism contract). */
-OracleVerdict
-expect_bit_identical(const core::ReconstructionResult& a,
-                     const core::ReconstructionResult& b,
-                     const std::string& what)
-{
-    if (a.hierarchy.size() != b.hierarchy.size())
-        return fail(what + ": hierarchy size differs");
-    for (int v = 0; v < a.hierarchy.size(); ++v) {
-        if (a.hierarchy.parent(v) != b.hierarchy.parent(v) ||
-            a.hierarchy.parents(v) != b.hierarchy.parents(v))
-            return fail(
-                support::format("%s: parents of node %d differ",
-                                what.c_str(), v));
-    }
-    if (a.sorted_distances() != b.sorted_distances())
-        return fail(what + ": distance maps differ");
-    if (a.families.size() != b.families.size())
-        return fail(what + ": family count differs");
-    for (std::size_t f = 0; f < a.families.size(); ++f) {
-        if (a.families[f].members != b.families[f].members ||
-            a.families[f].alternatives !=
-                b.families[f].alternatives ||
-            a.families[f].structurally_ambiguous !=
-                b.families[f].structurally_ambiguous)
-            return fail(
-                support::format("%s: family %zu differs",
-                                what.c_str(), f));
-    }
-    if (a.ambiguous_families != b.ambiguous_families)
-        return fail(what + ": ambiguous-family count differs");
-    if (a.alphabet.size() != b.alphabet.size())
-        return fail(what + ": alphabet size differs");
-    if (a.typeinf.constraints.constraints !=
-            b.typeinf.constraints.constraints ||
-        a.typeinf.subtype_edges != b.typeinf.subtype_edges ||
-        a.typeinf.sketches != b.typeinf.sketches ||
-        a.typeinf.inconsistencies != b.typeinf.inconsistencies)
-        return fail(what + ": typeinf results differ");
-    return pass();
-}
-
 OracleVerdict
 check_threads_differential(const OracleContext& ctx)
 {
@@ -689,10 +647,12 @@ check_threads_differential(const OracleContext& ctx)
     int other_threads = ctx.config.rock.threads == 1 ? 3 : 1;
     core::ReconstructionResult other = reconstruct_image(
         fc.compiled.image, ctx.config, other_threads);
-    return expect_bit_identical(
-        fc.result, other,
-        support::format("threads=%d vs threads=%d",
-                        ctx.config.rock.threads, other_threads));
+    std::string diff = core::first_difference(fc.result, other);
+    if (!diff.empty())
+        return fail(support::format(
+            "threads=%d vs threads=%d: %s differs",
+            ctx.config.rock.threads, other_threads, diff.c_str()));
+    return pass();
 }
 
 OracleVerdict
@@ -711,8 +671,10 @@ check_serialize_differential(const OracleContext& ctx)
         return fail("VMI round trip altered the image");
     core::ReconstructionResult other =
         reconstruct_image(loaded, ctx.config);
-    return expect_bit_identical(fc.result, other,
-                                "serialize round trip");
+    std::string diff = core::first_difference(fc.result, other);
+    if (!diff.empty())
+        return fail("serialize round trip: " + diff + " differs");
+    return pass();
 }
 
 OracleVerdict
@@ -1107,14 +1069,12 @@ check_cache_consistent(const OracleContext& ctx)
         reconstruct_image(fc.compiled.image, cached);
     obs::MetricsReport after_warm = obs::MetricsReport::capture();
 
-    OracleVerdict verdict =
-        expect_bit_identical(cold, warm, "cold vs warm cache");
-    if (!verdict.ok)
-        return verdict;
-    verdict = expect_bit_identical(fc.result, warm,
-                                   "uncached vs warm cache");
-    if (!verdict.ok)
-        return verdict;
+    std::string diff = core::first_difference(cold, warm);
+    if (!diff.empty())
+        return fail("cold vs warm cache: " + diff + " differs");
+    diff = core::first_difference(fc.result, warm);
+    if (!diff.empty())
+        return fail("uncached vs warm cache: " + diff + " differs");
     if (store->stats().hits == 0)
         return fail("warm reconstruction hit nothing in the cache");
 
@@ -1151,9 +1111,11 @@ check_cache_consistent(const OracleContext& ctx)
  * bytes must equal a direct reconstruction of the submitted image,
  * for two *different* images pipelined into one analysis wave (the
  * dedup-aliasing trap -- caught when `drop-batch-dedup` collapses the
- * wave's dedup key), and a resubmission of the first image must come
- * back byte-identical out of the shared artifact store with its hit
- * counter moving. Exercises the real daemon on a real unix socket.
+ * wave's dedup key), and a resubmission of the first image as a
+ * pipelined pair must come back byte-identical out of the shared
+ * artifact store, fanned out to both ids, with its hit counter
+ * moving. Exercises the real daemon on a real unix socket. Waves are
+ * sealed by size (batch_max = 2), never by a timer.
  */
 OracleVerdict
 check_serve_differential(const OracleContext& ctx)
@@ -1183,9 +1145,10 @@ check_serve_differential(const OracleContext& ctx)
         std::to_string(socket_serial.fetch_add(1)) + ".sock";
     options.rock = ctx.config.rock;
     options.threads = 2;
-    // A window wide enough that two pipelined frames reliably land in
-    // one wave, so the dedup grouping itself is what gets tested.
-    options.batch_window_ms = 150;
+    // Every wave is a pipelined pair: it seals the moment its second
+    // frame is queued. The window is a backstop no passing run reaches.
+    options.batch_max = 2;
+    options.batch_window_ms = 60000;
     options.collapse_dedup_for_testing =
         ctx.config.hooks.serve_collapse_dedup;
     serve::Server server(options);
@@ -1201,30 +1164,40 @@ check_serve_differential(const OracleContext& ctx)
                             sizeof(addr)) != 0) {
         verdict = fail("cannot connect to the in-process daemon");
     } else {
-        // Both submits pipelined back to back: one wave, two groups.
-        protocol::write_frame(fd, protocol::request_header(1, "submit"),
-                              bytes_a.data(), bytes_a.size());
-        protocol::write_frame(fd, protocol::request_header(2, "submit"),
-                              bytes_b.data(), bytes_b.size());
+        // Submits ids `first` and `first + 1` back to back (one wave)
+        // and reads both answers into `responses`.
         std::map<std::int64_t, std::string> responses;
-        for (int i = 0; i < 2 && verdict.ok; ++i) {
-            protocol::Frame frame;
-            protocol::Response response;
-            if (protocol::read_frame(fd, &frame) !=
-                    protocol::WireStatus::Ok ||
-                !protocol::parse_response_header(frame.header,
-                                                 &response))
-                verdict = fail("daemon response unreadable");
-            else if (response.code != protocol::Code::Ok)
-                verdict = fail(support::format(
-                    "daemon rejected submit %lld: %s",
-                    static_cast<long long>(response.id),
-                    protocol::code_name(response.code)));
-            else
-                responses[response.id] =
-                    std::string(frame.payload.begin(),
-                                frame.payload.end());
-        }
+        auto submit_pair = [&](std::int64_t first,
+                               const std::vector<std::uint8_t>& x,
+                               const std::vector<std::uint8_t>& y) {
+            protocol::write_frame(
+                fd, protocol::request_header(first, "submit"),
+                x.data(), x.size());
+            protocol::write_frame(
+                fd, protocol::request_header(first + 1, "submit"),
+                y.data(), y.size());
+            for (int i = 0; i < 2 && verdict.ok; ++i) {
+                protocol::Frame frame;
+                protocol::Response response;
+                if (protocol::read_frame(fd, &frame) !=
+                        protocol::WireStatus::Ok ||
+                    !protocol::parse_response_header(frame.header,
+                                                     &response))
+                    verdict = fail("daemon response unreadable");
+                else if (response.code != protocol::Code::Ok)
+                    verdict = fail(support::format(
+                        "daemon rejected submit %lld: %s",
+                        static_cast<long long>(response.id),
+                        protocol::code_name(response.code)));
+                else
+                    responses[response.id] =
+                        std::string(frame.payload.begin(),
+                                    frame.payload.end());
+            }
+        };
+
+        // Two different images: one wave, two dedup groups.
+        submit_pair(1, bytes_a, bytes_b);
         if (verdict.ok && responses[1] != expected_a)
             verdict = fail("daemon response for image A differs "
                            "from a direct reconstruction");
@@ -1232,25 +1205,17 @@ check_serve_differential(const OracleContext& ctx)
             verdict = fail("daemon response for image B differs "
                            "from a direct reconstruction");
 
-        // Resubmission: warm, and still the same bytes.
+        // Image A twice: one warm group fanned out to both ids, still
+        // the same bytes.
         if (verdict.ok) {
             std::uint64_t hits_before = server.store()->stats().hits;
-            protocol::write_frame(
-                fd, protocol::request_header(3, "submit"),
-                bytes_a.data(), bytes_a.size());
-            protocol::Frame frame;
-            protocol::Response response;
-            if (protocol::read_frame(fd, &frame) !=
-                    protocol::WireStatus::Ok ||
-                !protocol::parse_response_header(frame.header,
-                                                 &response) ||
-                response.code != protocol::Code::Ok)
-                verdict = fail("resubmission failed");
-            else if (std::string(frame.payload.begin(),
-                                 frame.payload.end()) != expected_a)
+            submit_pair(3, bytes_a, bytes_a);
+            if (verdict.ok &&
+                (responses[3] != expected_a || responses[4] != expected_a))
                 verdict = fail("resubmission returned different "
                                "bytes than the first submission");
-            else if (server.store()->stats().hits <= hits_before)
+            else if (verdict.ok &&
+                     server.store()->stats().hits <= hits_before)
                 verdict =
                     fail("resubmission did not hit the shared "
                          "artifact store");

@@ -230,18 +230,6 @@ write_report_file(const MetricsReport& report, const std::string& path)
         throw std::runtime_error("short write to '" + path + "'");
 }
 
-MetricsReport
-read_report_file(const std::string& path)
-{
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot read metrics report '" +
-                                 path + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return MetricsReport::from_json(buf.str());
-}
-
 // ---- regression diffing ----------------------------------------------
 
 namespace {

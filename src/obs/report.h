@@ -77,9 +77,6 @@ struct MetricsReport {
 void write_report_file(const MetricsReport& report,
                        const std::string& path);
 
-/** Read + parse a report file. */
-MetricsReport read_report_file(const std::string& path);
-
 // ---- regression diffing (the rockstat core) --------------------------
 
 /** Tolerances for diff_reports()/diff_bench_lines(). */

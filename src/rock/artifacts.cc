@@ -12,18 +12,6 @@ using cache::mix;
 using cache::mix_double;
 
 std::uint64_t
-mix_symexec(std::uint64_t h, const analysis::SymExecConfig& c)
-{
-    h = mix(h, static_cast<std::uint64_t>(c.tracelet_len));
-    h = mix(h, static_cast<std::uint64_t>(c.max_paths));
-    h = mix(h, static_cast<std::uint64_t>(c.max_steps));
-    h = mix(h, static_cast<std::uint64_t>(c.max_backjumps));
-    h = mix(h, c.sliding_windows ? 1 : 0);
-    h = mix(h, c.attribute_shared_methods_to_all ? 1 : 0);
-    return h; // c.threads deliberately excluded
-}
-
-std::uint64_t
 mix_model(std::uint64_t h, const slm::ModelConfig& c)
 {
     h = mix(h, static_cast<std::uint64_t>(c.kind));
@@ -125,13 +113,12 @@ std::uint64_t
 config_fingerprint(const RockConfig& config)
 {
     std::uint64_t h = mix(kFnvSeed, kSchemaVersion);
-    h = mix_symexec(h, config.symexec);
+    h = analysis::mix_symexec_config(h, config.symexec);
     h = mix_model(h, config.slm);
     h = mix(h, static_cast<std::uint64_t>(config.metric));
     h = mix_words(h, config.words);
     h = mix_double(h, config.tie_epsilon);
     h = mix(h, static_cast<std::uint64_t>(config.max_alternatives));
-    h = mix(h, config.handle_multiple_inheritance ? 1 : 0);
     h = mix(h, config.verify ? 1 : 0);
     h = mix(h, config.typeinf ? 1 : 0);
     h = mix_double(h, config.typeinf_discount);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <initializer_list>
 
 #include "cache/artifact_cache.h"
 #include "graph/digraph.h"
@@ -13,6 +15,7 @@
 #include "support/error.h"
 #include "support/log.h"
 #include "support/parallel.h"
+#include "support/str.h"
 
 namespace rock::core {
 
@@ -512,11 +515,12 @@ solve_family(const RunContext& ctx, const FamilyPlan& fam, int m)
     sol.m = m;
     // Structural ambiguity: is there more than one zero-weight spanning
     // forest over all feasible edges, pruned ones too? Zero-weight
-    // landscapes are the enumerator's worst case; a modest budget
-    // suffices to detect a second forest and errs toward "ambiguous"
-    // on truncation, never the reverse. The skeleton stays alive
-    // through the weighted enumeration below: freeing it first changes
-    // how that enumeration reuses the heap, and measured slower.
+    // landscapes are the enumerator's worst case, so the probe runs
+    // under a modest step budget. A probe cut short can only miss the
+    // second forest, so truncation errs toward "unambiguous", never
+    // the reverse. The skeleton stays alive through the weighted
+    // enumeration below: freeing it first changes how that
+    // enumeration reuses the heap, and measured slower.
     graph::Digraph skeleton(m);
     for (const CandidateEdge& edge : fam.candidates)
         skeleton.add_edge(edge.parent, edge.child, 0.0);
@@ -738,6 +742,135 @@ ReconstructionResult::hierarchy_with(const std::vector<int>& pick) const
             h.add_extra_parent(prim, p);
     }
     return h;
+}
+
+namespace {
+
+/** "group.field" for the first entry of @p same that is false, or
+ *  @p group alone when every named field agrees. */
+std::string
+name_field(const std::string& group,
+           std::initializer_list<std::pair<const char*, bool>> same)
+{
+    for (const auto& [field, equal] : same) {
+        if (!equal)
+            return group + "." + field;
+    }
+    return group;
+}
+
+} // namespace
+
+std::string
+first_difference(const ReconstructionResult& a,
+                 const ReconstructionResult& b)
+{
+    using support::format;
+
+    if (a.hierarchy.types() != b.hierarchy.types())
+        return "hierarchy.types";
+    for (int v = 0; v < a.hierarchy.size(); ++v) {
+        if (a.hierarchy.parent(v) != b.hierarchy.parent(v) ||
+            a.hierarchy.parents(v) != b.hierarchy.parents(v))
+            return format("hierarchy.parents(%d)", v);
+    }
+
+    if (a.families.size() != b.families.size())
+        return "families.size";
+    for (std::size_t f = 0; f < a.families.size(); ++f) {
+        const FamilyResult& x = a.families[f];
+        const FamilyResult& y = b.families[f];
+        if (x != y)
+            return name_field(
+                format("families[%zu]", f),
+                {{"family_id", x.family_id == y.family_id},
+                 {"members", x.members == y.members},
+                 {"alternatives", x.alternatives == y.alternatives},
+                 {"structurally_ambiguous",
+                  x.structurally_ambiguous == y.structurally_ambiguous}});
+    }
+    if (a.ambiguous_families != b.ambiguous_families)
+        return "ambiguous_families";
+
+    // Keys in (parent, child) order; weights compared as bit patterns,
+    // so -0.0 vs 0.0 or two NaN payloads count as different.
+    const auto da = a.sorted_distances();
+    const auto db = b.sorted_distances();
+    for (std::size_t i = 0; i < std::max(da.size(), db.size()); ++i) {
+        std::pair<int, int> key;
+        if (i == da.size() || i == db.size())
+            key = (i == da.size() ? db : da)[i].first;
+        else if (da[i].first != db[i].first)
+            key = std::min(da[i].first, db[i].first);
+        else if (std::bit_cast<std::uint64_t>(da[i].second) !=
+                 std::bit_cast<std::uint64_t>(db[i].second))
+            key = da[i].first;
+        else
+            continue;
+        return format("distances(%d,%d)", key.first, key.second);
+    }
+
+    const auto& s = a.structural;
+    const auto& t = b.structural;
+    if (s != t)
+        return name_field(
+            "structural",
+            {{"types", s.types == t.types},
+             {"family", s.family == t.family},
+             {"possible_parents", s.possible_parents == t.possible_parents},
+             {"forced_parents", s.forced_parents == t.forced_parents},
+             {"parent_counts", s.parent_counts == t.parent_counts},
+             {"secondary_of", s.secondary_of == t.secondary_of}});
+
+    const auto& ti = a.typeinf;
+    const auto& tj = b.typeinf;
+    if (ti != tj)
+        return name_field(
+            "typeinf",
+            {{"types", ti.types == tj.types},
+             {"constraints", ti.constraints == tj.constraints},
+             {"sketches", ti.sketches == tj.sketches},
+             {"direct_edges", ti.direct_edges == tj.direct_edges},
+             {"subtype_edges", ti.subtype_edges == tj.subtype_edges},
+             {"inconsistencies",
+              ti.inconsistencies == tj.inconsistencies},
+             {"var_type", ti.var_type == tj.var_type},
+             {"stats", ti.stats == tj.stats}});
+
+    const auto& ai = a.analysis;
+    const auto& aj = b.analysis;
+    if (ai != aj)
+        return name_field(
+            "analysis",
+            {{"vtables", ai.vtables == aj.vtables},
+             {"type_tracelets", ai.type_tracelets == aj.type_tracelets},
+             {"evidence", ai.evidence == aj.evidence},
+             {"ctor_types", ai.ctor_types == aj.ctor_types},
+             {"total_paths", ai.total_paths == aj.total_paths}});
+
+    if (a.diagnostics != b.diagnostics)
+        return "diagnostics";
+    if (a.alphabet != b.alphabet)
+        return "alphabet";
+    if (a.type_sequences != b.type_sequences)
+        return "type_sequences";
+
+    // A warm run restores models from snapshots (and its distances
+    // from the cache), so nothing above would notice a bad restore.
+    // A snapshot is never empty, so a null model compares as no bytes.
+    auto bytes = [](const std::unique_ptr<slm::LanguageModel>& model) {
+        cache::ByteWriter out;
+        if (model)
+            slm::snapshot_model(*model, out);
+        return out.take();
+    };
+    if (a.models.size() != b.models.size())
+        return "models.size";
+    for (std::size_t m = 0; m < a.models.size(); ++m) {
+        if (bytes(a.models[m]) != bytes(b.models[m]))
+            return format("models[%zu]", m);
+    }
+    return "";
 }
 
 ReconstructionResult

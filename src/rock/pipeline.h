@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -53,8 +54,6 @@ struct RockConfig {
     double tie_epsilon = 1e-6;
     /** Cap on enumerated co-optimal forests per family. */
     int max_alternatives = 64;
-    /** Merge secondary-vtable parents into primary types (MI). */
-    bool handle_multiple_inheritance = true;
     /**
      * Run the rockcheck verifier (cfg/verify.h) over the image before
      * analyzing it and surface its findings in
@@ -86,7 +85,7 @@ struct RockConfig {
      * Overrides symexec.threads for the analysis sweep. Work is
      * partitioned deterministically and merged in index order, so the
      * ReconstructionResult is bit-identical for every thread count
-     * (enforced by tests/determinism_test.cc).
+     * (first_difference() below; enforced by tests/determinism_test.cc).
      */
     int threads = 1;
     /**
@@ -152,6 +151,8 @@ struct FamilyResult {
     std::vector<std::vector<int>> alternatives;
     /** More than one hierarchy was structurally possible. */
     bool structurally_ambiguous = false;
+
+    bool operator==(const FamilyResult&) const = default;
 };
 
 /** Hash for (parent index, child index) edge keys. */
@@ -229,6 +230,25 @@ struct ReconstructionResult {
         return out;
     }
 };
+
+/**
+ * The determinism contract: a ReconstructionResult is bit-identical
+ * across thread counts, artifact-cache states (uncached, cold, warm)
+ * and VMI save/load round trips. Every such check calls this. Returns
+ * "" when @p a and @p b agree, otherwise the first field that
+ * differs, e.g. "families[3].alternatives" or "distances(12,40)".
+ * Compared in this order: the hierarchy's primary and extra parents
+ * per type; each family's family_id, members, alternatives (in
+ * order) and structurally_ambiguous; ambiguous_families; distances
+ * (keys and exact bits); every field of structural, typeinf and
+ * analysis; diagnostics; the alphabet (every event in id order);
+ * type_sequences; models (by their slm::snapshot_model bytes).
+ *
+ * Left out: `timing` (wall clock), and hierarchy node names
+ * (reconstruct() never sets them; callers label nodes for display).
+ */
+std::string first_difference(const ReconstructionResult& a,
+                             const ReconstructionResult& b);
 
 namespace detail {
 

@@ -245,6 +245,12 @@ Server::start()
                        options_.socket_path);
     }
 
+    if (::pipe(wake_pipe_) != 0) {
+        ::close(listen_fd_);
+        listen_fd_ = -1;
+        support::fatal("rockd: pipe() failed");
+    }
+
     started_ = std::chrono::steady_clock::now();
     started_flag_.store(true);
     acceptor_ = std::thread([this] { accept_loop(); });
@@ -258,6 +264,12 @@ Server::request_shutdown()
         return;
     std::lock_guard<std::mutex> lock(queue_mutex_);
     queue_cv_.notify_all();
+    if (wake_pipe_[1] >= 0) {
+        // Written once per server into an empty pipe: never blocks.
+        const char byte = 0;
+        ssize_t written = ::write(wake_pipe_[1], &byte, 1);
+        (void)written;
+    }
 }
 
 bool
@@ -281,6 +293,13 @@ Server::wait()
     }
     if (acceptor_.joinable())
         acceptor_.join();
+    {
+        std::lock_guard<std::mutex> lock(queue_mutex_);
+        for (int& fd : wake_pipe_) {
+            ::close(fd);
+            fd = -1;
+        }
+    }
     if (batcher_.joinable())
         batcher_.join();
     // Every queued submit has been answered; drop the connections to
@@ -332,10 +351,11 @@ Server::status_json() const
 void
 Server::accept_loop()
 {
+    // No timeout: request_shutdown() wakes the poll through the pipe.
     while (!draining_.load()) {
-        pollfd pfd{listen_fd_, POLLIN, 0};
-        int ready = ::poll(&pfd, 1, 100);
-        if (ready <= 0)
+        pollfd fds[2] = {{listen_fd_, POLLIN, 0},
+                         {wake_pipe_[0], POLLIN, 0}};
+        if (::poll(fds, 2, -1) <= 0 || !(fds[0].revents & POLLIN))
             continue;
         int fd = ::accept(listen_fd_, nullptr, nullptr);
         if (fd < 0)

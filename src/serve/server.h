@@ -175,6 +175,10 @@ class Server {
     std::unique_ptr<support::ThreadPool> pool_;
     int workers_ = 1;
     int listen_fd_ = -1;
+    /** request_shutdown() writes a byte to [1] to wake the acceptor,
+     *  which polls [0] next to listen_fd_; wait() closes both once the
+     *  acceptor has joined (under queue_mutex_, like the write). */
+    int wake_pipe_[2] = {-1, -1};
     std::chrono::steady_clock::time_point started_;
 
     std::thread acceptor_;

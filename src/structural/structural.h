@@ -50,6 +50,8 @@ struct StructuralResult {
     /** Secondary vtable -> its primary type (multiple inheritance). */
     std::map<int, int> secondary_of;
 
+    bool operator==(const StructuralResult&) const = default;
+
     /** Index of @p vtable_addr in types, or -1. */
     int index_of(std::uint32_t vtable_addr) const;
 

@@ -248,17 +248,6 @@ Sema::validate_stmts(const std::vector<Stmt>& body,
 }
 
 void
-Sema::note_instantiations(const std::vector<Stmt>& body)
-{
-    for (const auto& stmt : body) {
-        if (stmt.kind == StmtKind::NewObject)
-            instantiated_[stmt.class_name] = true;
-        note_instantiations(stmt.then_body);
-        note_instantiations(stmt.else_body);
-    }
-}
-
-void
 Sema::validate_bodies()
 {
     for (const auto& cls : program_->classes) {
@@ -271,7 +260,6 @@ Sema::validate_bodies()
             vars["this"] = cls.name;
             validate_stmts(method.body, vars,
                            cls.name + "::" + method.name);
-            note_instantiations(method.body);
         }
         {
             // Constructor/destructor bodies are inlined into arbitrary
@@ -300,8 +288,6 @@ Sema::validate_bodies()
             vars["this"] = cls.name;
             validate_stmts(cls.ctor_body, vars, cls.name + "::ctor");
             validate_stmts(cls.dtor_body, vars, cls.name + "::dtor");
-            note_instantiations(cls.ctor_body);
-            note_instantiations(cls.dtor_body);
         }
     }
     for (const auto& fn : program_->usages) {
@@ -314,7 +300,6 @@ Sema::validate_bodies()
             vars[param.var] = param.class_name;
         }
         validate_stmts(fn.body, vars, fn.name);
-        note_instantiations(fn.body);
     }
 }
 
@@ -325,13 +310,6 @@ Sema::layout(const std::string& cls) const
     if (it == layouts_.end())
         fatal("unknown class '" + cls + "'");
     return it->second;
-}
-
-bool
-Sema::is_instantiated(const std::string& cls) const
-{
-    auto it = instantiated_.find(cls);
-    return it != instantiated_.end() && it->second;
 }
 
 std::size_t

@@ -86,9 +86,6 @@ class Sema {
         return topo_order_;
     }
 
-    /** True when some reachable statement instantiates @p cls. */
-    bool is_instantiated(const std::string& cls) const;
-
     /** Total flattened field count of @p cls. */
     std::size_t num_fields(const std::string& cls) const;
 
@@ -99,12 +96,10 @@ class Sema {
     void validate_stmts(const std::vector<Stmt>& body,
                         std::map<std::string, std::string>& vars,
                         const std::string& context);
-    void note_instantiations(const std::vector<Stmt>& body);
 
     const Program* program_;
     std::map<std::string, ClassLayout> layouts_;
     std::vector<std::string> topo_order_;
-    std::map<std::string, bool> instantiated_;
 };
 
 } // namespace rock::toyc

@@ -101,6 +101,8 @@ struct ConstraintSet {
     std::vector<int> this_vars;
     /** Unique bodies actually scanned (<= functions). */
     std::size_t unique_bodies = 0;
+
+    bool operator==(const ConstraintSet&) const = default;
 };
 
 /**

@@ -62,6 +62,8 @@ struct TypeInfResult {
     std::vector<int> var_type;
     TypeInfStats stats;
 
+    bool operator==(const TypeInfResult&) const = default;
+
     /** Index of @p vtable_addr in `types`, or -1. */
     int index_of(std::uint32_t vtable_addr) const;
 

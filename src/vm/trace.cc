@@ -25,108 +25,6 @@ kind_code(EventKind kind)
     return "?";
 }
 
-bool
-kind_from_code(const std::string& code, EventKind* kind)
-{
-    if (code == "C") *kind = EventKind::VirtCall;
-    else if (code == "R") *kind = EventKind::ReadField;
-    else if (code == "W") *kind = EventKind::WriteField;
-    else if (code == "this") *kind = EventKind::PassedThis;
-    else if (code == "arg") *kind = EventKind::PassedArg;
-    else if (code == "ret") *kind = EventKind::Returned;
-    else if (code == "call") *kind = EventKind::CallDirect;
-    else return false;
-    return true;
-}
-
-/** Cursor over one line; every consume reports failure via ok_. */
-class Cursor {
-  public:
-    explicit Cursor(const std::string& s) : s_(s) {}
-
-    void
-    ws()
-    {
-        while (pos_ < s_.size() &&
-               (s_[pos_] == ' ' || s_[pos_] == '\t'))
-            ++pos_;
-    }
-
-    bool
-    lit(char c)
-    {
-        ws();
-        if (pos_ < s_.size() && s_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return fail(std::string("expected '") + c + "'");
-    }
-
-    bool
-    str(std::string* out)
-    {
-        ws();
-        if (pos_ >= s_.size() || s_[pos_] != '"')
-            return fail("expected string");
-        ++pos_;
-        out->clear();
-        while (pos_ < s_.size() && s_[pos_] != '"')
-            out->push_back(s_[pos_++]);
-        if (pos_ >= s_.size())
-            return fail("unterminated string");
-        ++pos_; // closing quote
-        return true;
-    }
-
-    bool
-    u32(std::uint32_t* out)
-    {
-        ws();
-        if (pos_ >= s_.size() || s_[pos_] < '0' || s_[pos_] > '9')
-            return fail("expected integer");
-        std::uint64_t v = 0;
-        while (pos_ < s_.size() && s_[pos_] >= '0' &&
-               s_[pos_] <= '9') {
-            v = v * 10 + static_cast<std::uint64_t>(s_[pos_] - '0');
-            if (v > 0xffffffffull)
-                return fail("integer out of range");
-            ++pos_;
-        }
-        *out = static_cast<std::uint32_t>(v);
-        return true;
-    }
-
-    bool
-    peek(char c)
-    {
-        ws();
-        return pos_ < s_.size() && s_[pos_] == c;
-    }
-
-    bool
-    done()
-    {
-        ws();
-        return pos_ >= s_.size();
-    }
-
-    bool
-    fail(const std::string& why)
-    {
-        if (error_.empty())
-            error_ = why + " at column " + std::to_string(pos_ + 1);
-        return false;
-    }
-
-    const std::string& error() const { return error_; }
-
-  private:
-    const std::string& s_;
-    std::size_t pos_ = 0;
-    std::string error_;
-};
-
 } // namespace
 
 std::string
@@ -154,117 +52,6 @@ to_jsonl(const VmResult& result)
     for (const TraceRecord& r : result.records) {
         out += to_jsonl(r);
         out += '\n';
-    }
-    return out;
-}
-
-std::optional<TraceRecord>
-parse_trace_line(const std::string& line, std::string* error)
-{
-    Cursor c(line);
-    TraceRecord rec;
-    bool saw_version = false, saw_entry = false, saw_opaque = false,
-         saw_type = false, saw_events = false;
-
-    auto bad = [&](const std::string& why) -> std::optional<TraceRecord> {
-        if (error) {
-            *error = c.error().empty() ? why : c.error();
-            if (!why.empty() && !c.error().empty())
-                *error = why + ": " + c.error();
-        }
-        return std::nullopt;
-    };
-
-    if (!c.lit('{'))
-        return bad("");
-    bool first = true;
-    while (!c.peek('}')) {
-        if (!first && !c.lit(','))
-            return bad("");
-        first = false;
-        std::string key;
-        if (!c.str(&key) || !c.lit(':'))
-            return bad("");
-        if (key == "rockvm_tracelet") {
-            std::uint32_t v = 0;
-            if (!c.u32(&v))
-                return bad("");
-            if (v != 1)
-                return bad("unsupported schema version " +
-                           std::to_string(v));
-            saw_version = true;
-        } else if (key == "entry") {
-            if (!c.u32(&rec.entry))
-                return bad("");
-            saw_entry = true;
-        } else if (key == "opaque") {
-            if (!c.u32(&rec.opaque))
-                return bad("");
-            saw_opaque = true;
-        } else if (key == "type") {
-            if (!c.u32(&rec.type))
-                return bad("");
-            saw_type = true;
-        } else if (key == "events") {
-            if (!c.lit('['))
-                return bad("");
-            while (!c.peek(']')) {
-                if (!rec.tracelet.empty() && !c.lit(','))
-                    return bad("");
-                std::string code;
-                Event e;
-                std::uint32_t index = 0, aux = 0;
-                if (!c.lit('[') || !c.str(&code) || !c.lit(',') ||
-                    !c.u32(&index) || !c.lit(',') || !c.u32(&aux) ||
-                    !c.lit(']'))
-                    return bad("malformed event triple");
-                if (!kind_from_code(code, &e.kind))
-                    return bad("unknown event kind \"" + code + "\"");
-                e.index = index;
-                e.aux = aux;
-                rec.tracelet.push_back(e);
-            }
-            c.lit(']');
-            saw_events = true;
-        } else {
-            return bad("unknown key \"" + key + "\"");
-        }
-    }
-    c.lit('}');
-    if (!c.done())
-        return bad("trailing garbage after object");
-    if (!saw_version)
-        return bad("missing rockvm_tracelet version tag");
-    if (!saw_entry || !saw_opaque || !saw_type || !saw_events)
-        return bad("missing required key");
-    return rec;
-}
-
-std::optional<std::vector<TraceRecord>>
-parse_trace(const std::string& text, std::string* error)
-{
-    std::vector<TraceRecord> out;
-    std::size_t lineno = 0;
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-        ++lineno;
-        bool blank = true;
-        for (char ch : line) {
-            if (ch != ' ' && ch != '\t' && ch != '\r')
-                blank = false;
-        }
-        if (blank)
-            continue;
-        std::string why;
-        auto rec = parse_trace_line(line, &why);
-        if (!rec) {
-            if (error)
-                *error =
-                    "line " + std::to_string(lineno) + ": " + why;
-            return std::nullopt;
-        }
-        out.push_back(std::move(*rec));
     }
     return out;
 }

@@ -21,15 +21,12 @@
  *            (PassedArg), "ret" (Returned), "call" (CallDirect) --
  *            the paper's Table 1 notation.
  *
- * parse_trace_line() accepts exactly what write produces (plus
- * insignificant whitespace); it is the schema check the tests
- * round-trip `rockvm --trace-jsonl` output through.
+ * Write-only: rockvm exports, nothing here reads traces back. The
+ * tests pin the schema by parsing the output with obs::Json.
  */
 #pragma once
 
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "vm/vm.h"
 
@@ -40,21 +37,5 @@ std::string to_jsonl(const TraceRecord& record);
 
 /** Every record of @p result, one newline-terminated line each. */
 std::string to_jsonl(const VmResult& result);
-
-/**
- * Parse one schema-v1 line. @return std::nullopt on any violation
- * (unknown key, wrong version, malformed event triple, trailing
- * garbage), with a human-readable reason in @p error when non-null.
- */
-std::optional<TraceRecord>
-parse_trace_line(const std::string& line, std::string* error = nullptr);
-
-/**
- * Parse a whole JSONL document (blank lines ignored). @return
- * std::nullopt on the first bad line; @p error names its 1-based
- * line number.
- */
-std::optional<std::vector<TraceRecord>>
-parse_trace(const std::string& text, std::string* error = nullptr);
 
 } // namespace rock::vm

@@ -298,8 +298,6 @@ TEST(CacheIntegration, WarmRunsAreBitIdenticalAcrossThreadCounts)
     serial.threads = 1;
     core::ReconstructionResult uncached =
         core::reconstruct(compiled.image, serial);
-    const std::string want = uncached.hierarchy.to_string();
-    const auto want_distances = uncached.sorted_distances();
 
     auto store = std::make_shared<cache::ArtifactCache>(
         cache::CacheOptions{});
@@ -308,23 +306,19 @@ TEST(CacheIntegration, WarmRunsAreBitIdenticalAcrossThreadCounts)
     // serve from the same entries and reproduce the serial result.
     core::RockConfig cold = serial;
     cold.cache = store;
-    core::ReconstructionResult first =
-        core::reconstruct(compiled.image, cold);
-    EXPECT_EQ(first.hierarchy.to_string(), want);
+    EXPECT_EQ(core::first_difference(
+                  uncached, core::reconstruct(compiled.image, cold)),
+              "");
 
     std::uint64_t after_cold_hits = store->stats().hits;
     for (int threads : {1, 2, hw}) {
         core::RockConfig warm;
         warm.threads = threads;
         warm.cache = store;
-        core::ReconstructionResult result =
-            core::reconstruct(compiled.image, warm);
-        EXPECT_EQ(result.hierarchy.to_string(), want)
+        EXPECT_EQ(core::first_difference(
+                      uncached, core::reconstruct(compiled.image, warm)),
+                  "")
             << "threads=" << threads;
-        EXPECT_EQ(result.sorted_distances(), want_distances)
-            << "threads=" << threads;
-        EXPECT_EQ(result.ambiguous_families,
-                  uncached.ambiguous_families);
         std::uint64_t hits = store->stats().hits;
         EXPECT_GT(hits, after_cold_hits) << "threads=" << threads;
         after_cold_hits = hits;
@@ -336,15 +330,14 @@ TEST(CacheIntegration, DiskWarmStartInFreshStore)
     TempDir dir("warm");
     toyc::CompileResult compiled = compile_corpus(16, 11);
 
-    std::string cold_forest;
+    core::ReconstructionResult cold;
     {
         cache::CacheOptions opts;
         opts.dir = dir.path();
         core::RockConfig config;
         config.threads = 1;
         config.cache = std::make_shared<cache::ArtifactCache>(opts);
-        cold_forest = core::reconstruct(compiled.image, config)
-                          .hierarchy.to_string();
+        cold = core::reconstruct(compiled.image, config);
     }
     // New store instance on the same dir: everything replays from
     // disk, bit-identically.
@@ -354,9 +347,9 @@ TEST(CacheIntegration, DiskWarmStartInFreshStore)
     core::RockConfig config;
     config.threads = 1;
     config.cache = store;
-    core::ReconstructionResult warm =
-        core::reconstruct(compiled.image, config);
-    EXPECT_EQ(warm.hierarchy.to_string(), cold_forest);
+    EXPECT_EQ(core::first_difference(
+                  cold, core::reconstruct(compiled.image, config)),
+              "");
     EXPECT_GT(store->stats().hits, 0u);
 }
 
@@ -368,17 +361,16 @@ TEST(CacheIntegration, CorruptedEntriesNeverChangeResults)
     core::RockConfig config;
     config.threads = 1;
     config.cache = store;
-    const std::string want =
-        core::reconstruct(compiled.image, config)
-            .hierarchy.to_string();
+    const core::ReconstructionResult want =
+        core::reconstruct(compiled.image, config);
 
     // Truncate every famsolve payload in place (valid header,
     // garbage body): decoders must reject them and re-solve.
     for (const auto& key : store->keys(core::kFamilySolveKind))
         store->corrupt_for_testing(key, blob_of({0}));
-    core::ReconstructionResult again =
-        core::reconstruct(compiled.image, config);
-    EXPECT_EQ(again.hierarchy.to_string(), want);
+    EXPECT_EQ(core::first_difference(
+                  want, core::reconstruct(compiled.image, config)),
+              "");
 }
 
 } // namespace

@@ -3,10 +3,10 @@
  * Determinism of the parallel reconstruction pipeline.
  *
  * The contract (RockConfig::threads): any thread count must produce a
- * ReconstructionResult that is bit-identical to the serial path --
- * same hierarchies (including multiple-inheritance extra parents),
- * same distance map down to the last double bit, same co-optimal
- * alternative ordering per family. Under `cmake -DROCK_SANITIZE=thread`
+ * ReconstructionResult that is bit-identical to the serial path, as
+ * core::first_difference() defines it -- hierarchies, co-optimal
+ * alternatives in order, distances down to the last double bit, every
+ * front-end fact and every trained model. Under `cmake -DROCK_SANITIZE=thread`
  * this suite also runs TSan-instrumented as ctest entry
  * `determinism_tsan`, doubling as a data-race check.
  */
@@ -34,44 +34,6 @@ run_with(const bir::BinaryImage& image, int threads)
     return reconstruct(image, config);
 }
 
-void
-expect_identical(const ReconstructionResult& serial,
-                 const ReconstructionResult& parallel)
-{
-    // Hierarchy: primary parent and every extra (MI) parent per type.
-    ASSERT_EQ(serial.hierarchy.size(), parallel.hierarchy.size());
-    for (int v = 0; v < serial.hierarchy.size(); ++v) {
-        EXPECT_EQ(serial.hierarchy.parent(v),
-                  parallel.hierarchy.parent(v))
-            << "type " << v;
-        EXPECT_EQ(serial.hierarchy.parents(v),
-                  parallel.hierarchy.parents(v))
-            << "type " << v;
-    }
-    EXPECT_EQ(serial.hierarchy.to_string(),
-              parallel.hierarchy.to_string());
-
-    // Distance map: identical keys AND bit-identical weights (the
-    // parallel path must not reassociate any floating-point math).
-    EXPECT_EQ(serial.sorted_distances(), parallel.sorted_distances());
-
-    // Families: same members, same alternatives in the same order.
-    ASSERT_EQ(serial.families.size(), parallel.families.size());
-    for (std::size_t f = 0; f < serial.families.size(); ++f) {
-        EXPECT_EQ(serial.families[f].members,
-                  parallel.families[f].members)
-            << "family " << f;
-        EXPECT_EQ(serial.families[f].alternatives,
-                  parallel.families[f].alternatives)
-            << "family " << f;
-        EXPECT_EQ(serial.families[f].structurally_ambiguous,
-                  parallel.families[f].structurally_ambiguous)
-            << "family " << f;
-    }
-    EXPECT_EQ(serial.ambiguous_families, parallel.ambiguous_families);
-    EXPECT_EQ(serial.alphabet.size(), parallel.alphabet.size());
-}
-
 TEST(Determinism, CorpusBenchmarksSerialVsFourThreads)
 {
     for (const char* name : {"echoparams", "tinyserver", "Smoothing"}) {
@@ -80,8 +42,9 @@ TEST(Determinism, CorpusBenchmarksSerialVsFourThreads)
             corpus::benchmark_by_name(name).program;
         toyc::CompileResult compiled =
             toyc::compile(prog.program, prog.options);
-        expect_identical(run_with(compiled.image, 1),
-                         run_with(compiled.image, 4));
+        EXPECT_EQ(first_difference(run_with(compiled.image, 1),
+                                   run_with(compiled.image, 4)),
+                  "");
     }
 }
 
@@ -93,7 +56,9 @@ TEST(Determinism, StreamsExampleEveryThreadCount)
     ReconstructionResult serial = run_with(compiled.image, 1);
     for (int threads : {2, 3, 4, 8}) {
         SCOPED_TRACE(threads);
-        expect_identical(serial, run_with(compiled.image, threads));
+        EXPECT_EQ(
+            first_difference(serial, run_with(compiled.image, threads)),
+            "");
     }
 }
 
@@ -112,7 +77,9 @@ TEST(Determinism, GeneratedCorpusWithNoiseAndMi)
     ReconstructionResult serial = run_with(compiled.image, 1);
     for (int threads : {2, 4}) {
         SCOPED_TRACE(threads);
-        expect_identical(serial, run_with(compiled.image, threads));
+        EXPECT_EQ(
+            first_difference(serial, run_with(compiled.image, threads)),
+            "");
     }
 }
 
@@ -122,8 +89,9 @@ TEST(Determinism, HardwareConcurrencyKnob)
     corpus::CorpusProgram example = corpus::echoparams_program();
     toyc::CompileResult compiled =
         toyc::compile(example.program, example.options);
-    expect_identical(run_with(compiled.image, 1),
-                     run_with(compiled.image, 0));
+    EXPECT_EQ(first_difference(run_with(compiled.image, 1),
+                               run_with(compiled.image, 0)),
+              "");
 }
 
 TEST(Determinism, OversubscribedThreadCounts)
@@ -141,7 +109,9 @@ TEST(Determinism, OversubscribedThreadCounts)
     ReconstructionResult serial = run_with(compiled.image, 1);
     for (int threads : {5, 16, 33}) {
         SCOPED_TRACE(threads);
-        expect_identical(serial, run_with(compiled.image, threads));
+        EXPECT_EQ(
+            first_difference(serial, run_with(compiled.image, threads)),
+            "");
     }
 }
 
@@ -159,8 +129,9 @@ TEST(Determinism, SerialMatchesTwiceHardwareConcurrency)
     spec.seed = 22;
     toyc::CompileResult compiled =
         toyc::compile(corpus::generate_program(spec));
-    expect_identical(run_with(compiled.image, 1),
-                     run_with(compiled.image, threads));
+    EXPECT_EQ(first_difference(run_with(compiled.image, 1),
+                               run_with(compiled.image, threads)),
+              "");
 }
 
 TEST(Determinism, MetricsCountersBitIdenticalAcrossThreadCounts)

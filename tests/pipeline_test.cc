@@ -4,11 +4,18 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "corpus/examples.h"
 #include "divergence/metrics.h"
 #include "eval/application_distance.h"
 #include "eval/ground_truth.h"
 #include "rock/pipeline.h"
+#include "slm/model.h"
 #include "toyc/compiler.h"
 
 namespace {
@@ -262,6 +269,99 @@ TEST(Pipeline, WordSetStrategiesAgreeOnStreams)
             eval::application_distance(result.hierarchy, gt);
         EXPECT_DOUBLE_EQ(d.avg_missing + d.avg_added, 0.0);
     }
+}
+
+// ---- the determinism contract: first_difference ------------------------
+
+/** first_difference() between two reconstructions of the streams
+ *  example after @p perturb has changed them. */
+template <typename Perturb>
+std::string
+difference_after(Perturb perturb)
+{
+    corpus::CorpusProgram example = corpus::streams_program();
+    toyc::CompileResult compiled =
+        toyc::compile(example.program, example.options);
+    ReconstructionResult a = reconstruct(compiled.image);
+    ReconstructionResult b = reconstruct(compiled.image);
+    perturb(a, b);
+    return first_difference(a, b);
+}
+
+TEST(FirstDifference, NamesThePerturbedField)
+{
+    using Perturb = std::function<void(ReconstructionResult&)>;
+    const std::vector<std::pair<std::string, Perturb>> cases = {
+        {"", [](auto&) {}},
+        {"", [](auto& r) { r.timing.total_ms += 1.0; }}, // not compared
+        {"families[0].structurally_ambiguous",
+         [](auto& r) { r.families[0].structurally_ambiguous ^= true; }},
+        {"ambiguous_families", [](auto& r) { ++r.ambiguous_families; }},
+        {"structural.possible_parents",
+         [](auto& r) { r.structural.possible_parents[0].insert(99); }},
+        {"typeinf.direct_edges",
+         [](auto& r) { r.typeinf.direct_edges.pop_back(); }},
+        {"typeinf.constraints",
+         [](auto& r) { ++r.typeinf.constraints.num_vars; }},
+        {"analysis.type_tracelets",
+         [](auto& r) {
+             r.analysis.type_tracelets.begin()->second.pop_back();
+         }},
+        {"diagnostics", [](auto& r) { r.diagnostics.emplace_back(); }},
+        {"alphabet",
+         [](auto& r) {
+             r.alphabet.intern({analysis::EventKind::CallDirect, 0, 7});
+         }},
+        {"type_sequences",
+         [](auto& r) { r.type_sequences[0].push_back({0}); }},
+        // One model retrained on one extra sequence; nothing else moves.
+        {"models[1]",
+         [](auto& r) {
+             auto sequences = r.type_sequences[1];
+             sequences.push_back({0, 0});
+             r.models[1] = slm::train_model(
+                 RockConfig{}.slm, r.alphabet.size(), sequences);
+         }},
+    };
+    for (const auto& [want, perturb] : cases) {
+        SCOPED_TRACE(want);
+        EXPECT_EQ(difference_after([&](auto&, auto& b) { perturb(b); }),
+                  want);
+    }
+}
+
+TEST(FirstDifference, NamesTheParentAndTheDistance)
+{
+    int child = -1;
+    std::string diff = difference_after([&](auto&, auto& b) {
+        child = b.families[0].members.back();
+        b.hierarchy.set_parent(child, -1);
+    });
+    EXPECT_EQ(diff, "hierarchy.parents(" + std::to_string(child) + ")");
+
+    std::pair<int, int> edge;
+    diff = difference_after([&](auto&, auto& b) {
+        auto& [key, weight] = *b.distances.begin();
+        edge = key;
+        weight = std::nextafter(weight, 1e300); // one ulp
+    });
+    EXPECT_EQ(diff, "distances(" + std::to_string(edge.first) + "," +
+                        std::to_string(edge.second) + ")");
+}
+
+TEST(FirstDifference, AlternativesCompareInOrder)
+{
+    // The same two forests, swapped: alternatives[0] is the selected
+    // one, so order is part of the contract.
+    EXPECT_EQ(difference_after([](ReconstructionResult& a,
+                                  ReconstructionResult& b) {
+                  std::vector<int> other = a.families[0].alternatives[0];
+                  other.back() = -1;
+                  a.families[0].alternatives.push_back(other);
+                  b.families[0].alternatives.insert(
+                      b.families[0].alternatives.begin(), other);
+              }),
+              "families[0].alternatives");
 }
 
 } // namespace

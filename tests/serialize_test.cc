@@ -114,11 +114,9 @@ TEST(Serialize, ReconstructionIdenticalAfterRoundTrip)
     toyc::CompileResult compiled =
         toyc::compile(example.program, example.options);
     BinaryImage loaded = load_image(save_image(compiled.image));
-    core::ReconstructionResult a = core::reconstruct(compiled.image);
-    core::ReconstructionResult b = core::reconstruct(loaded);
-    ASSERT_EQ(a.hierarchy.size(), b.hierarchy.size());
-    for (int v = 0; v < a.hierarchy.size(); ++v)
-        EXPECT_EQ(a.hierarchy.parent(v), b.hierarchy.parent(v));
+    EXPECT_EQ(core::first_difference(core::reconstruct(compiled.image),
+                                     core::reconstruct(loaded)),
+              "");
 }
 
 TEST(Serialize, RejectsBadMagic)
@@ -194,16 +192,9 @@ TEST(Serialize, PropertyRoundTripOverGeneratedPrograms)
         EXPECT_EQ(loaded.has_rtti, compiled.image.has_rtti);
         EXPECT_EQ(loaded.entry, compiled.image.entry);
 
-        core::ReconstructionResult a =
-            core::reconstruct(compiled.image);
-        core::ReconstructionResult b = core::reconstruct(loaded);
-        ASSERT_EQ(a.hierarchy.size(), b.hierarchy.size());
-        for (int v = 0; v < a.hierarchy.size(); ++v) {
-            EXPECT_EQ(a.hierarchy.parent(v), b.hierarchy.parent(v));
-            EXPECT_EQ(a.hierarchy.parents(v),
-                      b.hierarchy.parents(v));
-        }
-        EXPECT_EQ(a.sorted_distances(), b.sorted_distances());
+        EXPECT_EQ(core::first_difference(core::reconstruct(compiled.image),
+                                         core::reconstruct(loaded)),
+                  "");
     }
 }
 

@@ -11,11 +11,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <sstream>
 
 #include "analysis/analyze.h"
 #include "bir/builder.h"
 #include "corpus/examples.h"
+#include "obs/json.h"
 #include "toyc/compiler.h"
 #include "vm/coverage.h"
 #include "vm/trace.h"
@@ -697,7 +700,27 @@ TEST(VmCoverage, DifferentConstantsFingerprintDifferently)
 
 // ---- tracelet JSONL schema v1 --------------------------------------------
 
-TEST(VmTrace, JsonlRoundTripsWholeImageTrace)
+TEST(VmTrace, JsonlLineSpellsEveryEventKind)
+{
+    vm::TraceRecord rec;
+    rec.entry = 0x1000;
+    rec.opaque = 1;
+    rec.type = 0x100010;
+    rec.tracelet = {{EventKind::VirtCall, 2, 0},
+                    {EventKind::ReadField, 4, 0},
+                    {EventKind::WriteField, 8, 0},
+                    {EventKind::PassedThis, 1, 0},
+                    {EventKind::PassedArg, 0, 2},
+                    {EventKind::Returned, 0, 0},
+                    {EventKind::CallDirect, 0, 0x1040}};
+    EXPECT_EQ(vm::to_jsonl(rec),
+              "{\"rockvm_tracelet\":1,\"entry\":4096,\"opaque\":1,"
+              "\"type\":1048592,\"events\":[[\"C\",2,0],[\"R\",4,0],"
+              "[\"W\",8,0],[\"this\",1,0],[\"arg\",0,2],[\"ret\",0,0],"
+              "[\"call\",0,4160]]}");
+}
+
+TEST(VmTrace, JsonlWholeImageTraceParsesAsSchemaV1)
 {
     corpus::CorpusProgram prog = corpus::streams_program();
     toyc::CompileResult built =
@@ -707,53 +730,41 @@ TEST(VmTrace, JsonlRoundTripsWholeImageTrace)
     VmResult r = interp.run_image(1);
     ASSERT_FALSE(r.records.empty());
 
-    std::string jsonl = vm::to_jsonl(r);
-    std::string error;
-    auto parsed = vm::parse_trace(jsonl, &error);
-    ASSERT_TRUE(parsed.has_value()) << error;
-    EXPECT_EQ(*parsed, r.records);
-}
-
-TEST(VmTrace, ParserRejectsSchemaViolations)
-{
-    vm::TraceRecord rec;
-    rec.entry = 0x1000;
-    rec.opaque = 1;
-    rec.type = 0x100010;
-    rec.tracelet.push_back(Event{EventKind::VirtCall, 2, 0});
-    std::string good = vm::to_jsonl(rec);
-    ASSERT_TRUE(vm::parse_trace_line(good).has_value());
-    auto round = vm::parse_trace_line(good);
-    EXPECT_EQ(*round, rec);
-
-    std::string error;
-    EXPECT_FALSE(vm::parse_trace_line("{}", &error).has_value());
-    EXPECT_FALSE(
-        vm::parse_trace_line(
-            "{\"rockvm_tracelet\":2,\"entry\":0,\"opaque\":0,"
-            "\"type\":0,\"events\":[]}",
-            &error)
-            .has_value());
-    EXPECT_FALSE(
-        vm::parse_trace_line(
-            "{\"rockvm_tracelet\":1,\"entry\":0,\"opaque\":0,"
-            "\"type\":0,\"events\":[[\"X\",0,0]]}",
-            &error)
-            .has_value());
-    EXPECT_FALSE(vm::parse_trace_line(good + " junk", &error)
-                     .has_value());
-    EXPECT_FALSE(
-        vm::parse_trace_line(
-            "{\"rockvm_tracelet\":1,\"entry\":0,\"opaque\":0,"
-            "\"type\":0,\"events\":[],\"extra\":1}",
-            &error)
-            .has_value());
-    // Missing version tag.
-    EXPECT_FALSE(
-        vm::parse_trace_line("{\"entry\":0,\"opaque\":0,\"type\":0,"
-                             "\"events\":[]}",
-                             &error)
-            .has_value());
+    const std::map<EventKind, std::string> codes = {
+        {EventKind::VirtCall, "C"},   {EventKind::ReadField, "R"},
+        {EventKind::WriteField, "W"}, {EventKind::PassedThis, "this"},
+        {EventKind::PassedArg, "arg"}, {EventKind::Returned, "ret"},
+        {EventKind::CallDirect, "call"}};
+    std::istringstream lines(vm::to_jsonl(r));
+    std::string line;
+    std::size_t i = 0;
+    while (std::getline(lines, line)) {
+        ASSERT_LT(i, r.records.size());
+        const vm::TraceRecord& rec = r.records[i++];
+        obs::Json json = obs::Json::parse(line);
+        ASSERT_TRUE(json.is_object());
+        std::vector<std::string> keys;
+        for (const auto& [key, value] : json.object)
+            keys.push_back(key);
+        EXPECT_EQ(keys, (std::vector<std::string>{"rockvm_tracelet",
+                                                  "entry", "opaque",
+                                                  "type", "events"}));
+        EXPECT_EQ(json.find("rockvm_tracelet")->number, 1.0);
+        EXPECT_EQ(json.find("entry")->number, rec.entry);
+        EXPECT_EQ(json.find("opaque")->number, rec.opaque);
+        EXPECT_EQ(json.find("type")->number, rec.type);
+        const obs::Json& events = *json.find("events");
+        ASSERT_EQ(events.array.size(), rec.tracelet.size());
+        for (std::size_t k = 0; k < events.array.size(); ++k) {
+            const Event& e = rec.tracelet[k];
+            const auto& triple = events.array[k].array;
+            ASSERT_EQ(triple.size(), 3u);
+            EXPECT_EQ(triple[0].string, codes.at(e.kind));
+            EXPECT_EQ(triple[1].number, e.index);
+            EXPECT_EQ(triple[2].number, e.aux);
+        }
+    }
+    EXPECT_EQ(i, r.records.size());
 }
 
 TEST(VmTrace, ConfigMirrorCopiesMirrorKnobs)
