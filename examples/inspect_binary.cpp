@@ -74,11 +74,7 @@ main(int argc, char** argv)
     eval::GroundTruth gt =
         eval::ground_truth_from_debug(compiled.debug);
     core::Hierarchy named = result.hierarchy;
-    for (int v = 0; v < named.size(); ++v) {
-        auto it = gt.names.find(named.type_at(v));
-        if (it != gt.names.end())
-            named.set_name(v, it->second);
-    }
+    named.set_names(gt.names);
     std::printf("\nsame hierarchy with ground-truth names:\n%s",
                 named.to_string().c_str());
     return 0;

@@ -1,111 +1,29 @@
 #include "analysis/symexec.h"
 
-#include <array>
 #include <deque>
-
-#include "support/error.h"
 
 namespace rock::analysis {
 
 using bir::Instr;
 using bir::Op;
 
-/** An abstract value held in a register or memory cell. */
-struct SymbolicExecutor::Value {
-    enum class Kind : std::uint8_t {
-        Unknown,
-        Const,  ///< known 32-bit constant (imm)
-        Obj,    ///< pointer to abstract object `obj` at byte offset
-        Vptr,   ///< value loaded from a vptr slot of object `obj`
-        SlotFn, ///< function pointer loaded from vtable slot `slot`
-    };
-
-    Kind kind = Kind::Unknown;
-    std::uint32_t imm = 0;
-    int obj = -1;
-    std::int32_t off = 0;       ///< Obj: offset; Vptr: vptr offset
-    std::uint32_t slot = 0;     ///< SlotFn: slot index
-    std::uint32_t slot_aux = 0; ///< SlotFn: subobject vptr offset
-
-    static Value unknown() { return {}; }
-
-    static Value
-    constant(std::uint32_t imm)
-    {
-        Value v;
-        v.kind = Kind::Const;
-        v.imm = imm;
-        return v;
-    }
-
-    static Value
-    object(int obj, std::int32_t off)
-    {
-        Value v;
-        v.kind = Kind::Obj;
-        v.obj = obj;
-        v.off = off;
-        return v;
-    }
-};
-
-/** One abstract object along one path. */
-struct SymbolicExecutor::AbsObject {
-    std::map<std::int32_t, std::uint32_t> vptr_stores;
-    std::vector<std::pair<std::int32_t, std::uint32_t>> this_calls;
-    std::vector<Event> events;
-    bool is_this_param = false;
-};
+namespace {
 
 /** Execution state of one path. */
-struct SymbolicExecutor::PathState {
+struct PathState {
     std::size_t pc = 0;
-    std::array<Value, bir::kNumRegs> regs;
-    std::map<int, Value> out_args;
-    Value last_ret;
-    std::vector<AbsObject> objects;
-    std::map<std::pair<int, std::int32_t>, Value> mem;
     int steps = 0;
     std::map<std::size_t, int> backjumps;
+    AbsState abs;
 };
+
+} // namespace
 
 SymbolicExecutor::SymbolicExecutor(const bir::BinaryImage& image,
                                    const std::vector<VTableInfo>& vtables,
                                    const SymExecConfig& config)
     : image_(image), config_(config), vtables_(vtables)
 {
-    for (std::size_t i = 0; i < vtables_.size(); ++i) {
-        vtable_index_[vtables_[i].addr] = i;
-        for (std::uint32_t fn : vtables_[i].slots)
-            containing_[fn].push_back(vtables_[i].addr);
-    }
-}
-
-const std::vector<std::uint32_t>&
-SymbolicExecutor::containing_vtables(std::uint32_t func) const
-{
-    auto it = containing_.find(func);
-    return it == containing_.end() ? no_vtables_ : it->second;
-}
-
-const VTableInfo*
-SymbolicExecutor::vtable_at(std::uint32_t addr, std::uint32_t* slot) const
-{
-    // Locate the vtable whose slot array covers addr.
-    auto it = vtable_index_.upper_bound(addr);
-    if (it == vtable_index_.begin())
-        return nullptr;
-    --it;
-    const VTableInfo& vt = vtables_[it->second];
-    std::uint32_t end =
-        vt.addr + static_cast<std::uint32_t>(vt.slots.size()) *
-                      bir::kWordSize;
-    if (addr < vt.addr || addr >= end)
-        return nullptr;
-    if ((addr - vt.addr) % bir::kWordSize != 0)
-        return nullptr;
-    *slot = (addr - vt.addr) / bir::kWordSize;
-    return &vt;
 }
 
 FunctionAnalysis
@@ -127,88 +45,20 @@ SymbolicExecutor::run(const bir::FunctionEntry& fn,
     if (body.empty())
         return result;
 
-    const bool fn_in_vtable = !containing_vtables(fn.addr).empty();
-
-    auto is_vtable_start = [this](std::uint32_t addr) {
-        return vtable_index_.count(addr) != 0;
-    };
-
-    // Emit an event on a tracked object.
-    auto emit = [](PathState& st, int obj, Event e) {
-        st.objects[static_cast<std::size_t>(obj)].events.push_back(e);
-    };
-
-    // Model the effects of a call on passed objects.
-    auto call_effects = [&](PathState& st, std::uint32_t callee,
-                            bool callee_known) {
-        for (const auto& [slot, val] : st.out_args) {
-            if (val.kind != Value::Kind::Obj)
-                continue;
-            if (slot == 0 && callee_known && this_callees.count(callee)) {
-                emit(st, val.obj,
-                     Event{EventKind::PassedThis, 0, 0});
-                st.objects[static_cast<std::size_t>(val.obj)]
-                    .this_calls.emplace_back(val.off, callee);
-            } else {
-                emit(st, val.obj,
-                     Event{EventKind::PassedArg,
-                           static_cast<std::uint32_t>(slot), 0});
-            }
-            if (callee_known) {
-                emit(st, val.obj,
-                     Event{EventKind::CallDirect, callee, 0});
-            }
-        }
-        st.out_args.clear();
-        st.last_ret = Value::unknown();
-    };
+    const Transfer transfer(image_, vtables_, config_, this_callees,
+                            fn.addr, arg0_is_object);
 
     // Finalize one completed path: attribute tracelets + evidence.
-    auto finish_path = [&](PathState& st) {
+    auto finish_path = [&](const PathState& st) {
         ++result.paths;
-        for (const auto& obj : st.objects) {
-            // Determine the types this object's events belong to.
-            std::vector<std::uint32_t> types;
-            auto primary = obj.vptr_stores.find(0);
-            if (primary != obj.vptr_stores.end()) {
-                types.push_back(primary->second);
-            } else if (obj.is_this_param && fn_in_vtable) {
-                const auto& owners = containing_vtables(fn.addr);
-                if (config_.attribute_shared_methods_to_all) {
-                    types = owners;
-                } else if (!owners.empty()) {
-                    types.push_back(owners.front());
-                }
-            }
-            if (!obj.events.empty()) {
-                // Split the event sequence into tracelets.
-                const auto& ev = obj.events;
-                std::size_t len =
-                    static_cast<std::size_t>(config_.tracelet_len);
-                std::vector<Tracelet> windows;
-                if (config_.sliding_windows && ev.size() > len) {
-                    for (std::size_t i = 0; i + len <= ev.size(); ++i) {
-                        windows.emplace_back(ev.begin() + i,
-                                             ev.begin() + i + len);
-                    }
-                } else {
-                    for (std::size_t i = 0; i < ev.size(); i += len) {
-                        std::size_t hi = std::min(ev.size(), i + len);
-                        windows.emplace_back(ev.begin() + i,
-                                             ev.begin() + hi);
-                    }
-                }
-                for (std::uint32_t type : types) {
-                    auto& out = result.tracelets[type];
-                    out.insert(out.end(), windows.begin(),
-                               windows.end());
-                }
-                if (types.empty() && obj.is_this_param) {
-                    result.untyped_this.insert(
-                        result.untyped_this.end(), windows.begin(),
-                        windows.end());
-                }
-            }
+        transfer.finish_path(
+            st.abs, [&](std::optional<std::uint32_t> type,
+                        const std::vector<Tracelet>& windows) {
+                auto& out =
+                    type ? result.tracelets[*type] : result.untyped_this;
+                out.insert(out.end(), windows.begin(), windows.end());
+            });
+        for (const AbsObject& obj : st.abs.objects) {
             if (!obj.vptr_stores.empty()) {
                 result.evidence.push_back(ObjectEvidence{
                     obj.vptr_stores, obj.this_calls,
@@ -219,10 +69,7 @@ SymbolicExecutor::run(const bir::FunctionEntry& fn,
 
     // Depth-first exploration over forked states.
     std::deque<PathState> stack;
-    {
-        PathState init;
-        stack.push_back(std::move(init));
-    }
+    stack.emplace_back();
 
     while (!stack.empty() && result.paths < config_.max_paths) {
         PathState st = std::move(stack.back());
@@ -238,212 +85,23 @@ SymbolicExecutor::run(const bir::FunctionEntry& fn,
             ++st.steps;
             std::size_t next = st.pc + 1;
 
+            transfer.step(st.abs, instr);
             switch (instr.op) {
-              case Op::Nop:
-                break;
-              case Op::MovImm:
-                st.regs[instr.a] = Value::constant(instr.imm);
-                break;
-              case Op::MovReg:
-                st.regs[instr.a] = st.regs[instr.b];
-                break;
-              case Op::AddImm: {
-                Value v = st.regs[instr.b];
-                std::int32_t delta =
-                    static_cast<std::int32_t>(instr.imm);
-                switch (v.kind) {
-                  case Value::Kind::Obj:
-                    v.off += delta;
-                    break;
-                  case Value::Kind::Const:
-                    v.imm += static_cast<std::uint32_t>(delta);
-                    break;
-                  default:
-                    v = Value::unknown();
-                    break;
-                }
-                st.regs[instr.a] = v;
-                break;
-              }
-              case Op::Load: {
-                const Value& base = st.regs[instr.b];
-                std::int32_t disp = static_cast<std::int32_t>(instr.imm);
-                Value out = Value::unknown();
-                if (base.kind == Value::Kind::Obj) {
-                    std::int32_t abs = base.off + disp;
-                    auto& obj =
-                        st.objects[static_cast<std::size_t>(base.obj)];
-                    bool vptr_slot = obj.vptr_stores.count(abs) != 0 ||
-                                     (obj.is_this_param && abs == 0);
-                    if (vptr_slot) {
-                        // Reading the object's vptr: no field event.
-                        out.kind = Value::Kind::Vptr;
-                        out.obj = base.obj;
-                        out.off = abs;
-                        auto stored = obj.vptr_stores.find(abs);
-                        if (stored != obj.vptr_stores.end())
-                            out.imm = stored->second;
-                    } else {
-                        emit(st, base.obj,
-                             Event{EventKind::ReadField,
-                                   static_cast<std::uint32_t>(abs), 0});
-                        auto cell = st.mem.find({base.obj, abs});
-                        if (cell != st.mem.end())
-                            out = cell->second;
-                    }
-                } else if (base.kind == Value::Kind::Vptr) {
-                    // Loading a function pointer out of a vtable.
-                    out.kind = Value::Kind::SlotFn;
-                    out.obj = base.obj;
-                    out.slot = static_cast<std::uint32_t>(disp) /
-                               bir::kWordSize;
-                    out.slot_aux = static_cast<std::uint32_t>(base.off);
-                    if (base.imm != 0) {
-                        auto word =
-                            image_.read_data_word(base.imm + instr.imm);
-                        if (word)
-                            out.imm = *word;
-                    }
-                } else if (base.kind == Value::Kind::Const &&
-                           image_.in_data(base.imm)) {
-                    std::uint32_t addr =
-                        base.imm + static_cast<std::uint32_t>(disp);
-                    std::uint32_t slot = 0;
-                    if (const VTableInfo* vt = vtable_at(addr, &slot)) {
-                        out.kind = Value::Kind::SlotFn;
-                        out.obj = -1;
-                        out.slot = slot;
-                        out.slot_aux = 0;
-                        out.imm = vt->slots[slot];
-                    } else if (auto word = image_.read_data_word(addr)) {
-                        out = Value::constant(*word);
-                    }
-                }
-                st.regs[instr.a] = out;
-                break;
-              }
-              case Op::Store: {
-                const Value& base = st.regs[instr.a];
-                const Value& val = st.regs[instr.b];
-                std::int32_t disp = static_cast<std::int32_t>(instr.imm);
-                if (base.kind == Value::Kind::Obj) {
-                    std::int32_t abs = base.off + disp;
-                    auto& obj =
-                        st.objects[static_cast<std::size_t>(base.obj)];
-                    if (val.kind == Value::Kind::Const &&
-                        is_vtable_start(val.imm)) {
-                        // vptr assignment: types the object.
-                        obj.vptr_stores[abs] = val.imm;
-                    } else {
-                        emit(st, base.obj,
-                             Event{EventKind::WriteField,
-                                   static_cast<std::uint32_t>(abs), 0});
-                    }
-                    st.mem[{base.obj, abs}] = val;
-                }
-                break;
-              }
-              case Op::SetArg:
-                st.out_args[instr.a] = st.regs[instr.b];
-                break;
-              case Op::GetArg: {
-                Value v = Value::unknown();
-                if (instr.b == 0 && arg0_is_object) {
-                    // Locate or create the `this` object.
-                    int found = -1;
-                    for (std::size_t i = 0; i < st.objects.size(); ++i) {
-                        if (st.objects[i].is_this_param)
-                            found = static_cast<int>(i);
-                    }
-                    if (found < 0) {
-                        AbsObject obj;
-                        obj.is_this_param = true;
-                        st.objects.push_back(std::move(obj));
-                        found = static_cast<int>(st.objects.size()) - 1;
-                    }
-                    v = Value::object(found, 0);
-                }
-                st.regs[instr.a] = v;
-                break;
-              }
-              case Op::GetRet:
-                st.regs[instr.a] = st.last_ret;
-                break;
-              case Op::Call: {
-                if (instr.imm == bir::kAllocStub) {
-                    st.objects.push_back(AbsObject{});
-                    st.out_args.clear();
-                    st.last_ret = Value::object(
-                        static_cast<int>(st.objects.size()) - 1, 0);
-                } else if (instr.imm == bir::kPurecallStub) {
-                    st.out_args.clear();
-                    st.last_ret = Value::unknown();
-                } else {
-                    call_effects(st, instr.imm, true);
-                }
-                break;
-              }
-              case Op::CallInd: {
-                const Value& target = st.regs[instr.a];
-                if (target.kind == Value::Kind::SlotFn) {
-                    // Virtual dispatch: C(slot) on the receiver.
-                    int receiver = target.obj;
-                    std::uint32_t aux = target.slot_aux;
-                    auto arg0 = st.out_args.find(0);
-                    if (receiver < 0 && arg0 != st.out_args.end() &&
-                        arg0->second.kind == Value::Kind::Obj) {
-                        receiver = arg0->second.obj;
-                        aux = static_cast<std::uint32_t>(
-                            arg0->second.off);
-                    }
-                    if (receiver >= 0) {
-                        emit(st, receiver,
-                             Event{EventKind::VirtCall, target.slot,
-                                   aux});
-                    }
-                    // Remaining object args still count as passed.
-                    for (const auto& [slot, val] : st.out_args) {
-                        if (slot != 0 &&
-                            val.kind == Value::Kind::Obj) {
-                            emit(st, val.obj,
-                                 Event{EventKind::PassedArg,
-                                       static_cast<std::uint32_t>(slot),
-                                       0});
-                        }
-                    }
-                    st.out_args.clear();
-                    st.last_ret = Value::unknown();
-                } else if (target.kind == Value::Kind::Const &&
-                           image_.is_function_start(target.imm)) {
-                    call_effects(st, target.imm, true);
-                } else {
-                    call_effects(st, 0, false);
-                }
-                break;
-              }
-              case Op::RetVal: {
-                const Value& v = st.regs[instr.a];
-                if (v.kind == Value::Kind::Obj)
-                    emit(st, v.obj, Event{EventKind::Returned, 0, 0});
-                finish_path(st);
-                path_done = true;
-                break;
-              }
+              case Op::RetVal:
               case Op::Ret:
                 finish_path(st);
                 path_done = true;
                 break;
-              case Op::Jmp: {
+              case Op::Jmp:
                 next = (instr.imm - fn.addr) / bir::kInstrSize;
                 break;
-              }
               case Op::Jnz:
               case Op::Jz: {
                 std::size_t target =
                     (instr.imm - fn.addr) / bir::kInstrSize;
-                const Value& cond = st.regs[instr.a];
+                const AbsValue& cond = st.abs.regs[instr.a];
                 bool taken_is_backward = target <= st.pc;
-                if (cond.kind == Value::Kind::Const) {
+                if (cond.kind == AbsValue::Kind::Const) {
                     bool taken = (instr.op == Op::Jnz)
                                      ? cond.imm != 0
                                      : cond.imm == 0;
@@ -470,6 +128,8 @@ SymbolicExecutor::run(const bir::FunctionEntry& fn,
                 }
                 break;
               }
+              default:
+                break;
             }
 
             if (!path_done)

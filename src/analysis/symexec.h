@@ -16,6 +16,10 @@
  *
  * Because the analysis is strictly intra-procedural, cost is linear in
  * the number of functions; no call graph is ever built.
+ *
+ * The abstract domain, the per-instruction transfer and the path-end
+ * tracelet cutting live in analysis/transfer.h, shared with rockvm's
+ * shadow state; the executor owns path forking and its budgets.
  */
 #pragma once
 
@@ -25,6 +29,7 @@
 #include <vector>
 
 #include "analysis/event.h"
+#include "analysis/transfer.h"
 #include "analysis/vtable_scan.h"
 #include "bir/image.h"
 
@@ -135,27 +140,10 @@ class SymbolicExecutor {
                          bool arg0_is_object,
                          const std::vector<bir::Instr>& body) const;
 
-    /** Vtables (by address) whose slots contain @p func. */
-    const std::vector<std::uint32_t>&
-    containing_vtables(std::uint32_t func) const;
-
   private:
-    struct Value;
-    struct AbsObject;
-    struct PathState;
-
-    /** Find the vtable covering @p addr; sets @p slot. */
-    const VTableInfo* vtable_at(std::uint32_t addr,
-                                std::uint32_t* slot) const;
-
     const bir::BinaryImage& image_;
     const SymExecConfig config_;
-    std::vector<VTableInfo> vtables_;
-    /** vtable start address -> index into vtables_. */
-    std::map<std::uint32_t, std::size_t> vtable_index_;
-    /** function address -> vtable addresses containing it. */
-    std::map<std::uint32_t, std::vector<std::uint32_t>> containing_;
-    std::vector<std::uint32_t> no_vtables_;
+    const VTableIndex vtables_;
 };
 
 } // namespace rock::analysis

@@ -8,6 +8,7 @@
 #include "fuzz/oracles.h"
 #include "fuzz/shrink.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "support/log.h"
 #include "support/rng.h"
 #include "vm/vm.h"
@@ -66,6 +67,7 @@ run_one(std::uint64_t case_seed, const GeneratorSpec& spec,
     for (const Oracle* oracle : oracles) {
         OracleVerdict verdict;
         try {
+            obs::Span span("fuzz.oracle." + oracle->name);
             verdict = oracle->check(ctx);
         } catch (const std::exception& e) {
             verdict =

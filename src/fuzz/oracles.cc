@@ -983,7 +983,8 @@ first_containment_miss(
  * The dynamic side of the analysis: concretely executing the image
  * under rockvm must (a) never trap -- toyc output is well-formed --
  * and (b) only ever witness typed tracelets the static analysis also
- * extracts (dynamic ⊆ static; the mirror contract of src/vm/vm.h).
+ * extracts (dynamic ⊆ static; the shadow-state contract of
+ * src/vm/vm.h). The interpreter takes the static run's SymExecConfig.
  *
  * A miss is first retried against a boosted-path-budget re-analysis:
  * the configured max_paths caps static exploration, and a concretely
@@ -995,8 +996,8 @@ OracleVerdict
 check_vm_differential(const OracleContext& ctx)
 {
     const FuzzCase& fc = ctx.fuzz_case;
-    vm::VmConfig vcfg =
-        vm::VmConfig::mirror(ctx.config.rock.symexec);
+    vm::VmConfig vcfg;
+    vcfg.symexec = ctx.config.rock.symexec;
     vm::Interpreter interp(fc.compiled.image, fc.result.analysis,
                            vcfg);
     vm::VmResult dynamic = interp.run_image(1);

@@ -119,6 +119,16 @@ Hierarchy::set_name(int node, const std::string& name)
     names_[static_cast<std::size_t>(node)] = name;
 }
 
+void
+Hierarchy::set_names(const std::map<std::uint32_t, std::string>& names)
+{
+    for (int v = 0; v < size(); ++v) {
+        auto it = names.find(type_at(v));
+        if (it != names.end())
+            set_name(v, it->second);
+    }
+}
+
 std::string
 Hierarchy::name(int node) const
 {

@@ -59,6 +59,12 @@ class Hierarchy {
     /** Attach a printable name to a node. */
     void set_name(int node, const std::string& name);
 
+    /**
+     * Name every node whose vtable address appears in @p names (e.g.
+     * the symbols a binary kept); other nodes keep their names.
+     */
+    void set_names(const std::map<std::uint32_t, std::string>& names);
+
     /** Name of @p node (falls back to the hex vtable address). */
     std::string name(int node) const;
 

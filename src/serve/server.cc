@@ -161,13 +161,9 @@ submit_response_text(const bir::BinaryImage& image,
     core::ReconstructionResult result =
         core::reconstruct(image, config);
     core::Hierarchy hierarchy = result.hierarchy;
-    // Mirror tools/rockhier.cc exactly: keep symbol names the binary
+    // Same labels as tools/rockhier.cc: the symbol names the binary
     // retained (stripped images have none).
-    for (int v = 0; v < hierarchy.size(); ++v) {
-        auto it = image.symbols.find(hierarchy.type_at(v));
-        if (it != image.symbols.end())
-            hierarchy.set_name(v, it->second);
-    }
+    hierarchy.set_names(image.symbols);
     return hierarchy.to_string();
 }
 

@@ -1,15 +1,11 @@
 #include "vm/vm.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
 #include "support/parallel.h"
 #include "vm/coverage.h"
 
 namespace rock::vm {
 
-using analysis::Event;
-using analysis::EventKind;
 using analysis::Tracelet;
 using bir::Instr;
 using bir::Op;
@@ -20,19 +16,6 @@ namespace {
 constexpr std::uint32_t kHeapBase = 0x40000000;
 
 } // namespace
-
-VmConfig
-VmConfig::mirror(const analysis::SymExecConfig& se)
-{
-    VmConfig c;
-    c.tracelet_len = se.tracelet_len;
-    c.max_steps = se.max_steps;
-    c.max_backjumps = se.max_backjumps;
-    c.sliding_windows = se.sliding_windows;
-    c.attribute_shared_methods_to_all =
-        se.attribute_shared_methods_to_all;
-    return c;
-}
 
 const char*
 trap_name(TrapKind kind)
@@ -81,85 +64,21 @@ VmResult::merge(const VmResult& other)
     stats.wild_writes += other.stats.wild_writes;
 }
 
-/**
- * Mirror of SymbolicExecutor::Value (analysis/symexec.cc): the shadow
- * abstract value carried next to every concrete register. Field
- * meanings are identical; so are the transfer functions in
- * run_frame() -- any deliberate divergence would break the
- * dynamic-subset-of-static contract the differential oracle checks.
- */
-struct Interpreter::Shadow {
-    enum class Kind : std::uint8_t {
-        Unknown,
-        Const,
-        Obj,
-        Vptr,
-        SlotFn,
-    };
-
-    Kind kind = Kind::Unknown;
-    std::uint32_t imm = 0;
-    int obj = -1;
-    std::int32_t off = 0;
-    std::uint32_t slot = 0;
-    std::uint32_t slot_aux = 0;
-
-    static Shadow unknown() { return {}; }
-
-    static Shadow
-    constant(std::uint32_t imm)
-    {
-        Shadow v;
-        v.kind = Kind::Const;
-        v.imm = imm;
-        return v;
-    }
-
-    static Shadow
-    object(int obj, std::int32_t off)
-    {
-        Shadow v;
-        v.kind = Kind::Obj;
-        v.obj = obj;
-        v.off = off;
-        return v;
-    }
-};
-
-/** Mirror of SymbolicExecutor::AbsObject + the concrete base addr. */
-struct Interpreter::DynObject {
-    std::map<std::int32_t, std::uint32_t> vptr_stores;
-    std::vector<Event> events;
-    bool is_this_param = false;
-    /** Concrete address backing the object (0 when unknown). */
-    std::uint32_t base = 0;
-};
-
-/**
- * One call frame: concrete machine state interleaved with the shadow
- * state of symexec's PathState for the same function.
- */
+/** One call frame: concrete machine state plus its shadow state. */
 struct Interpreter::Frame {
     std::size_t fn_index = 0;
     std::size_t pc = 0;
     int steps = 0;
 
     std::array<std::uint32_t, bir::kNumRegs> regs{};
-    std::array<Shadow, bir::kNumRegs> sregs;
-
-    /** Outgoing argument slots (concrete / shadow). */
+    /** Outgoing argument slots. */
     std::map<int, std::uint32_t> cargs;
-    std::map<int, Shadow> sargs;
     /** Incoming argument slots, set by the caller (concrete only:
      *  symexec models incoming args fresh per function). */
     std::map<int, std::uint32_t> in_args;
-
     std::uint32_t cret = 0;
-    Shadow sret;
 
-    std::vector<DynObject> objects;
-    /** Shadow memory keyed by (object, absolute offset). */
-    std::map<std::pair<int, std::int32_t>, Shadow> smem;
+    analysis::AbsState shadow;
     std::map<std::size_t, int> backjumps;
 
     bool is_entry = false;
@@ -183,11 +102,6 @@ Interpreter::Interpreter(const bir::BinaryImage& image,
     : image_(image), config_(config), vtables_(vtables),
       this_callees_(this_callees), cache_(image)
 {
-    for (std::size_t i = 0; i < vtables_.size(); ++i) {
-        vtable_index_[vtables_[i].addr] = i;
-        for (std::uint32_t fn : vtables_[i].slots)
-            containing_[fn].push_back(vtables_[i].addr);
-    }
     support::ThreadPool pool(1);
     cache_.build_all(pool);
     fingerprints_.reserve(cache_.size());
@@ -211,25 +125,6 @@ Interpreter::total_blocks() const
     for (const auto& fps : fingerprints_)
         n += fps.size();
     return n;
-}
-
-const analysis::VTableInfo*
-Interpreter::vtable_at(std::uint32_t addr, std::uint32_t* slot) const
-{
-    auto it = vtable_index_.upper_bound(addr);
-    if (it == vtable_index_.begin())
-        return nullptr;
-    --it;
-    const analysis::VTableInfo& vt = vtables_[it->second];
-    std::uint32_t end =
-        vt.addr +
-        static_cast<std::uint32_t>(vt.slots.size()) * bir::kWordSize;
-    if (addr < vt.addr || addr >= end)
-        return nullptr;
-    if ((addr - vt.addr) % bir::kWordSize != 0)
-        return nullptr;
-    *slot = (addr - vt.addr) / bir::kWordSize;
-    return &vt;
 }
 
 std::uint32_t
@@ -299,11 +194,15 @@ bool
 Interpreter::run_frame(Machine& m, Frame& frame, int depth,
                        std::uint32_t& ret, VmResult& out) const
 {
+    using analysis::AbsValue;
+
     ++out.stats.frames;
     const bir::FunctionEntry& fn = image_.functions[frame.fn_index];
     const cfg::Cfg& cfg = cache_.at(frame.fn_index);
     const auto& fps = fingerprints_[frame.fn_index];
-    const bool arg0_is_object = this_callees_.count(fn.addr) != 0;
+    const analysis::Transfer shadow(image_, vtables_, config_.symexec,
+                                    this_callees_, fn.addr,
+                                    this_callees_.count(fn.addr) != 0);
 
     auto trap = [&](TrapKind kind, std::uint32_t addr,
                     std::uint32_t detail) {
@@ -312,30 +211,28 @@ Interpreter::run_frame(Machine& m, Frame& frame, int depth,
         return false;
     };
 
-    auto emit = [&](int obj, Event e) {
-        frame.objects[static_cast<std::size_t>(obj)].events.push_back(
-            e);
+    // The frame's tracelets, with provenance, as symexec would cut
+    // and attribute them at the end of the same path.
+    auto finish_frame = [&] {
+        shadow.finish_path(
+            frame.shadow, [&](std::optional<std::uint32_t> type,
+                              const std::vector<Tracelet>& windows) {
+                auto& dst = type ? out.type_tracelets[*type]
+                                 : out.untyped_tracelets;
+                dst.insert(dst.end(), windows.begin(), windows.end());
+                for (const auto& w : windows)
+                    out.records.push_back(
+                        TraceRecord{m.entry_addr, m.entry_opaque,
+                                    type.value_or(0), w});
+            });
     };
 
-    // Shadow mirror of symexec's call_effects: classify passed object
-    // args, then clear the shadow arg slots and return value.
-    auto call_effects = [&](std::uint32_t callee, bool callee_known) {
-        for (const auto& [slot, val] : frame.sargs) {
-            if (val.kind != Shadow::Kind::Obj)
-                continue;
-            if (slot == 0 && callee_known &&
-                this_callees_.count(callee)) {
-                emit(val.obj, Event{EventKind::PassedThis, 0, 0});
-            } else {
-                emit(val.obj,
-                     Event{EventKind::PassedArg,
-                           static_cast<std::uint32_t>(slot), 0});
-            }
-            if (callee_known)
-                emit(val.obj, Event{EventKind::CallDirect, callee, 0});
-        }
-        frame.sargs.clear();
-        frame.sret = Shadow::unknown();
+    // The allocator stub: a fresh heap block of arg0 bytes.
+    auto call_alloc = [&] {
+        auto a0 = frame.cargs.find(0);
+        frame.cret = alloc(m, a0 != frame.cargs.end() ? a0->second : 0);
+        frame.cargs.clear();
+        ++out.stats.allocs;
     };
 
     // Validity of a jump target within this function's slot range.
@@ -352,13 +249,13 @@ Interpreter::run_frame(Machine& m, Frame& frame, int depth,
 
     ret = 0;
     for (;;) {
-        // Frame-quiet endings mirror symexec path endings exactly
+        // Frame-quiet endings are symexec path endings exactly
         // (checked before the next instruction, like symexec).
         if (frame.pc >= cfg.slots.size() ||
-            frame.steps >= config_.max_steps) {
+            frame.steps >= config_.symexec.max_steps) {
             if (frame.pc < cfg.slots.size())
                 ++out.stats.frame_step_stops;
-            finish_frame(m, frame, out);
+            finish_frame();
             return true;
         }
         if (m.total_steps >= config_.max_total_steps) {
@@ -395,6 +292,29 @@ Interpreter::run_frame(Machine& m, Frame& frame, int depth,
                 out.coverage.insert(fps[static_cast<std::size_t>(b)]);
         }
 
+        if (in.op == Op::Load) {
+            // Trap check before the shadow transfer overwrites the
+            // base: a dispatch read past the end of the vtable it
+            // indexes refuses to execute. Only a vtable the *frame
+            // itself* established (an in-frame vptr store -- exactly
+            // when symexec resolves the table -- or a constant vtable
+            // base) is trusted for the check: a method reached
+            // through a secondary MI subobject legitimately carries a
+            // shorter table than its body's primary-layout slot
+            // indices (toyc lowers MI without this-adjusting thunks),
+            // and symexec records those dispatches without complaint.
+            if (const analysis::VTableInfo* vt =
+                    shadow.known_vtable(frame.shadow.regs[in.b])) {
+                std::int32_t disp = static_cast<std::int32_t>(in.imm);
+                std::uint32_t sl =
+                    static_cast<std::uint32_t>(disp) / bir::kWordSize;
+                if (disp < 0 || sl >= vt->slots.size())
+                    return trap(TrapKind::OobVtableSlot, slot.addr, sl);
+            }
+        }
+        // The shadow half; below is the concrete half only.
+        shadow.step(frame.shadow, in);
+
         std::size_t next = frame.pc + 1;
 
         switch (in.op) {
@@ -402,202 +322,43 @@ Interpreter::run_frame(Machine& m, Frame& frame, int depth,
             break;
           case Op::MovImm:
             frame.regs[in.a] = in.imm;
-            frame.sregs[in.a] = Shadow::constant(in.imm);
             break;
           case Op::MovReg:
             frame.regs[in.a] = frame.regs[in.b];
-            frame.sregs[in.a] = frame.sregs[in.b];
             break;
-          case Op::AddImm: {
-            std::int32_t delta = static_cast<std::int32_t>(in.imm);
+          case Op::AddImm:
             frame.regs[in.a] = frame.regs[in.b] + in.imm;
-            Shadow v = frame.sregs[in.b];
-            switch (v.kind) {
-              case Shadow::Kind::Obj:
-                v.off += delta;
-                break;
-              case Shadow::Kind::Const:
-                v.imm += static_cast<std::uint32_t>(delta);
-                break;
-              default:
-                v = Shadow::unknown();
-                break;
-            }
-            frame.sregs[in.a] = v;
             break;
-          }
-          case Op::Load: {
-            const Shadow& base = frame.sregs[in.b];
-            std::int32_t disp = static_cast<std::int32_t>(in.imm);
-            // Trap checks first: a dispatch read past the end of the
-            // vtable it indexes refuses to execute. Only a vtable the
-            // *frame itself* established (an in-frame vptr store, so
-            // base.imm != 0 -- mirroring when symexec resolves the
-            // table) is trusted for the check: a method reached
-            // through a secondary MI subobject legitimately carries a
-            // shorter table than its body's primary-layout slot
-            // indices (toyc lowers MI without this-adjusting thunks),
-            // and symexec records those dispatches without complaint.
-            if (base.kind == Shadow::Kind::Vptr && base.imm != 0) {
-                std::uint32_t vt_addr = base.imm;
-                auto vit = vtable_index_.find(vt_addr);
-                if (vit != vtable_index_.end()) {
-                    auto nslots = static_cast<std::uint32_t>(
-                        vtables_[vit->second].slots.size());
-                    std::uint32_t sl =
-                        static_cast<std::uint32_t>(disp) /
-                        bir::kWordSize;
-                    if (disp < 0 || sl >= nslots)
-                        return trap(TrapKind::OobVtableSlot,
-                                    slot.addr, sl);
-                }
-            } else if (base.kind == Shadow::Kind::Const &&
-                       vtable_index_.count(base.imm) != 0) {
-                auto nslots = static_cast<std::uint32_t>(
-                    vtables_[vtable_index_.at(base.imm)]
-                        .slots.size());
-                std::uint32_t sl =
-                    static_cast<std::uint32_t>(disp) / bir::kWordSize;
-                if (disp < 0 || sl >= nslots)
-                    return trap(TrapKind::OobVtableSlot, slot.addr,
-                                sl);
-            }
-            // Shadow transfer (verbatim symexec Load).
-            Shadow sout = Shadow::unknown();
-            if (base.kind == Shadow::Kind::Obj) {
-                std::int32_t abs = base.off + disp;
-                auto& obj =
-                    frame.objects[static_cast<std::size_t>(base.obj)];
-                bool vptr_slot = obj.vptr_stores.count(abs) != 0 ||
-                                 (obj.is_this_param && abs == 0);
-                if (vptr_slot) {
-                    sout.kind = Shadow::Kind::Vptr;
-                    sout.obj = base.obj;
-                    sout.off = abs;
-                    auto stored = obj.vptr_stores.find(abs);
-                    if (stored != obj.vptr_stores.end())
-                        sout.imm = stored->second;
-                } else {
-                    emit(base.obj,
-                         Event{EventKind::ReadField,
-                               static_cast<std::uint32_t>(abs), 0});
-                    auto cell = frame.smem.find({base.obj, abs});
-                    if (cell != frame.smem.end())
-                        sout = cell->second;
-                }
-            } else if (base.kind == Shadow::Kind::Vptr) {
-                sout.kind = Shadow::Kind::SlotFn;
-                sout.obj = base.obj;
-                sout.slot =
-                    static_cast<std::uint32_t>(disp) / bir::kWordSize;
-                sout.slot_aux = static_cast<std::uint32_t>(base.off);
-                if (base.imm != 0) {
-                    auto word =
-                        image_.read_data_word(base.imm + in.imm);
-                    if (word)
-                        sout.imm = *word;
-                }
-            } else if (base.kind == Shadow::Kind::Const &&
-                       image_.in_data(base.imm)) {
-                std::uint32_t addr =
-                    base.imm + static_cast<std::uint32_t>(disp);
-                std::uint32_t sl = 0;
-                if (const analysis::VTableInfo* vt =
-                        vtable_at(addr, &sl)) {
-                    sout.kind = Shadow::Kind::SlotFn;
-                    sout.obj = -1;
-                    sout.slot = sl;
-                    sout.slot_aux = 0;
-                    sout.imm = vt->slots[sl];
-                } else if (auto word = image_.read_data_word(addr)) {
-                    sout = Shadow::constant(*word);
-                }
-            }
-            // Concrete transfer.
+          case Op::Load:
             frame.regs[in.a] =
                 load_word(m, frame.regs[in.b] + in.imm, out);
-            frame.sregs[in.a] = sout;
             break;
-          }
-          case Op::Store: {
-            const Shadow& base = frame.sregs[in.a];
-            const Shadow& val = frame.sregs[in.b];
-            std::int32_t disp = static_cast<std::int32_t>(in.imm);
-            if (base.kind == Shadow::Kind::Obj) {
-                std::int32_t abs = base.off + disp;
-                auto& obj =
-                    frame.objects[static_cast<std::size_t>(base.obj)];
-                if (val.kind == Shadow::Kind::Const &&
-                    vtable_index_.count(val.imm) != 0) {
-                    obj.vptr_stores[abs] = val.imm;
-                } else {
-                    emit(base.obj,
-                         Event{EventKind::WriteField,
-                               static_cast<std::uint32_t>(abs), 0});
-                }
-                frame.smem[{base.obj, abs}] = val;
-            }
+          case Op::Store:
             store_word(m, frame.regs[in.a] + in.imm, frame.regs[in.b],
                        out);
             break;
-          }
           case Op::SetArg:
             frame.cargs[in.a] = frame.regs[in.b];
-            frame.sargs[in.a] = frame.sregs[in.b];
             break;
           case Op::GetArg: {
-            Shadow sv = Shadow::unknown();
             std::uint32_t cv = 0;
             auto it = frame.in_args.find(in.b);
             if (it != frame.in_args.end())
                 cv = it->second;
             else if (frame.is_entry)
                 cv = frame.opaque;
-            if (in.b == 0 && arg0_is_object) {
-                int found = -1;
-                for (std::size_t i = 0; i < frame.objects.size();
-                     ++i) {
-                    if (frame.objects[i].is_this_param)
-                        found = static_cast<int>(i);
-                }
-                if (found < 0) {
-                    DynObject obj;
-                    obj.is_this_param = true;
-                    obj.base = cv;
-                    frame.objects.push_back(std::move(obj));
-                    found =
-                        static_cast<int>(frame.objects.size()) - 1;
-                }
-                sv = Shadow::object(found, 0);
-            }
             frame.regs[in.a] = cv;
-            frame.sregs[in.a] = sv;
             break;
           }
           case Op::GetRet:
             frame.regs[in.a] = frame.cret;
-            frame.sregs[in.a] = frame.sret;
             break;
           case Op::Call: {
             if (in.imm == bir::kAllocStub) {
-                DynObject obj;
-                frame.objects.push_back(std::move(obj));
-                frame.sargs.clear();
-                frame.sret = Shadow::object(
-                    static_cast<int>(frame.objects.size()) - 1, 0);
-                std::uint32_t size = 0;
-                auto a0 = frame.cargs.find(0);
-                if (a0 != frame.cargs.end())
-                    size = a0->second;
-                std::uint32_t addr = alloc(m, size);
-                frame.objects.back().base = addr;
-                frame.cargs.clear();
-                frame.cret = addr;
-                ++out.stats.allocs;
+                call_alloc();
             } else if (in.imm == bir::kPurecallStub) {
                 return trap(TrapKind::Purecall, slot.addr, in.imm);
             } else {
-                call_effects(in.imm, true);
                 const bir::FunctionEntry* fe =
                     image_.function_at(in.imm);
                 if (!fe)
@@ -609,58 +370,20 @@ Interpreter::run_frame(Machine& m, Frame& frame, int depth,
             break;
           }
           case Op::CallInd: {
-            const Shadow& target = frame.sregs[in.a];
-            std::uint32_t ctarget = frame.regs[in.a];
-            if (target.kind == Shadow::Kind::SlotFn) {
-                int receiver = target.obj;
-                std::uint32_t aux = target.slot_aux;
-                auto arg0 = frame.sargs.find(0);
-                if (receiver < 0 && arg0 != frame.sargs.end() &&
-                    arg0->second.kind == Shadow::Kind::Obj) {
-                    receiver = arg0->second.obj;
-                    aux = static_cast<std::uint32_t>(
-                        arg0->second.off);
-                }
-                if (receiver >= 0) {
-                    emit(receiver, Event{EventKind::VirtCall,
-                                         target.slot, aux});
-                }
-                for (const auto& [aslot, val] : frame.sargs) {
-                    if (aslot != 0 &&
-                        val.kind == Shadow::Kind::Obj) {
-                        emit(val.obj,
-                             Event{EventKind::PassedArg,
-                                   static_cast<std::uint32_t>(aslot),
-                                   0});
-                    }
-                }
-                frame.sargs.clear();
-                frame.sret = Shadow::unknown();
-            } else if (target.kind == Shadow::Kind::Const &&
-                       image_.is_function_start(target.imm)) {
-                call_effects(target.imm, true);
-            } else {
-                call_effects(0, false);
-            }
             // Concrete control transfer, by concrete target value.
+            std::uint32_t ctarget = frame.regs[in.a];
             if (ctarget == 0) {
                 // Dispatch through a never-initialized synthetic
                 // vptr: counted skip, not a trap -- the VirtCall
-                // event above is the whole point of the run.
+                // event the shadow step emitted is the whole point of
+                // the run.
                 ++out.stats.skipped_indirect;
                 frame.cargs.clear();
                 frame.cret = 0;
             } else if (ctarget == bir::kPurecallStub) {
                 return trap(TrapKind::Purecall, slot.addr, ctarget);
             } else if (ctarget == bir::kAllocStub) {
-                std::uint32_t size = 0;
-                auto a0 = frame.cargs.find(0);
-                if (a0 != frame.cargs.end())
-                    size = a0->second;
-                std::uint32_t addr = alloc(m, size);
-                frame.cargs.clear();
-                frame.cret = addr;
-                ++out.stats.allocs;
+                call_alloc();
             } else if (const bir::FunctionEntry* fe =
                            image_.function_at(ctarget)) {
                 if (!enter(m, frame, fe, frame.cargs, depth, out))
@@ -671,16 +394,12 @@ Interpreter::run_frame(Machine& m, Frame& frame, int depth,
             }
             break;
           }
-          case Op::RetVal: {
-            const Shadow& v = frame.sregs[in.a];
-            if (v.kind == Shadow::Kind::Obj)
-                emit(v.obj, Event{EventKind::Returned, 0, 0});
-            finish_frame(m, frame, out);
+          case Op::RetVal:
+            finish_frame();
             ret = frame.regs[in.a];
             return true;
-          }
           case Op::Ret:
-            finish_frame(m, frame, out);
+            finish_frame();
             return true;
           case Op::Jmp: {
             std::size_t tgt = 0;
@@ -696,9 +415,9 @@ Interpreter::run_frame(Machine& m, Frame& frame, int depth,
             bool conc_taken = (in.op == Op::Jnz)
                                   ? frame.regs[in.a] != 0
                                   : frame.regs[in.a] == 0;
-            const Shadow& cond = frame.sregs[in.a];
+            const AbsValue& cond = frame.shadow.regs[in.a];
             bool taken;
-            if (cond.kind == Shadow::Kind::Const) {
+            if (cond.kind == AbsValue::Kind::Const) {
                 // symexec commits to the shadow constant; follow it
                 // even when the concrete value disagrees (it can,
                 // when a callee mutated memory the frame-local
@@ -715,7 +434,7 @@ Interpreter::run_frame(Machine& m, Frame& frame, int depth,
                     // concrete loop would emit events in windows the
                     // static side never explored, so fall through.
                     int& count = frame.backjumps[frame.pc];
-                    if (count >= config_.max_backjumps) {
+                    if (count >= config_.symexec.max_backjumps) {
                         taken = false;
                         ++out.stats.forced_fallthroughs;
                     } else {
@@ -734,62 +453,6 @@ Interpreter::run_frame(Machine& m, Frame& frame, int depth,
         }
 
         frame.pc = next;
-    }
-}
-
-void
-Interpreter::finish_frame(Machine& m, Frame& frame, VmResult& out) const
-{
-    const bir::FunctionEntry& fn = image_.functions[frame.fn_index];
-    auto owners_it = containing_.find(fn.addr);
-    const bool fn_in_vtable = owners_it != containing_.end() &&
-                              !owners_it->second.empty();
-
-    for (const auto& obj : frame.objects) {
-        // Type attribution, verbatim symexec finish_path.
-        std::vector<std::uint32_t> types;
-        auto primary = obj.vptr_stores.find(0);
-        if (primary != obj.vptr_stores.end()) {
-            types.push_back(primary->second);
-        } else if (obj.is_this_param && fn_in_vtable) {
-            const auto& owners = owners_it->second;
-            if (config_.attribute_shared_methods_to_all) {
-                types = owners;
-            } else if (!owners.empty()) {
-                types.push_back(owners.front());
-            }
-        }
-        if (obj.events.empty())
-            continue;
-        const auto& ev = obj.events;
-        std::size_t len =
-            static_cast<std::size_t>(config_.tracelet_len);
-        std::vector<Tracelet> windows;
-        if (config_.sliding_windows && ev.size() > len) {
-            for (std::size_t i = 0; i + len <= ev.size(); ++i)
-                windows.emplace_back(ev.begin() + i,
-                                     ev.begin() + i + len);
-        } else {
-            for (std::size_t i = 0; i < ev.size(); i += len) {
-                std::size_t hi = std::min(ev.size(), i + len);
-                windows.emplace_back(ev.begin() + i, ev.begin() + hi);
-            }
-        }
-        for (std::uint32_t type : types) {
-            auto& dst = out.type_tracelets[type];
-            dst.insert(dst.end(), windows.begin(), windows.end());
-            for (const auto& w : windows)
-                out.records.push_back(TraceRecord{
-                    m.entry_addr, m.entry_opaque, type, w});
-        }
-        if (types.empty() && obj.is_this_param) {
-            out.untyped_tracelets.insert(out.untyped_tracelets.end(),
-                                         windows.begin(),
-                                         windows.end());
-            for (const auto& w : windows)
-                out.records.push_back(
-                    TraceRecord{m.entry_addr, m.entry_opaque, 0, w});
-        }
     }
 }
 

@@ -12,22 +12,23 @@
  * virtual dispatches, this-pointer flows) into the same
  * analysis::Tracelet representation analysis::analyze() produces.
  *
- * ## The mirror contract (what makes the differential oracle sound)
+ * ## The shadow state (what makes the differential oracle sound)
  *
  * Every frame carries, next to its concrete register file, a *shadow*
- * register file over the exact abstract domain of
- * analysis/symexec.cc (Unknown / Const / Obj / Vptr / SlotFn) with
- * the exact same transfer functions. Event emission and type
- * attribution read only the shadow state; concrete values drive
- * control transfer, memory, and trap checks. Each frame starts with
- * fresh shadow state -- mirroring symexec's standalone
- * per-function analysis -- so a frame's event stream is, step for
- * step, the event stream symexec produces along the same
+ * analysis::AbsState that it advances with the same
+ * analysis::Transfer symexec uses (analysis/transfer.h): one step()
+ * per executed instruction, one finish_path() where the frame ends.
+ * Event emission and type attribution read only the shadow state;
+ * concrete values drive control transfer, memory, and trap checks.
+ * Each frame starts with fresh shadow state -- like symexec's
+ * standalone per-function analysis -- so a frame's event stream is,
+ * step for step, the event stream symexec produces along the same
  * intra-procedural path. Frames end exactly where symexec paths end
- * (Ret/RetVal, falling off the body, the per-frame step cap), so the
- * tracelet *windows* chunk identically too. Consequence: on any image
- * whose concrete paths symexec explores, dynamic tracelets are a
- * subset of static ones -- the `vm-differential` fuzz oracle.
+ * (Ret/RetVal, falling off the body, the per-path max_steps), so the
+ * tracelet *windows* chunk identically too. The knobs come from the
+ * one analysis::SymExecConfig in VmConfig::symexec. Consequence: on
+ * any image whose concrete paths symexec explores, dynamic tracelets
+ * are a subset of static ones -- the `vm-differential` fuzz oracle.
  *
  * Alignment rules for the places concrete and abstract execution
  * could legitimately diverge:
@@ -64,6 +65,7 @@
 #include "analysis/analyze.h"
 #include "analysis/event.h"
 #include "analysis/symexec.h"
+#include "analysis/transfer.h"
 #include "analysis/vtable_scan.h"
 #include "bir/image.h"
 #include "cfg/cfg_cache.h"
@@ -74,17 +76,15 @@ namespace rock::vm {
 inline constexpr std::size_t kNumOps =
     static_cast<std::size_t>(bir::Op::Jz) + 1;
 
-/** Execution bounds and mirror knobs. */
+/** Execution bounds. */
 struct VmConfig {
     /**
-     * Mirror knobs -- MUST match the SymExecConfig of the static run
-     * being diffed against; mirror() copies them.
+     * The configuration of the static run being diffed against. The
+     * shadow side cuts and attributes tracelets by it, ends frames at
+     * its per-path max_steps and caps backward branches at its
+     * max_backjumps; its other knobs do not apply.
      */
-    int tracelet_len = 7;
-    int max_steps = 512; ///< per frame (== symexec per path)
-    int max_backjumps = 2;
-    bool sliding_windows = false;
-    bool attribute_shared_methods_to_all = true;
+    analysis::SymExecConfig symexec;
 
     /** Dynamic-only bounds (quiet stops, not traps). */
     int max_call_depth = 24;
@@ -100,9 +100,6 @@ struct VmConfig {
      * drives both directions of every opaque branch.
      */
     std::vector<std::uint32_t> opaque_values = {0, 1};
-
-    /** Copy the mirror knobs from @p se, defaults elsewhere. */
-    static VmConfig mirror(const analysis::SymExecConfig& se);
 };
 
 /** Why execution refused to continue. */
@@ -205,8 +202,8 @@ class Interpreter {
      * @param this_callees  functions whose first argument is `this`
      *                      (analysis phase B set: vtable members +
      *                      ctors -- use analysis::this_callee_set)
-     * @param config        bounds; mirror knobs must match the static
-     *                      config when diffing
+     * @param config        bounds, and the static run's SymExecConfig
+     *                      when diffing
      */
     Interpreter(const bir::BinaryImage& image,
                 const std::vector<analysis::VTableInfo>& vtables,
@@ -241,13 +238,8 @@ class Interpreter {
     std::size_t total_blocks() const;
 
   private:
-    struct Shadow;
-    struct DynObject;
     struct Frame;
     struct Machine;
-
-    const analysis::VTableInfo* vtable_at(std::uint32_t addr,
-                                          std::uint32_t* slot) const;
 
     /** @return false when the run must abort (trap / global budget). */
     bool run_frame(Machine& m, Frame& frame, int depth,
@@ -256,7 +248,6 @@ class Interpreter {
                const bir::FunctionEntry* fe,
                std::map<int, std::uint32_t> args, int depth,
                VmResult& out) const;
-    void finish_frame(Machine& m, Frame& frame, VmResult& out) const;
 
     std::uint32_t load_word(Machine& m, std::uint32_t addr,
                             VmResult& out) const;
@@ -266,13 +257,8 @@ class Interpreter {
 
     const bir::BinaryImage& image_;
     const VmConfig config_;
-    std::vector<analysis::VTableInfo> vtables_;
+    analysis::VTableIndex vtables_;
     std::set<std::uint32_t> this_callees_;
-    /** vtable start address -> index into vtables_. */
-    std::map<std::uint32_t, std::size_t> vtable_index_;
-    /** function address -> vtable addresses containing it. */
-    std::map<std::uint32_t, std::vector<std::uint32_t>> containing_;
-    std::vector<std::uint32_t> no_vtables_;
     cfg::CfgCache cache_;
     /** Per function-table entry, per block: coverage fingerprint. */
     std::vector<std::vector<std::uint64_t>> fingerprints_;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <set>
 #include <string>
 
@@ -16,6 +17,8 @@
 #include "fuzz/oracles.h"
 #include "fuzz/repro.h"
 #include "fuzz/shrink.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "support/error.h"
 
 namespace {
@@ -87,6 +90,25 @@ TEST(FuzzCampaign, BudgetStopsEarlyButRunsAtLeastOneCase)
     fuzz::FuzzReport report = fuzz::run_fuzz(options);
     EXPECT_EQ(report.cases_run, 1);
     EXPECT_TRUE(report.budget_exhausted);
+}
+
+TEST(FuzzCampaign, EachOracleCheckIsOneSpan)
+{
+    obs::Registry::global().reset();
+    fuzz::FuzzOptions options;
+    options.seeds = 2;
+    options.first_seed = 101;
+    options.only = {"structure", "vm-differential"};
+    fuzz::FuzzReport report = fuzz::run_fuzz(options);
+    ASSERT_TRUE(report.ok());
+    std::map<std::string, int> spans;
+    for (const auto& span : obs::span_log()) {
+        if (span.name.rfind("fuzz.oracle.", 0) == 0)
+            ++spans[span.name];
+    }
+    EXPECT_EQ(spans, (std::map<std::string, int>{
+                         {"fuzz.oracle.structure", 2},
+                         {"fuzz.oracle.vm-differential", 2}}));
 }
 
 TEST(FuzzMeta, InjectedBugIsCaughtAndShrinksSmall)

@@ -82,6 +82,17 @@ TEST(Hierarchy, NamesAndPrinting)
     EXPECT_LT(out.find("Middle"), out.find("type_0x50"));
 }
 
+TEST(Hierarchy, SetNamesLabelsOnlyMappedTypes)
+{
+    Hierarchy h = sample();
+    h.set_name(1, "Kept");
+    h.set_names({{0x10, "Base"}, {0x50, "Leaf"}, {0x99, "Absent"}});
+    EXPECT_EQ(h.name(0), "Base");
+    EXPECT_EQ(h.name(1), "Kept");
+    EXPECT_EQ(h.name(2), "type_0x30");
+    EXPECT_EQ(h.name(4), "Leaf");
+}
+
 TEST(Hierarchy, GuardsInvalidArguments)
 {
     Hierarchy h = sample();

@@ -347,8 +347,8 @@ TEST(VmOps, FrameStepBudgetEndsFrameQuietly)
     VmResult r = run_single(std::move(fb));
     EXPECT_TRUE(r.traps.empty());
     EXPECT_EQ(r.stats.frame_step_stops, 1u);
-    EXPECT_EQ(r.stats.steps,
-              static_cast<std::uint64_t>(VmConfig{}.max_steps));
+    EXPECT_EQ(r.stats.steps, static_cast<std::uint64_t>(
+                                 VmConfig{}.symexec.max_steps));
 }
 
 TEST(VmOps, CallDepthCapSkipsCalleeQuietly)
@@ -765,22 +765,6 @@ TEST(VmTrace, JsonlWholeImageTraceParsesAsSchemaV1)
         }
     }
     EXPECT_EQ(i, r.records.size());
-}
-
-TEST(VmTrace, ConfigMirrorCopiesMirrorKnobs)
-{
-    analysis::SymExecConfig se;
-    se.tracelet_len = 5;
-    se.max_steps = 100;
-    se.max_backjumps = 1;
-    se.sliding_windows = true;
-    se.attribute_shared_methods_to_all = false;
-    VmConfig c = VmConfig::mirror(se);
-    EXPECT_EQ(c.tracelet_len, 5);
-    EXPECT_EQ(c.max_steps, 100);
-    EXPECT_EQ(c.max_backjumps, 1);
-    EXPECT_TRUE(c.sliding_windows);
-    EXPECT_FALSE(c.attribute_shared_methods_to_all);
 }
 
 } // namespace

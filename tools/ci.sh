@@ -86,9 +86,18 @@ leg_vm() {
     cmake --build build -j "$JOBS" --target rockvm rockfuzz
     # Every built-in corpus image must execute trap-free.
     ./build/tools/rockvm --builtin --threads 0 > /dev/null
-    # Coverage-guided differential campaign: dynamic ⊆ static.
+    # Coverage-guided differential campaign: dynamic ⊆ static. The
+    # campaign's metrics (per-oracle spans included) are kept when the
+    # caller wants artifacts (the GitHub workflow sets
+    # ROCK_CI_ARTIFACTS).
+    metrics=()
+    if [ -n "${ROCK_CI_ARTIFACTS:-}" ]; then
+        mkdir -p "$ROCK_CI_ARTIFACTS"
+        metrics=(--metrics-json "$ROCK_CI_ARTIFACTS/vm-metrics.json")
+    fi
     ./build/tools/rockfuzz --seeds 50 --oracle vm-differential \
-        --coverage-pool 4 --repro-dir "$ROCK_CI_REPRO_DIR"
+        --coverage-pool 4 --repro-dir "$ROCK_CI_REPRO_DIR" \
+        "${metrics[@]}"
 }
 
 leg_perf() {
@@ -275,6 +284,7 @@ done
 # failure, instead of littering /tmp. Exported so leg-body children
 # share it.
 export ROCK_CI_REPRO_DIR="${ROCK_CI_REPRO_DIR:-$(mktemp -d "${TMPDIR:-/tmp}/rockfuzz-repro.XXXXXX")}"
+mkdir -p "$ROCK_CI_REPRO_DIR"
 leg_summary=""
 cleanup() {
     status=$?

@@ -102,11 +102,7 @@ main(int argc, char** argv)
                   : result.hierarchy;
 
         // Use symbol names when the binary kept them.
-        for (int v = 0; v < hierarchy.size(); ++v) {
-            auto it = image.symbols.find(hierarchy.type_at(v));
-            if (it != image.symbols.end())
-                hierarchy.set_name(v, it->second);
-        }
+        hierarchy.set_names(image.symbols);
 
         if (families) {
             const auto& sr = result.structural;

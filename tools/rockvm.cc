@@ -48,8 +48,9 @@ std::size_t
 run_image(const std::string& name, const bir::BinaryImage& image,
           int threads, std::ofstream* trace_out)
 {
-    analysis::AnalysisResult st = analysis::analyze(image);
-    vm::Interpreter interp(image, st, vm::VmConfig{});
+    vm::VmConfig config;
+    analysis::AnalysisResult st = analysis::analyze(image, config.symexec);
+    vm::Interpreter interp(image, st, config);
     vm::VmResult result = interp.run_image(threads);
 
     for (const auto& trap : result.traps) {
