@@ -1,10 +1,14 @@
 /**
  * @file
- * google-benchmark microbenchmarks for the arborescence solver and
- * the co-optimal enumerator.
+ * google-benchmark microbenchmarks for the arborescence solver, the
+ * co-optimal enumerator and the structural-ambiguity test.
  */
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
+#include "graph/ambiguity.h"
 #include "graph/digraph.h"
 #include "graph/edmonds.h"
 #include "graph/enumerate.h"
@@ -40,6 +44,35 @@ BM_MinForest(benchmark::State& state)
 BENCHMARK(BM_MinForest)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 
 void
+BM_MinForestDeep(benchmark::State& state)
+{
+    // A chain of 2-cycles (i <-> i+1 at weight 1, forward edges first)
+    // contracts one 2-cycle per level: n - 1 levels, the solver's
+    // deepest case. Heavier random edges pad it to 50x the node count
+    // without winning a single pick.
+    const int n = static_cast<int>(state.range(0));
+    graph::Digraph g(n);
+    for (int i = 0; i + 1 < n; ++i) {
+        g.add_edge(i, i + 1, 1.0);
+        g.add_edge(i + 1, i, 1.0);
+    }
+    support::Rng rng(11);
+    const auto nodes = static_cast<std::size_t>(n);
+    while (static_cast<int>(g.edges().size()) < 50 * n) {
+        const auto u = static_cast<int>(rng.index(nodes));
+        const auto v = static_cast<int>(rng.index(nodes));
+        if (u != v)
+            g.add_edge(u, v, 2.0 + rng.real() * 10.0);
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(graph::min_forest(g));
+}
+BENCHMARK(BM_MinForestDeep)
+    ->Arg(500)
+    ->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
+
+void
 BM_EnumerateCoOptimal(benchmark::State& state)
 {
     // Equal weights force many ties: the enumerator's hard case.
@@ -59,6 +92,40 @@ BM_EnumerateCoOptimal(benchmark::State& state)
     }
 }
 BENCHMARK(BM_EnumerateCoOptimal)->Arg(4)->Arg(6)->Arg(8);
+
+void
+BM_AmbiguityProbe(benchmark::State& state)
+{
+    // A family-shaped feasible graph: a spanning tree under node 0
+    // (half its edges extend long forced chains), plus back edges from
+    // descendants to ancestors up to 100x the node count. The answer
+    // is "unambiguous", so every phase (SCCs, dominators, the
+    // per-edge dominance check) runs to the end.
+    const int n = static_cast<int>(state.range(0));
+    support::Rng rng(13);
+    auto below = [&](int k) {
+        return static_cast<int>(rng.index(static_cast<std::size_t>(k)));
+    };
+    std::vector<int> parent(static_cast<std::size_t>(n), -1);
+    std::vector<std::pair<int, int>> edges;
+    for (int v = 1; v < n; ++v) {
+        const int p = rng.chance(0.5) ? v - 1 : below(v);
+        parent[static_cast<std::size_t>(v)] = p;
+        edges.emplace_back(p, v);
+    }
+    while (static_cast<int>(edges.size()) < 100 * n) {
+        const int w = 1 + below(n - 1);
+        int a = w;
+        for (int up = 1 + below(8);
+             up > 0 && parent[static_cast<std::size_t>(a)] > 0; --up)
+            a = parent[static_cast<std::size_t>(a)];
+        if (a != w)
+            edges.emplace_back(w, a);
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(graph::has_multiple_min_forests(n, edges));
+}
+BENCHMARK(BM_AmbiguityProbe)->Arg(3000)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

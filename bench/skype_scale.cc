@@ -25,9 +25,18 @@
  *               [--cache-dir DIR]
  *
  * Default is a single all-hardware-threads run (the historical
- * behavior); --threads "1,4" runs the gate pair. The 5000-class
- * default needs more than 12 GB in the arborescence stage; CI passes
- * --classes 2000 (peak RSS about 670 MB for the 1,4 pair).
+ * behavior); --threads "1,4" runs the gate pair. On a 4-core x86 host
+ * (Release build) the 5000-class default takes about 11 s and peaks
+ * near 360 MB at --threads 1, 4 s and about 410 MB at --threads 4;
+ * 2000 classes peak near 80 MB. CI runs 2000 classes for the
+ * speedup and warm-cache gates and 5000 classes at 4 threads for the
+ * memory gate (`rockstat --check --max-peak-rss-mb 1024`).
+ *
+ * Every JSON line carries "peak_rss_mb": the process's getrusage
+ * ru_maxrss when the line was written. It is a high-water mark over
+ * the whole process -- generation, compilation and every earlier
+ * run of the sweep included -- so it never falls from one line to
+ * the next; a run's own footprint shows only when it sets a new peak.
  *
  * --warm-runs N appends an artifact-cache phase: one cold
  * reconstruction populating a content-addressed cache
@@ -57,6 +66,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "cache/artifact_cache.h"
 #include "corpus/generator.h"
 #include "obs/report.h"
@@ -78,6 +89,16 @@ parse_threads(const std::string& csv)
         pos = comma + 1;
     }
     return out;
+}
+
+/** The process's peak resident set so far, in MB (getrusage
+ *  ru_maxrss, which Linux reports in KB). */
+double
+peak_rss_mb()
+{
+    rusage usage{};
+    ::getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
 } // namespace
@@ -231,6 +252,7 @@ main(int argc, char** argv)
             "\"train_ms\":%.3f,"
             "\"distances_ms\":%.3f,\"arborescence_ms\":%.3f,"
             "\"total_ms\":%.3f,\"speedup_vs_serial\":%.3f,"
+            "\"peak_rss_mb\":%.1f,"
             "\"identical_to_serial\":%s,"
             "\"underprovisioned\":%s}\n",
             classes, compiled.image.functions.size(),
@@ -240,7 +262,7 @@ main(int argc, char** argv)
             serial_ms > 0.0 && t.total_ms > 0.0
                 ? serial_ms / t.total_ms
                 : 1.0,
-            identical ? "true" : "false",
+            peak_rss_mb(), identical ? "true" : "false",
             underprovisioned ? "true" : "false");
         if (json)
             std::fputs(line, json);
@@ -316,6 +338,7 @@ main(int argc, char** argv)
                 "\"train_ms\":%.3f,"
                 "\"distances_ms\":%.3f,\"arborescence_ms\":%.3f,"
                 "\"total_ms\":%.3f,\"warm_speedup\":%.3f,"
+                "\"peak_rss_mb\":%.1f,"
                 "\"cache_hits\":%llu,\"identical_to_cold\":%s,"
                 "\"underprovisioned\":%s}\n",
                 classes, compiled.image.functions.size(),
@@ -327,7 +350,7 @@ main(int argc, char** argv)
                 warm && cold_ms > 0.0 && t.total_ms > 0.0
                     ? cold_ms / t.total_ms
                     : 1.0,
-                static_cast<unsigned long long>(run_hits),
+                peak_rss_mb(), static_cast<unsigned long long>(run_hits),
                 identical ? "true" : "false",
                 underprovisioned ? "true" : "false");
             if (json)

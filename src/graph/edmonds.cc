@@ -1,6 +1,7 @@
 #include "graph/edmonds.h"
 
 #include <limits>
+#include <numeric>
 
 #include "obs/metrics.h"
 #include "support/error.h"
@@ -13,155 +14,210 @@ namespace {
  *  when metrics are disabled (see thread_contraction_tally()). */
 thread_local std::uint64_t tls_contraction_tally = 0;
 
-/** Edge at one contraction level, with a backreference to the level
- *  above. */
-struct LevelEdge {
+/** One input edge as the solver sees it: endpoints and weight at the
+ *  current contraction level, plus the input edge it stands for. */
+struct WorkEdge {
     int src = 0;
     int dst = 0;
     double weight = 0.0;
-    int backref = -1; ///< index into the previous level's edge list
+    int input = 0;     ///< index of the input edge
+    int input_dst = 0; ///< that edge's input-level head
+};
+
+/** A chosen in-edge, named by its input edge. */
+struct Pick {
+    int input = -1;
+    int input_dst = -1;
+};
+
+/** What unwinding needs from one contracted level: O(V) each. */
+struct Level {
+    std::vector<Pick> in_pick;  ///< per level node: cheapest in-edge
+    std::vector<int> cycle_id;  ///< per level node: its cycle, or -1
+    std::vector<int> node_of;   ///< per input node: its node here
+    int num_cycles = 0;
 };
 
 /**
- * Recursive Chu-Liu/Edmonds. Returns indices (into @p edges) of the
+ * Chu-Liu/Edmonds as a loop over one working edge array, compacted in
+ * place at every contraction level. Returns the input indices of the
  * chosen in-edges, one per non-root node, or nullopt when some node
  * has no incoming edge at all.
+ *
+ * Every pick follows one fixed order: the first minimum in-edge in
+ * edge order, cycles numbered in start-order discovery, non-cycle
+ * nodes numbered before supernodes, and reduced weights computed by
+ * one subtraction each. The chosen list holds the deepest level's
+ * in-edges by node, then each shallower level's non-entry cycle
+ * edges, deepest first; callers sum weights in that order.
  */
 std::optional<std::vector<int>>
-solve(int n, const std::vector<LevelEdge>& edges, int root)
+solve(int n, int root, std::vector<WorkEdge>& work)
 {
     constexpr double kInf = std::numeric_limits<double>::infinity();
+    const auto idx = [](int i) { return static_cast<std::size_t>(i); };
 
-    // Cheapest in-edge per node (deterministic: first minimum wins).
-    std::vector<int> in_idx(static_cast<std::size_t>(n), -1);
-    std::vector<double> in_w(static_cast<std::size_t>(n), kInf);
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-        const LevelEdge& e = edges[i];
-        if (e.dst == root || e.src == e.dst)
-            continue;
-        if (e.weight < in_w[static_cast<std::size_t>(e.dst)]) {
-            in_w[static_cast<std::size_t>(e.dst)] = e.weight;
-            in_idx[static_cast<std::size_t>(e.dst)] =
-                static_cast<int>(i);
+    std::vector<int> node_of(idx(n));
+    std::iota(node_of.begin(), node_of.end(), 0);
+    std::vector<Level> levels;
+    std::vector<Pick> chosen;
+    std::vector<int> in_pos;
+    std::vector<double> in_w;
+    std::vector<int> color;
+    std::vector<int> comp;
+    while (true) {
+        // Cheapest in-edge per node (deterministic: first minimum wins).
+        in_pos.assign(idx(n), -1);
+        in_w.assign(idx(n), kInf);
+        for (std::size_t i = 0; i < work.size(); ++i) {
+            const WorkEdge& e = work[i];
+            if (e.dst == root || e.src == e.dst)
+                continue;
+            if (e.weight < in_w[idx(e.dst)]) {
+                in_w[idx(e.dst)] = e.weight;
+                in_pos[idx(e.dst)] = static_cast<int>(i);
+            }
         }
-    }
-    for (int v = 0; v < n; ++v) {
-        if (v != root && in_idx[static_cast<std::size_t>(v)] < 0)
-            return std::nullopt;
-    }
+        for (int v = 0; v < n; ++v) {
+            if (v != root && in_pos[idx(v)] < 0)
+                return std::nullopt;
+        }
+        const auto pred = [&](int v) {
+            return work[idx(in_pos[idx(v)])].src;
+        };
 
-    // Detect cycles in the picked-edge functional graph.
-    std::vector<int> cycle_id(static_cast<std::size_t>(n), -1);
-    int num_cycles = 0;
-    {
-        std::vector<int> color(static_cast<std::size_t>(n), 0);
+        // Detect cycles in the picked-edge functional graph.
+        Level level;
+        level.cycle_id.assign(idx(n), -1);
+        color.assign(idx(n), 0);
         for (int start = 0; start < n; ++start) {
-            if (color[static_cast<std::size_t>(start)] != 0)
+            if (color[idx(start)] != 0)
                 continue;
             int v = start;
-            while (v != root &&
-                   color[static_cast<std::size_t>(v)] == 0) {
-                color[static_cast<std::size_t>(v)] = 1;
-                v = edges[static_cast<std::size_t>(
-                              in_idx[static_cast<std::size_t>(v)])]
-                        .src;
+            while (v != root && color[idx(v)] == 0) {
+                color[idx(v)] = 1;
+                v = pred(v);
             }
-            if (v != root && color[static_cast<std::size_t>(v)] == 1) {
+            if (v != root && color[idx(v)] == 1) {
                 // Found a new cycle; label its members.
                 int u = v;
                 do {
-                    cycle_id[static_cast<std::size_t>(u)] = num_cycles;
-                    u = edges[static_cast<std::size_t>(
-                                  in_idx[static_cast<std::size_t>(u)])]
-                            .src;
+                    level.cycle_id[idx(u)] = level.num_cycles;
+                    u = pred(u);
                 } while (u != v);
-                ++num_cycles;
+                ++level.num_cycles;
             }
             // Seal the walked path.
             int u = start;
-            while (u != root && color[static_cast<std::size_t>(u)] == 1) {
-                color[static_cast<std::size_t>(u)] = 2;
-                u = edges[static_cast<std::size_t>(
-                              in_idx[static_cast<std::size_t>(u)])]
-                        .src;
+            while (u != root && color[idx(u)] == 1) {
+                color[idx(u)] = 2;
+                u = pred(u);
             }
         }
-    }
 
-    if (num_cycles == 0) {
-        std::vector<int> chosen;
-        chosen.reserve(static_cast<std::size_t>(n) - 1);
+        if (level.num_cycles == 0) {
+            chosen.reserve(idx(n) - 1);
+            for (int v = 0; v < n; ++v) {
+                if (v != root) {
+                    const WorkEdge& e = work[idx(in_pos[idx(v)])];
+                    chosen.push_back({e.input, e.input_dst});
+                }
+            }
+            break;
+        }
+
+        // Each detected cycle becomes one supernode contraction; the
+        // count is a pure function of the input graph (deterministic).
+        {
+            static obs::Counter& contractions =
+                obs::Registry::global().counter(
+                    "graph.edmonds.contractions");
+            const auto cycles =
+                static_cast<std::uint64_t>(level.num_cycles);
+            contractions.add(cycles);
+            tls_contraction_tally += cycles;
+        }
+
+        // Contract every cycle into a supernode.
+        comp.assign(idx(n), -1);
+        int next = 0;
         for (int v = 0; v < n; ++v) {
-            if (v != root)
-                chosen.push_back(in_idx[static_cast<std::size_t>(v)]);
+            if (level.cycle_id[idx(v)] < 0)
+                comp[idx(v)] = next++;
         }
-        return chosen;
+        const int cycle_base = next;
+        level.in_pick.resize(idx(n));
+        for (int v = 0; v < n; ++v) {
+            if (level.cycle_id[idx(v)] >= 0)
+                comp[idx(v)] = cycle_base + level.cycle_id[idx(v)];
+            if (v != root) {
+                const WorkEdge& e = work[idx(in_pos[idx(v)])];
+                level.in_pick[idx(v)] = {e.input, e.input_dst};
+            }
+        }
+
+        std::size_t kept = 0;
+        for (const WorkEdge& e : work) {
+            const int cu = comp[idx(e.src)];
+            const int cv = comp[idx(e.dst)];
+            if (cu == cv)
+                continue;
+            double w = e.weight;
+            if (level.cycle_id[idx(e.dst)] >= 0)
+                w -= in_w[idx(e.dst)];
+            work[kept++] = WorkEdge{cu, cv, w, e.input, e.input_dst};
+        }
+        work.resize(kept);
+
+        level.node_of = node_of;
+        for (int& v : node_of)
+            v = comp[idx(v)];
+        root = comp[idx(root)];
+        n = cycle_base + level.num_cycles;
+        levels.push_back(std::move(level));
     }
 
-    // Each detected cycle becomes one supernode contraction; the
-    // count is a pure function of the input graph (deterministic).
-    {
-        static obs::Counter& contractions =
-            obs::Registry::global().counter(
-                "graph.edmonds.contractions");
-        contractions.add(static_cast<std::uint64_t>(num_cycles));
-        tls_contraction_tally += static_cast<std::uint64_t>(num_cycles);
-    }
-
-    // Contract every cycle into a supernode.
-    std::vector<int> comp(static_cast<std::size_t>(n), -1);
-    int next = 0;
-    for (int v = 0; v < n; ++v) {
-        if (cycle_id[static_cast<std::size_t>(v)] < 0)
-            comp[static_cast<std::size_t>(v)] = next++;
-    }
-    int cycle_base = next;
-    for (int v = 0; v < n; ++v) {
-        if (cycle_id[static_cast<std::size_t>(v)] >= 0) {
-            comp[static_cast<std::size_t>(v)] =
-                cycle_base + cycle_id[static_cast<std::size_t>(v)];
+    // Unwind, deepest level first: the picks so far are exactly the
+    // next level's solution, so the one entering a supernode names
+    // the cycle's entry node; every other cycle node keeps its
+    // cheapest in-edge.
+    std::vector<int> entry;
+    for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
+        const Level& level = *it;
+        entry.assign(idx(level.num_cycles), -1);
+        for (const Pick& pick : chosen) {
+            const int v = level.node_of[idx(pick.input_dst)];
+            const int c = level.cycle_id[idx(v)];
+            if (c >= 0)
+                entry[idx(c)] = v;
+        }
+        const int level_n = static_cast<int>(level.cycle_id.size());
+        for (int v = 0; v < level_n; ++v) {
+            const int c = level.cycle_id[idx(v)];
+            if (c >= 0 && entry[idx(c)] != v)
+                chosen.push_back(level.in_pick[idx(v)]);
         }
     }
-    int n2 = cycle_base + num_cycles;
 
-    std::vector<LevelEdge> edges2;
-    edges2.reserve(edges.size());
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-        const LevelEdge& e = edges[i];
-        int cu = comp[static_cast<std::size_t>(e.src)];
-        int cv = comp[static_cast<std::size_t>(e.dst)];
-        if (cu == cv)
-            continue;
-        double w = e.weight;
-        if (cycle_id[static_cast<std::size_t>(e.dst)] >= 0)
-            w -= in_w[static_cast<std::size_t>(e.dst)];
-        edges2.push_back(
-            LevelEdge{cu, cv, w, static_cast<int>(i)});
-    }
+    std::vector<int> inputs;
+    inputs.reserve(chosen.size());
+    for (const Pick& pick : chosen)
+        inputs.push_back(pick.input);
+    return inputs;
+}
 
-    auto sub = solve(n2, edges2, comp[static_cast<std::size_t>(root)]);
-    if (!sub)
-        return std::nullopt;
-
-    // Map the sub-solution back: chosen contracted edges become their
-    // originals; each entered cycle contributes all its in-edges
-    // except the one into the entry node.
-    std::vector<int> chosen;
-    std::vector<int> entry(static_cast<std::size_t>(num_cycles), -1);
-    for (int j : *sub) {
-        int idx = edges2[static_cast<std::size_t>(j)].backref;
-        chosen.push_back(idx);
-        int v = edges[static_cast<std::size_t>(idx)].dst;
-        if (cycle_id[static_cast<std::size_t>(v)] >= 0)
-            entry[static_cast<std::size_t>(
-                cycle_id[static_cast<std::size_t>(v)])] = v;
+/** The working copy of @p graph's edges, input index = edge index. */
+std::vector<WorkEdge>
+work_edges(const Digraph& graph, std::size_t extra)
+{
+    std::vector<WorkEdge> work;
+    work.reserve(graph.edges().size() + extra);
+    for (std::size_t i = 0; i < graph.edges().size(); ++i) {
+        const Edge& e = graph.edges()[i];
+        work.push_back(
+            WorkEdge{e.src, e.dst, e.weight, static_cast<int>(i), e.dst});
     }
-    for (int v = 0; v < n; ++v) {
-        int c = cycle_id[static_cast<std::size_t>(v)];
-        if (c >= 0 && entry[static_cast<std::size_t>(c)] != v)
-            chosen.push_back(in_idx[static_cast<std::size_t>(v)]);
-    }
-    return chosen;
+    return work;
 }
 
 } // namespace
@@ -171,22 +227,16 @@ min_arborescence(const Digraph& graph, int root)
 {
     ROCK_ASSERT(root >= 0 && root < graph.num_nodes(),
                 "root out of range");
-    std::vector<LevelEdge> edges;
-    edges.reserve(graph.edges().size());
-    for (std::size_t i = 0; i < graph.edges().size(); ++i) {
-        const Edge& e = graph.edges()[i];
-        edges.push_back(
-            LevelEdge{e.src, e.dst, e.weight, static_cast<int>(i)});
-    }
-    auto chosen = solve(graph.num_nodes(), edges, root);
+    std::vector<WorkEdge> work = work_edges(graph, 0);
+    auto chosen = solve(graph.num_nodes(), root, work);
     if (!chosen)
         return std::nullopt;
 
     Arborescence result;
     result.parent.assign(
         static_cast<std::size_t>(graph.num_nodes()), -1);
-    for (int idx : *chosen) {
-        const Edge& e = graph.edges()[static_cast<std::size_t>(idx)];
+    for (int i : *chosen) {
+        const Edge& e = graph.edges()[static_cast<std::size_t>(i)];
         result.parent[static_cast<std::size_t>(e.dst)] = e.src;
         result.weight += e.weight;
     }
@@ -202,29 +252,33 @@ min_forest(const Digraph& graph)
         return Arborescence{};
     const double penalty = graph.total_abs_weight() + 1.0;
 
-    Digraph augmented(n + 1);
-    for (const auto& e : graph.edges())
-        augmented.add_edge(e.src, e.dst, e.weight);
+    // Super-root n with a penalty edge to every node; its edges follow
+    // the real ones in input order.
+    const int num_real = static_cast<int>(graph.edges().size());
+    std::vector<WorkEdge> work =
+        work_edges(graph, static_cast<std::size_t>(n));
     for (int v = 0; v < n; ++v)
-        augmented.add_edge(n, v, penalty);
-
-    auto solution = min_arborescence(augmented, n);
-    ROCK_ASSERT(solution.has_value(),
+        work.push_back(WorkEdge{n, v, penalty, num_real + v, v});
+    auto chosen = solve(n + 1, n, work);
+    ROCK_ASSERT(chosen.has_value(),
                 "augmented graph must always be solvable");
 
     Arborescence result;
     result.parent.assign(static_cast<std::size_t>(n), -1);
-    for (int v = 0; v < n; ++v) {
-        int p = solution->parent[static_cast<std::size_t>(v)];
-        if (p == n || p < 0) {
+    double total = 0.0;
+    for (int i : *chosen) {
+        if (i >= num_real) {
             ++result.num_roots;
-        } else {
-            result.parent[static_cast<std::size_t>(v)] = p;
+            total += penalty;
+            continue;
         }
+        const Edge& e = graph.edges()[static_cast<std::size_t>(i)];
+        result.parent[static_cast<std::size_t>(e.dst)] = e.src;
+        total += e.weight;
     }
     // Real-edge weight = total minus the root penalties.
     result.weight =
-        solution->weight - penalty * static_cast<double>(result.num_roots);
+        total - penalty * static_cast<double>(result.num_roots);
     return result;
 }
 

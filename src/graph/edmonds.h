@@ -16,6 +16,16 @@
  *    optimizer therefore first minimizes the number of roots, then
  *    the total divergence; nodes kept under the super-root become
  *    roots of separate hierarchies (Remark 4.2).
+ *
+ * The solver is one loop over a single working edge array that each
+ * contraction level compacts in place; a level keeps only O(V) state
+ * for unwinding (each node's cheapest in-edge, its cycle id and the
+ * input-node map), so memory is O(E + V * levels) rather than a copy
+ * of the edge list per level. Ties break one fixed way: the first
+ * minimum in-edge in edge order, cycles numbered in the order a
+ * start-node sweep discovers them, non-cycle nodes numbered before
+ * supernodes, and chosen edges unwound deepest level first (which
+ * also fixes the order Arborescence::weight is summed in).
  */
 #pragma once
 

@@ -9,6 +9,12 @@
  * parent assignments under the same super-root/penalty semantics as
  * graph::min_forest() and returns every forest whose total cost is
  * within epsilon of the optimum, up to a configurable cap.
+ *
+ * The pipeline calls it once per multi-member family, on the weighted
+ * feasible graph; whether a family is structurally ambiguous is the
+ * exact, search-free test in graph/ambiguity.h, not a zero-weight
+ * enumeration. Counting zero-weight forests (the echoparams case
+ * study's "structural hierarchies") still uses this enumerator.
  */
 #pragma once
 

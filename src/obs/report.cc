@@ -370,9 +370,10 @@ diff_bench_lines(const std::string& baseline_jsonl,
             if (!cval)
                 continue; // field added/removed across revisions
             std::string name = "bench[" + b.key + "]:" + field;
-            bool is_time = field.size() > 3 &&
-                           field.compare(field.size() - 3, 3, "_ms") ==
-                               0;
+            // Memory high-water marks vary run to run like wall
+            // times, so both take the timing tolerance.
+            const bool is_memory = field.ends_with("_mb");
+            const bool is_time = field.ends_with("_ms") || is_memory;
             if (bval.kind == Json::Kind::Bool &&
                 cval->kind == Json::Kind::Bool) {
                 if (bval.boolean != cval->boolean)
@@ -386,7 +387,9 @@ diff_bench_lines(const std::string& baseline_jsonl,
                                        options))
                         out.push_back({name, bval.number,
                                        cval->number,
-                                       "wall time regressed"});
+                                       is_memory
+                                           ? "memory regressed"
+                                           : "wall time regressed"});
                 } else if (!within_counter_tol(
                                bval.number, cval->number,
                                options.counter_rel_tol)) {
@@ -395,6 +398,30 @@ diff_bench_lines(const std::string& baseline_jsonl,
                 }
             }
         }
+    }
+    return out;
+}
+
+std::vector<Regression>
+peak_rss_violations(const std::string& jsonl, double max_mb)
+{
+    std::vector<Regression> out;
+    std::istringstream in(jsonl);
+    std::string line;
+    int lineno = 0;
+    while (std::getline(in, line)) {
+        ++lineno;
+        if (line.find('{') == std::string::npos)
+            continue;
+        const Json v = Json::parse(line);
+        const std::string name =
+            "line " + std::to_string(lineno) + ":peak_rss_mb";
+        const Json* rss = v.find("peak_rss_mb");
+        if (!rss || !rss->is_number())
+            out.push_back({name, max_mb, 0.0, "no peak_rss_mb field"});
+        else if (!(rss->number <= max_mb))
+            out.push_back(
+                {name, max_mb, rss->number, "peak RSS above the bound"});
     }
     return out;
 }

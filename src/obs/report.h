@@ -126,14 +126,23 @@ std::vector<Regression> diff_reports(const MetricsReport& baseline,
 /**
  * Compare two bench JSONL captures (bench/pipeline_scaling output):
  * lines pair up by their non-numeric + integer identity fields
- * ("bench", "classes", "threads", ...); numeric "*_ms" fields gate
- * with the timing tolerance, boolean fields must match exactly, and
- * "speedup_vs_serial" is ignored (derived). Unpaired lines are
+ * ("bench", "classes", "threads", ...); numeric "*_ms" (wall time)
+ * and "*_mb" (memory high-water mark) fields gate with the timing
+ * tolerance, other numeric fields and booleans must match exactly,
+ * and "speedup_vs_serial" is ignored (derived). Unpaired lines are
  * reported.
  */
 std::vector<Regression>
 diff_bench_lines(const std::string& baseline_jsonl,
                  const std::string& current_jsonl,
                  const DiffOptions& options = {});
+
+/**
+ * Lines of a bench JSONL capture whose "peak_rss_mb" is above
+ * @p max_mb, plus every line that carries no such field: a capture
+ * that cannot show its memory must not pass as a small one.
+ */
+std::vector<Regression> peak_rss_violations(const std::string& jsonl,
+                                            double max_mb);
 
 } // namespace rock::obs

@@ -100,10 +100,18 @@ distance_fingerprint(const RockConfig& config, int alphabet_size,
     return h;
 }
 
+/** Generation of solve_family()'s algorithm. A famsolve blob replays
+ *  the Edmonds contractions of the solve that wrote it, so a solver
+ *  that contracts differently for the same inputs bumps this rather
+ *  than kSchemaVersion (2: the ambiguity probe stopped running
+ *  Edmonds on the zero-weight skeleton). */
+constexpr std::uint64_t kSolverGeneration = 2;
+
 std::uint64_t
 solve_fingerprint(const RockConfig& config)
 {
     std::uint64_t h = mix(kFnvSeed, kSchemaVersion);
+    h = mix(h, kSolverGeneration);
     h = mix_double(h, config.tie_epsilon);
     h = mix(h, static_cast<std::uint64_t>(config.max_alternatives));
     return h;

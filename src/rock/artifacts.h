@@ -79,8 +79,9 @@ std::uint64_t distance_fingerprint(const RockConfig& config,
                                    int alphabet_size,
                                    std::uint64_t alphabet_digest);
 
-/** Fingerprint shared by every "famsolve" artifact of a run: schema
- *  plus the enumeration knobs (tie epsilon, alternatives cap). */
+/** Fingerprint shared by every "famsolve" artifact of a run: schema,
+ *  solver generation and the enumeration knobs (tie epsilon,
+ *  alternatives cap). */
 std::uint64_t solve_fingerprint(const RockConfig& config);
 
 /**

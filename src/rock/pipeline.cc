@@ -4,8 +4,10 @@
 #include <atomic>
 #include <bit>
 #include <initializer_list>
+#include <utility>
 
 #include "cache/artifact_cache.h"
+#include "graph/ambiguity.h"
 #include "graph/digraph.h"
 #include "graph/edmonds.h"
 #include "obs/metrics.h"
@@ -514,22 +516,16 @@ solve_family(const RunContext& ctx, const FamilyPlan& fam, int m)
     FamilySolveBlob sol;
     sol.m = m;
     // Structural ambiguity: is there more than one zero-weight spanning
-    // forest over all feasible edges, pruned ones too? Zero-weight
-    // landscapes are the enumerator's worst case, so the probe runs
-    // under a modest step budget. A probe cut short can only miss the
-    // second forest, so truncation errs toward "unambiguous", never
-    // the reverse. The skeleton stays alive through the weighted
-    // enumeration below: freeing it first changes how that
-    // enumeration reuses the heap, and measured slower.
-    graph::Digraph skeleton(m);
-    for (const CandidateEdge& edge : fam.candidates)
-        skeleton.add_edge(edge.parent, edge.child, 0.0);
-    graph::EnumerateConfig probe;
-    probe.epsilon = 0.0;
-    probe.max_results = 2;
-    probe.max_steps = 200000;
-    sol.structurally_ambiguous =
-        graph::enumerate_min_forests(skeleton, probe).size() > 1;
+    // forest over all feasible edges, pruned ones too? Decided exactly,
+    // with no search (graph/ambiguity.h).
+    {
+        std::vector<std::pair<int, int>> feasible;
+        feasible.reserve(fam.candidates.size());
+        for (const CandidateEdge& edge : fam.candidates)
+            feasible.emplace_back(edge.parent, edge.child);
+        sol.structurally_ambiguous =
+            graph::has_multiple_min_forests(m, feasible);
+    }
 
     // Forced edges cost nothing, so the optimizer never prefers
     // re-rooting a chain over honoring them.

@@ -310,6 +310,53 @@ TEST(Diff, BenchLinesPairByIdentityAndGateTimings)
     EXPECT_EQ(obs::diff_bench_lines(base, missing).size(), 1u);
 }
 
+TEST(Diff, BenchLinesGateMemoryWithTheTimingTolerance)
+{
+    const std::string base =
+        "{\"bench\":\"x\",\"classes\":40,\"threads\":1,"
+        "\"total_ms\":100.0,\"peak_rss_mb\":80.0}\n";
+    // Run-to-run RSS noise is not an exact-match drift ...
+    const std::string noisy =
+        "{\"bench\":\"x\",\"classes\":40,\"threads\":1,"
+        "\"total_ms\":100.0,\"peak_rss_mb\":84.5}\n";
+    EXPECT_TRUE(obs::diff_bench_lines(base, noisy).empty());
+    // ... shrinking never fails ...
+    const std::string smaller =
+        "{\"bench\":\"x\",\"classes\":40,\"threads\":1,"
+        "\"total_ms\":100.0,\"peak_rss_mb\":20.0}\n";
+    EXPECT_TRUE(obs::diff_bench_lines(base, smaller).empty());
+    // ... but growth past 25% + slack does.
+    const std::string bloated =
+        "{\"bench\":\"x\",\"classes\":40,\"threads\":1,"
+        "\"total_ms\":100.0,\"peak_rss_mb\":600.0}\n";
+    const auto regs = obs::diff_bench_lines(base, bloated);
+    ASSERT_EQ(regs.size(), 1u);
+    EXPECT_EQ(regs[0].metric, "bench[bench=x,classes=40,threads=1,]:"
+                              "peak_rss_mb");
+    EXPECT_EQ(regs[0].detail, "memory regressed");
+    // Memory is machine-dependent: counters-only diffs skip it.
+    obs::DiffOptions counters_only;
+    counters_only.counters_only = true;
+    EXPECT_TRUE(obs::diff_bench_lines(base, bloated, counters_only).empty());
+}
+
+TEST(Diff, PeakRssBoundFailsLargeAndUnmeasuredLines)
+{
+    const std::string jsonl =
+        "{\"bench\":\"x\",\"threads\":1,\"peak_rss_mb\":389.5}\n"
+        "{\"bench\":\"x\",\"threads\":4,\"peak_rss_mb\":1100.0}\n"
+        "{\"bench\":\"x\",\"threads\":8}\n";
+    const auto regs = obs::peak_rss_violations(jsonl, 1024.0);
+    ASSERT_EQ(regs.size(), 2u);
+    EXPECT_EQ(regs[0].metric, "line 2:peak_rss_mb");
+    EXPECT_DOUBLE_EQ(regs[0].current, 1100.0);
+    EXPECT_EQ(regs[1].metric, "line 3:peak_rss_mb");
+    EXPECT_EQ(regs[1].detail, "no peak_rss_mb field");
+    EXPECT_TRUE(obs::peak_rss_violations(jsonl.substr(0, jsonl.find('\n') + 1),
+                                         1024.0)
+                    .empty());
+}
+
 // ---- end-to-end: the pipeline under observation ----------------------
 
 core::ReconstructionResult

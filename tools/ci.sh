@@ -26,7 +26,10 @@
 #     `rockstat --check --min-warm-speedup 5`): warm re-analysis
 #     through the artifact cache (docs/CACHING.md) must be >= 5x
 #     faster than the same process's cold run, bit-identical, with
-#     cache hits -- hardware-independent, never skipped. The warm
+#     cache hits -- hardware-independent, never skipped; and a
+#     memory gate (`skype_scale --classes 5000 --threads 4` +
+#     `rockstat --check --max-peak-rss-mb 1024`): the default
+#     5000-class image must peak below 1 GB. The warm
 #     JSONL is kept as an artifact (ROCK_CI_ARTIFACTS dir);
 #  5. serve: boots rockd on a unix socket, replays a duplicate-heavy
 #     trace of 2000-class submissions through rockctl with 4
@@ -155,6 +158,13 @@ leg_perf() {
         --warm-runs 2 --json "$perf_dir/skype-warm.jsonl"
     ./build/tools/rockstat --check "$perf_dir/skype-warm.jsonl" \
         --min-warm-speedup 5
+    # Memory gate: the 5000-class default image at 4 workers must
+    # peak below 1 GB of RSS (each line's peak_rss_mb is the process
+    # high-water mark). About 5 s on 4 cores.
+    ./build/bench/skype_scale --classes 5000 --threads 4 \
+        --json "$perf_dir/skype-5000.jsonl"
+    ./build/tools/rockstat --check "$perf_dir/skype-5000.jsonl" \
+        --max-peak-rss-mb 1024
     # Keep the warm JSONL when the caller wants artifacts uploaded
     # (the GitHub workflow sets ROCK_CI_ARTIFACTS).
     if [ -n "${ROCK_CI_ARTIFACTS:-}" ]; then

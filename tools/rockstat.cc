@@ -1,7 +1,7 @@
 /**
  * @file
  * rockstat -- diff two metrics captures, or gate one bench capture
- * on speedup thresholds.
+ * on speedup and memory thresholds.
  *
  * Diff mode accepts any format the repo emits:
  *  - canonical metrics reports ("rock-metrics-v1", from any tool's
@@ -10,9 +10,10 @@
  *    relative tolerance + absolute slack;
  *  - bench JSONL captures (bench/pipeline_scaling stdout, one JSON
  *    object per line): lines pair by bench/classes/threads, "*_ms"
- *    fields gate on the timing tolerance, other numeric fields and
- *    booleans compare exactly (derived *_speedup ratios and
- *    hw_threads are host-dependent and skipped);
+ *    (wall time) and "*_mb" (memory high-water mark) fields gate on
+ *    the timing tolerance, other numeric fields and booleans compare
+ *    exactly (derived *_speedup ratios and hw_threads are
+ *    host-dependent and skipped);
  *  - google-benchmark --benchmark_format=json output (micro_slm,
  *    micro_graph): converted on the fly to bench lines keyed by
  *    benchmark name, keeping only real_ms/cpu_ms so iteration counts
@@ -36,6 +37,11 @@
  * thread count, so this gate is hardware-independent and never
  * skipped.
  *
+ * --max-peak-rss-mb N fails every line whose "peak_rss_mb" (the
+ * process's getrusage high-water mark when the line was written) is
+ * above N MB, and every line that carries no such field. Unlike the
+ * speedup gate it binds on any host.
+ *
  * Serving gates (--max-p50-ms / --max-p95-ms / --min-hit-rate) point
  * --check at a canonical metrics report instead (rockd
  * --metrics-json): percentiles come from the
@@ -50,7 +56,7 @@
  *   rockstat --baseline BASE.json CURRENT.json [options]
  *   rockstat BASE.json CURRENT.json [options]
  *   rockstat --check RUN.json --min-speedup T:R [--min-speedup T:R]
- *            [--min-warm-speedup R]
+ *            [--min-warm-speedup R] [--max-peak-rss-mb N]
  *   rockstat --check METRICS.json [--max-p50-ms N] [--max-p95-ms N]
  *            [--min-hit-rate R]
  *
@@ -292,7 +298,7 @@ parse_gate(const std::string& spec, SpeedupGate* gate)
 int
 run_check(const std::string& path,
           const std::vector<SpeedupGate>& gates,
-          double min_warm_speedup)
+          double min_warm_speedup, double max_peak_rss_mb)
 {
     using rock::obs::Json;
     std::string text = slurp(path);
@@ -438,6 +444,19 @@ run_check(const std::string& path,
         }
     }
 
+    if (max_peak_rss_mb > 0.0) {
+        for (const rock::obs::Regression& r :
+             rock::obs::peak_rss_violations(text, max_peak_rss_mb)) {
+            std::fprintf(stderr,
+                         "rockstat: FAIL %s: %s: %.1f MB, need <= "
+                         "%.1f MB (%s)\n",
+                         path.c_str(), r.metric.c_str(), r.current,
+                         r.baseline, r.detail.c_str());
+            ++failures;
+        }
+        checked += static_cast<int>(lines.size());
+    }
+
     std::printf("rockstat: check %s: %d gate(s) checked, %d skipped "
                 "(insufficient hw threads), %d failure(s)\n",
                 path.c_str(), checked, skipped, failures);
@@ -455,6 +474,7 @@ main(int argc, char** argv)
     std::string check_path;
     std::vector<SpeedupGate> gates;
     double min_warm_speedup = 0.0;
+    double max_peak_rss_mb = 0.0;
     ServeGates serve_gates;
     DiffOptions options;
     for (int i = 1; i < argc; ++i) {
@@ -479,6 +499,15 @@ main(int argc, char** argv)
                 std::fprintf(stderr,
                              "rockstat: bad --min-warm-speedup '%s' "
                              "(want a positive ratio, e.g. 5)\n",
+                             argv[i]);
+                return 2;
+            }
+        } else if (arg == "--max-peak-rss-mb" && i + 1 < argc) {
+            max_peak_rss_mb = std::atof(argv[++i]);
+            if (max_peak_rss_mb <= 0.0) {
+                std::fprintf(stderr,
+                             "rockstat: bad --max-peak-rss-mb '%s' "
+                             "(want a positive MB bound, e.g. 1024)\n",
                              argv[i]);
                 return 2;
             }
@@ -508,7 +537,7 @@ main(int argc, char** argv)
     if (!check_path.empty()) {
         if (serve_gates.any()) {
             if (!files.empty() || !gates.empty() ||
-                min_warm_speedup > 0.0) {
+                min_warm_speedup > 0.0 || max_peak_rss_mb > 0.0) {
                 std::fprintf(
                     stderr,
                     "usage: rockstat --check METRICS.json "
@@ -525,18 +554,18 @@ main(int argc, char** argv)
                 return 2;
             }
         }
-        if (!files.empty() ||
-            (gates.empty() && min_warm_speedup <= 0.0)) {
+        if (!files.empty() || (gates.empty() && min_warm_speedup <= 0.0 &&
+                               max_peak_rss_mb <= 0.0)) {
             std::fprintf(stderr,
                          "usage: rockstat --check RUN.json "
-                         "--min-speedup THREADS:RATIO "
-                         "[--min-speedup ...] "
-                         "[--min-warm-speedup RATIO]\n");
+                         "[--min-speedup THREADS:RATIO ...] "
+                         "[--min-warm-speedup RATIO] "
+                         "[--max-peak-rss-mb MB]\n");
             return 2;
         }
         try {
-            return run_check(check_path, gates, min_warm_speedup) ==
-                           0
+            return run_check(check_path, gates, min_warm_speedup,
+                             max_peak_rss_mb) == 0
                        ? 0
                        : 1;
         } catch (const std::exception& e) {
@@ -546,14 +575,15 @@ main(int argc, char** argv)
     }
 
     if (files.size() != 2 || !gates.empty() ||
-        min_warm_speedup > 0.0 || serve_gates.any()) {
+        min_warm_speedup > 0.0 || max_peak_rss_mb > 0.0 ||
+        serve_gates.any()) {
         std::fprintf(
             stderr,
             "usage: rockstat [--baseline] BASE.json CURRENT.json "
             "[--counter-tol R] [--time-tol R] [--abs-slack-ms S] "
             "[--counters-only]\n"
-            "       rockstat --check RUN.json --min-speedup T:R "
-            "[--min-speedup T:R ...] [--min-warm-speedup R]\n");
+            "       rockstat --check RUN.json [--min-speedup T:R ...] "
+            "[--min-warm-speedup R] [--max-peak-rss-mb MB]\n");
         return 2;
     }
 
