@@ -26,11 +26,12 @@
  *
  * Default is a single all-hardware-threads run (the historical
  * behavior); --threads "1,4" runs the gate pair. On a 4-core x86 host
- * (Release build) the 5000-class default takes about 11 s and peaks
- * near 360 MB at --threads 1, 4 s and about 410 MB at --threads 4;
- * 2000 classes peak near 80 MB. CI runs 2000 classes for the
- * speedup and warm-cache gates and 5000 classes at 4 threads for the
- * memory gate (`rockstat --check --max-peak-rss-mb 1024`).
+ * (Release build) the 5000-class default takes about 6 s and peaks
+ * near 370 MB at --threads 1, 4.5-6 s and about 440-450 MB at
+ * --threads 4 (the giant family's solve stays serial); 2000 classes
+ * take about 0.8 s serially and peak near 76 MB. CI runs 2000 classes
+ * for the speedup and warm-cache gates and 5000 classes at 4 threads
+ * for the memory gate (`rockstat --check --max-peak-rss-mb 1024`).
  *
  * Every JSON line carries "peak_rss_mb": the process's getrusage
  * ru_maxrss when the line was written. It is a high-water mark over
@@ -66,8 +67,6 @@
 #include <thread>
 #include <vector>
 
-#include <sys/resource.h>
-
 #include "cache/artifact_cache.h"
 #include "corpus/generator.h"
 #include "obs/report.h"
@@ -89,16 +88,6 @@ parse_threads(const std::string& csv)
         pos = comma + 1;
     }
     return out;
-}
-
-/** The process's peak resident set so far, in MB (getrusage
- *  ru_maxrss, which Linux reports in KB). */
-double
-peak_rss_mb()
-{
-    rusage usage{};
-    ::getrusage(RUSAGE_SELF, &usage);
-    return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
 } // namespace
@@ -262,7 +251,7 @@ main(int argc, char** argv)
             serial_ms > 0.0 && t.total_ms > 0.0
                 ? serial_ms / t.total_ms
                 : 1.0,
-            peak_rss_mb(), identical ? "true" : "false",
+            obs::peak_rss_mb(), identical ? "true" : "false",
             underprovisioned ? "true" : "false");
         if (json)
             std::fputs(line, json);
@@ -350,7 +339,7 @@ main(int argc, char** argv)
                 warm && cold_ms > 0.0 && t.total_ms > 0.0
                     ? cold_ms / t.total_ms
                     : 1.0,
-                peak_rss_mb(), static_cast<unsigned long long>(run_hits),
+                obs::peak_rss_mb(), static_cast<unsigned long long>(run_hits),
                 identical ? "true" : "false",
                 underprovisioned ? "true" : "false");
             if (json)

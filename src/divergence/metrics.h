@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,7 +38,8 @@ struct PairTally {
     std::uint64_t words = 0;
 };
 
-/** Monotone tallies of pair_distance() work done on this thread. */
+/** Monotone tallies of raw_pair_distance() work done on this
+ *  thread (pair_distance() included). */
 PairTally thread_pair_tally();
 
 /** Selectable pairwise metrics. */
@@ -82,11 +84,24 @@ double js_distance(const slm::LanguageModel& a,
  *
  * For MetricKind::KL this is DKL(SLM(parent) || SLM(child)): inherited
  * behavior makes the parent's distribution nearly contained in the
- * child's, so true parent edges are cheap.
+ * child's, so true parent edges are cheap. Equal, bit for bit, to
+ * raw_pair_distance() over both models' sequence_prob() of each word.
  */
 double pair_distance(MetricKind kind, const slm::LanguageModel& parent,
                      const slm::LanguageModel& child,
                      const WordSet& words);
+
+/**
+ * The one metric implementation: @p parent and @p child hold the two
+ * models' raw word probabilities over the same word set, in word-set
+ * order. Normalizes each (word_distribution()'s sum and division) and
+ * evaluates @p kind with kl_between()'s and the JS functions'
+ * expressions, so the result matches them bit for bit. Bumps
+ * `divergence.pairs` and `divergence.words`.
+ */
+double raw_pair_distance(MetricKind kind,
+                         std::span<const double> parent,
+                         std::span<const double> child);
 
 /** DKL between two explicit discrete distributions (helper). */
 double kl_between(const std::vector<double>& p,

@@ -1,5 +1,9 @@
 #include "obs/report.h"
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -43,12 +47,39 @@ require_number(const Json& obj, const std::string& key)
 
 } // namespace
 
+double
+peak_rss_mb()
+{
+    rusage usage{};
+    ::getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
+double
+current_rss_mb()
+{
+    std::ifstream statm("/proc/self/statm");
+    long pages = 0;
+    long resident = 0;
+    if (!(statm >> pages >> resident))
+        return 0.0;
+    return static_cast<double>(resident) *
+           static_cast<double>(::sysconf(_SC_PAGESIZE)) /
+           (1024.0 * 1024.0);
+}
+
 MetricsReport
 MetricsReport::capture(const Registry& registry)
 {
     MetricsReport report;
     report.counters = registry.counter_values();
     report.gauges = registry.gauge_values();
+    // Memory, like every gauge, is informational: never gated. The
+    // kernel's high-water mark lags its exact resident count by a few
+    // pages, so the peak reported is at least the current size.
+    const double rss = current_rss_mb();
+    report.gauges["process.rss_mb"] = rss;
+    report.gauges["process.peak_rss_mb"] = std::max(peak_rss_mb(), rss);
     registry.visit_histograms(
         [&](const std::string& name, const std::vector<double>& bounds,
             const std::vector<std::uint64_t>& counts,

@@ -56,7 +56,9 @@ struct MetricsReport {
 
     bool operator==(const MetricsReport&) const = default;
 
-    /** Snapshot @p registry (default: the global one) + span log. */
+    /** Snapshot @p registry (default: the global one) + span log,
+     *  plus the process memory gauges `process.peak_rss_mb` and
+     *  `process.rss_mb`. */
     static MetricsReport
     capture(const Registry& registry = Registry::global());
 
@@ -72,6 +74,14 @@ struct MetricsReport {
     /** Total wall_ms per span name (regression-gate granularity). */
     std::map<std::string, double> span_totals() const;
 };
+
+/** The process's peak resident set so far, in MB (getrusage
+ *  ru_maxrss, which Linux reports in KB). */
+double peak_rss_mb();
+
+/** The process's resident set now, in MB (/proc/self/statm); 0 when
+ *  it cannot be read. */
+double current_rss_mb();
 
 /** Write @p report's JSON to @p path (std::runtime_error on I/O). */
 void write_report_file(const MetricsReport& report,

@@ -86,11 +86,19 @@ slm_fingerprint(const slm::ModelConfig& config, int alphabet_size,
     return h;
 }
 
+/** Generation of the distance stage's algorithm. A famdist blob
+ *  replays the escape tally of the run that wrote it, so a stage that
+ *  walks the models a different number of times for the same weights
+ *  bumps this rather than kSchemaVersion (2: each member's model is
+ *  walked once per needed word instead of twice per pair and word). */
+constexpr std::uint64_t kDistanceGeneration = 2;
+
 std::uint64_t
 distance_fingerprint(const RockConfig& config, int alphabet_size,
                      std::uint64_t alphabet_digest)
 {
     std::uint64_t h = mix(kFnvSeed, kSchemaVersion);
+    h = mix(h, kDistanceGeneration);
     h = mix_model(h, config.slm);
     h = mix(h, static_cast<std::uint64_t>(config.metric));
     h = mix_words(h, config.words);

@@ -74,7 +74,8 @@ std::uint64_t slm_fingerprint(const slm::ModelConfig& config,
                               std::uint64_t alphabet_digest);
 
 /** Fingerprint shared by every "famdist" artifact of a run: schema,
- *  alphabet, model/metric/word-set knobs and the typeinf discount. */
+ *  distance-stage generation, alphabet, model/metric/word-set knobs
+ *  and the typeinf discount. */
 std::uint64_t distance_fingerprint(const RockConfig& config,
                                    int alphabet_size,
                                    std::uint64_t alphabet_digest);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "cache/artifact_cache.h"
+#include "divergence/family_words.h"
 #include "graph/ambiguity.h"
 #include "graph/digraph.h"
 #include "graph/edmonds.h"
@@ -96,7 +97,12 @@ struct FamilyPlan {
     /** "famdist" key; loaded when its probe pre-filled the weights. */
     std::uint64_t famdist_content = 0;
     bool famdist_loaded = false;
-    /** Distance-chunk work tallies, stored for warm-hit replay. */
+    /** ObservedUnion word table and raw-probability memo: interned,
+     *  filled by the train chunks, read by the distance chunks and
+     *  freed before the solve. */
+    divergence::FamilyWords memo;
+    /** Memo-fill and distance-chunk work tallies, stored for warm-hit
+     *  replay. */
     std::atomic<std::uint64_t> pairs{0};
     std::atomic<std::uint64_t> words{0};
     std::atomic<std::uint64_t> escapes{0};
@@ -132,7 +138,8 @@ struct RunContext {
     std::vector<std::uint64_t> type_costs;
     const bool observed_union = config.words.strategy ==
                                 divergence::WordSetStrategy::ObservedUnion;
-    std::vector<divergence::WordSet> type_words;
+    /** Per type: its position among its family's members. */
+    std::vector<int> member_pos;
 
     /** Candidate tables, indexed like result.families. */
     std::vector<FamilyPlan> families;
@@ -294,7 +301,8 @@ plan_candidates(RunContext& ctx)
     ctx.families = std::vector<FamilyPlan>(num_families);
     result.families.resize(num_families);
     // Members in ascending type order; each type's position in them.
-    std::vector<int> pos(types.size(), 0);
+    std::vector<int>& pos = ctx.member_pos;
+    pos.assign(types.size(), 0);
     for (std::size_t t = 0; t < types.size(); ++t) {
         const auto f = static_cast<std::size_t>(st.family[t]);
         pos[t] = static_cast<int>(result.families[f].members.size());
@@ -350,8 +358,6 @@ plan_candidates(RunContext& ctx)
     reg.counter("typeinf.edges_discounted").add(discounted);
 
     ctx.edge_weights.assign(ctx.edges.size(), 0.0);
-    if (ctx.observed_union)
-        ctx.type_words.resize(types.size());
 
     // A "famdist" hit pre-fills the family's weights and replays the
     // work counters the skipped evaluation would have bumped.
@@ -415,50 +421,85 @@ train_type(RunContext& ctx, std::size_t t)
     }
 }
 
+/** Word-table task, first in an ObservedUnion family's chain: intern
+ *  the members' tracelets and the weighed edges, unless the family's
+ *  "famdist" probe already filled its weights. */
+void
+intern_family(RunContext& ctx, std::size_t f)
+{
+    FamilyPlan& fam = ctx.families[f];
+    if (fam.famdist_loaded)
+        return;
+    ctx.distances_ms += timed("pipeline.distances", [&] {
+        const auto& members = ctx.result.families[f].members;
+        std::vector<const std::vector<std::vector<int>>*> seqs;
+        seqs.reserve(members.size());
+        for (int t : members)
+            seqs.push_back(
+                &ctx.result.type_sequences[static_cast<std::size_t>(t)]);
+        std::vector<std::pair<int, int>> edges;
+        edges.reserve(fam.edge_end - fam.edge_begin);
+        for (std::size_t e = fam.edge_begin; e < fam.edge_end; ++e) {
+            const auto [p, c] = ctx.edges[e];
+            edges.emplace_back(ctx.member_pos[static_cast<std::size_t>(p)],
+                               ctx.member_pos[static_cast<std::size_t>(c)]);
+        }
+        fam.memo.intern(seqs, edges);
+    });
+}
+
 /** Train task: the models of family @p f's members in @p chunk, then
- *  their ObservedUnion word sets when the family still needs them. */
+ *  their memo fills when the family has a word table to fill. */
 void
 train_chunk(RunContext& ctx, std::size_t f, support::Chunk chunk,
-            bool need_words)
+            bool fill_memo)
 {
+    FamilyPlan& fam = ctx.families[f];
     const auto& members = ctx.result.families[f].members;
     ctx.train_ms += timed("pipeline.train", [&] {
         for (std::size_t pos = chunk.begin; pos < chunk.end; ++pos)
             train_type(ctx, static_cast<std::size_t>(members[pos]));
     });
-    if (!need_words)
+    if (!fill_memo || fam.famdist_loaded)
         return;
-    // Sort-deduplicate each type's sequences once, so each edge is a
-    // linear merge instead of a fresh std::set over both types.
     ctx.distances_ms += timed("pipeline.distances", [&] {
-        for (std::size_t pos = chunk.begin; pos < chunk.end; ++pos) {
-            const auto t = static_cast<std::size_t>(members[pos]);
-            ctx.type_words[t] = divergence::sorted_unique_words(
-                ctx.result.type_sequences[t]);
-        }
+        const std::uint64_t escapes_before = slm::thread_escape_tally();
+        divergence::FamilyWords::Scratch scratch;
+        for (std::size_t pos = chunk.begin; pos < chunk.end; ++pos)
+            fam.memo.fill(pos,
+                           *ctx.result.models[static_cast<std::size_t>(
+                               members[pos])],
+                           scratch);
+        fam.escapes += slm::thread_escape_tally() - escapes_before;
     });
 }
 
-/** Distance of weighed edge @p e under the configured metric. */
+/** Distance of weighed edge @p e of family @p fam under the configured
+ *  metric: from the family's memo under ObservedUnion, else over a word
+ *  set built for the pair. */
 double
-edge_weight(const RunContext& ctx, std::size_t e)
+edge_weight(const RunContext& ctx, const FamilyPlan& fam, std::size_t e,
+            divergence::FamilyWords::Scratch& scratch)
 {
     const ReconstructionResult& result = ctx.result;
     const auto p = static_cast<std::size_t>(ctx.edges[e].first);
     const auto c = static_cast<std::size_t>(ctx.edges[e].second);
-    divergence::WordSet words =
-        ctx.observed_union
-            ? divergence::merge_word_sets(ctx.type_words[p],
-                                          ctx.type_words[c])
-            : divergence::build_word_set(
-                  ctx.config.words, result.type_sequences[p],
-                  result.type_sequences[c], result.models[p].get(),
-                  ctx.alphabet_size);
     double weight = 0.0;
-    if (!words.empty()) {
-        weight = divergence::pair_distance(ctx.config.metric,
-                                           *result.models[p],
-                                           *result.models[c], words);
+    if (ctx.observed_union) {
+        weight = fam.memo.distance(
+            ctx.config.metric,
+            static_cast<std::size_t>(ctx.member_pos[p]),
+            static_cast<std::size_t>(ctx.member_pos[c]), scratch);
+    } else {
+        const divergence::WordSet words = divergence::build_word_set(
+            ctx.config.words, result.type_sequences[p],
+            result.type_sequences[c], result.models[p].get(),
+            ctx.alphabet_size);
+        if (!words.empty()) {
+            weight = divergence::pair_distance(ctx.config.metric,
+                                               *result.models[p],
+                                               *result.models[c], words);
+        }
     }
     // Solved-subtype agreement: cheapen the edge without ever touching
     // the zero-cost floor forced edges stand on.
@@ -478,9 +519,10 @@ weigh_chunk(RunContext& ctx, std::size_t f, support::Chunk chunk)
             return;
         const auto before = divergence::thread_pair_tally();
         const std::uint64_t escapes_before = slm::thread_escape_tally();
+        divergence::FamilyWords::Scratch scratch;
         for (std::size_t e = fam.edge_begin + chunk.begin;
              e < fam.edge_begin + chunk.end; ++e)
-            ctx.edge_weights[e] = edge_weight(ctx, e);
+            ctx.edge_weights[e] = edge_weight(ctx, fam, e, scratch);
         const auto after = divergence::thread_pair_tally();
         fam.pairs += after.pairs - before.pairs;
         fam.words += after.words - before.words;
@@ -565,6 +607,9 @@ solve_stage(RunContext& ctx, std::size_t f)
     FamilyPlan& fam = ctx.families[f];
     FamilyResult& out = ctx.result.families[f];
     const int m = static_cast<int>(out.members.size());
+    // Every distance chunk has read the memo: free it before the solve
+    // allocates.
+    fam.memo.clear();
     obs::Span span("pipeline.arborescence");
     if (ctx.store && fam.edge_end > fam.edge_begin &&
         !fam.famdist_loaded) {
@@ -624,10 +669,12 @@ solve_stage(RunContext& ctx, std::size_t f)
 }
 
 /**
- * The pipelined tail: one task chain per family, train chunks ->
- * distance chunks -> solve, run as one dependency DAG on the pool. The
- * fixed chunk fan-out keeps the task graph (and threadpool.items)
- * independent of the pool size.
+ * The pipelined tail: one task chain per family, [word table ->] train
+ * chunks -> distance chunks -> solve, run as one dependency DAG on the
+ * pool. The fixed chunk fan-out keeps the task graph (and
+ * threadpool.items) independent of the pool size, and cache hits only
+ * turn tasks into early returns, so it is independent of the cache's
+ * state too.
  */
 void
 run_family_chains(RunContext& ctx)
@@ -638,9 +685,13 @@ run_family_chains(RunContext& ctx)
         const FamilyPlan& fam = ctx.families[f];
         const auto& members = ctx.result.families[f].members;
         const std::size_t num_edges = fam.edge_end - fam.edge_begin;
-        const bool need_words =
-            ctx.observed_union && num_edges > 0 && !fam.famdist_loaded;
+        const bool use_memo = ctx.observed_union && num_edges > 0;
 
+        std::vector<std::size_t> table_ids;
+        if (use_memo) {
+            table_ids.push_back(tasks.size());
+            tasks.push_back({[&ctx, f] { intern_family(ctx, f); }, {}});
+        }
         std::vector<std::uint64_t> member_costs(members.size());
         for (std::size_t pos = 0; pos < members.size(); ++pos)
             member_costs[pos] = ctx.type_costs[static_cast<std::size_t>(
@@ -660,10 +711,10 @@ run_family_chains(RunContext& ctx)
         for (const support::Chunk& chunk :
              support::plan_chunks(members.size(), kTaskFanout, plan)) {
             train_ids.push_back(tasks.size());
-            tasks.push_back({[&ctx, f, chunk, need_words] {
-                                 train_chunk(ctx, f, chunk, need_words);
+            tasks.push_back({[&ctx, f, chunk, use_memo] {
+                                 train_chunk(ctx, f, chunk, use_memo);
                              },
-                             {}});
+                             table_ids});
         }
         plan.costs = edge_costs.data();
         std::vector<std::size_t> dist_ids;

@@ -70,7 +70,7 @@ ContextTrie::add_sequence(const std::vector<int>& seq)
 }
 
 void
-ContextTrie::context_chain(const std::vector<int>& context,
+ContextTrie::context_chain(std::span<const int> context,
                            std::vector<NodeId>& chain) const
 {
     chain.push_back(kRoot);

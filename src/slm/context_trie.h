@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -51,8 +52,13 @@ class ContextTrie {
      * bounded by the trie depth; the path found is appended to
      * @p chain from shallowest (root) to deepest.
      */
-    void context_chain(const std::vector<int>& context,
+    void context_chain(std::span<const int> context,
                        std::vector<NodeId>& chain) const;
+    void context_chain(const std::vector<int>& context,
+                       std::vector<NodeId>& chain) const
+    {
+        context_chain(std::span<const int>(context), chain);
+    }
 
     int depth() const { return depth_; }
 

@@ -76,8 +76,13 @@ class LanguageModel {
     /** Alphabet size the model was constructed for. */
     virtual int alphabet_size() const = 0;
 
-    /** Natural log-probability of a whole sequence. */
-    double sequence_log_prob(const std::vector<int>& seq) const;
+    /**
+     * Natural log-probability of a whole sequence: the sum, in symbol
+     * order, of ln prob(x_i | x_1..x_{i-1}). A family may override it
+     * with a faster walk that returns the same bits and takes the same
+     * escapes (PpmModel does for finalized models without exclusion).
+     */
+    virtual double sequence_log_prob(const std::vector<int>& seq) const;
 
     /** Probability of a whole sequence. */
     double sequence_prob(const std::vector<int>& seq) const;

@@ -1,6 +1,7 @@
 #include "slm/ppm.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "obs/metrics.h"
@@ -119,13 +120,38 @@ PpmModel::prob(int symbol, const std::vector<int>& context) const
                 "symbol outside alphabet");
     if (!finalized_ || exclusion_)
         return general_prob(symbol, context);
-
-    // Fast path: precomputed per-context probability vectors. Walk
-    // from the deepest matched context toward the root, multiplying
-    // escape probabilities until the symbol is found.
     std::vector<ContextTrie::NodeId> chain;
     trie_.context_chain(context, chain);
+    return chain_prob(symbol, chain);
+}
 
+double
+PpmModel::sequence_log_prob(const std::vector<int>& seq) const
+{
+    if (!finalized_ || exclusion_)
+        return LanguageModel::sequence_log_prob(seq);
+    thread_local std::vector<ContextTrie::NodeId> chain;
+    double log_p = 0.0;
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+        const int symbol = seq[i];
+        ROCK_ASSERT(symbol >= 0 && symbol < alphabet_size_,
+                    "symbol outside alphabet");
+        chain.clear();
+        trie_.context_chain(std::span<const int>(seq.data(), i), chain);
+        double p = chain_prob(symbol, chain);
+        ROCK_ASSERT(p > 0.0, "model returned non-positive probability");
+        log_p += std::log(p);
+    }
+    return log_p;
+}
+
+double
+PpmModel::chain_prob(int symbol,
+                     const std::vector<ContextTrie::NodeId>& chain) const
+{
+    // Precomputed per-context probability vectors: walk from the
+    // deepest matched context toward the root, multiplying escape
+    // probabilities until the symbol is found.
     double escape_acc = 1.0;
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
         ContextTrie::NodeId node = *it;

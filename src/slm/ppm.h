@@ -17,13 +17,14 @@
  * Hot path: finalize() precomputes, for every stored context node,
  * the per-successor conditional probabilities and the escape
  * probability into contiguous vectors indexed by the flat trie's
- * node ids. A finalized query (the divergence stage's inner loop) is
- * then a context-chain walk plus one binary search and one or two
- * contiguous-array reads per order -- no maps, no allocation. The
- * precomputed values are the *same* IEEE expressions the on-demand
- * path evaluates, so finalization never changes a probability
- * (tests/flat_trie_test.cc pins byte-identity against the original
- * pointer-trie implementation).
+ * node ids. A finalized query is then a context-chain walk plus one
+ * binary search and one or two contiguous-array reads per order -- no
+ * maps. The whole-word query sequence_log_prob() (the divergence
+ * stage's inner loop) reuses one chain buffer across its symbols, so
+ * it allocates nothing. The precomputed values are the *same* IEEE
+ * expressions the on-demand path evaluates, so finalization never
+ * changes a probability (tests/flat_trie_test.cc pins byte-identity
+ * against the original pointer-trie implementation).
  */
 #pragma once
 
@@ -46,6 +47,14 @@ class PpmModel final : public LanguageModel {
     void train(const std::vector<int>& seq) override;
     double prob(int symbol,
                 const std::vector<int>& context) const override;
+    /**
+     * Whole-word query. A finalized model without exclusion walks each
+     * symbol's context chain once into a buffer reused across the
+     * word, with prob()'s fast-path arithmetic and escapes, so the
+     * result is bit-identical to the generic per-symbol loop and
+     * allocates nothing. Other models take the generic loop.
+     */
+    double sequence_log_prob(const std::vector<int>& seq) const override;
     /** Build the per-context probability vectors (idempotent). */
     void finalize() override;
     int alphabet_size() const override { return alphabet_size_; }
@@ -57,6 +66,11 @@ class PpmModel final : public LanguageModel {
     void adopt_trie(ContextTrie trie);
 
   private:
+    /** prob()'s fast path for a finalized model without exclusion,
+     *  given the context chain (root first). */
+    double chain_prob(int symbol,
+                      const std::vector<ContextTrie::NodeId>& chain) const;
+
     /**
      * The general evaluator: handles exclusion and un-finalized
      * models. Identical arithmetic to the fast path (and to the

@@ -4,9 +4,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
+#include <set>
 
 #include "support/error.h"
+#include "divergence/family_words.h"
 #include "divergence/metrics.h"
 #include "divergence/word_set.h"
 #include "slm/model.h"
@@ -204,6 +209,225 @@ TEST(Metrics, PairDistanceDispatch)
                 js_divergence(*a, *b, words), 1e-12);
     EXPECT_NEAR(pair_distance(MetricKind::JSDistance, *a, *b, words),
                 js_distance(*a, *b, words), 1e-12);
+}
+
+// ---------------------------------------------------------------------
+// One metric over raw vectors; the family word table and memo
+// ---------------------------------------------------------------------
+
+constexpr MetricKind kAllMetrics[] = {
+    MetricKind::KL, MetricKind::KLReversed, MetricKind::JSDivergence,
+    MetricKind::JSDistance};
+
+bool
+same_bits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+           std::bit_cast<std::uint64_t>(b);
+}
+
+/** @p count random tracelets, half of them drawn from @p shared so
+ *  that types overlap the way inherited behavior makes them. */
+std::vector<std::vector<int>>
+random_tracelets(rock::support::Rng& rng,
+                 const std::vector<std::vector<int>>& shared, int count,
+                 int alphabet)
+{
+    std::vector<std::vector<int>> out;
+    for (int i = 0; i < count; ++i) {
+        if (!shared.empty() && rng.index(2) == 0) {
+            out.push_back(shared[rng.index(shared.size())]);
+            continue;
+        }
+        std::vector<int> word(1 + rng.index(5));
+        for (int& sym : word)
+            sym = static_cast<int>(
+                rng.index(static_cast<std::size_t>(alphabet)));
+        out.push_back(std::move(word));
+    }
+    return out;
+}
+
+/** The per-pair path's expressions: word_distribution() of both
+ *  models, then kl_between() or the JS formulas over a mid vector. */
+double
+reference_distance(MetricKind kind, const LanguageModel& parent,
+                   const LanguageModel& child, const WordSet& words)
+{
+    const std::vector<double> pa = word_distribution(parent, words);
+    const std::vector<double> pb = word_distribution(child, words);
+    if (kind == MetricKind::KL)
+        return kl_between(pa, pb);
+    if (kind == MetricKind::KLReversed)
+        return kl_between(pb, pa);
+    std::vector<double> mid(pa.size());
+    for (std::size_t i = 0; i < pa.size(); ++i)
+        mid[i] = 0.5 * (pa[i] + pb[i]);
+    const double js = 0.5 * kl_between(pa, mid) + 0.5 * kl_between(pb, mid);
+    return kind == MetricKind::JSDistance ? std::sqrt(js) : js;
+}
+
+std::vector<double>
+raw_probs(const LanguageModel& model, const WordSet& words)
+{
+    std::vector<double> raw;
+    for (const auto& word : words)
+        raw.push_back(model.sequence_prob(word));
+    return raw;
+}
+
+TEST(Metrics, RawPairDistanceMatchesPairDistanceBitForBit)
+{
+    const int alphabet = 7;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(seed);
+        rock::support::Rng rng(seed);
+        const auto shared = random_tracelets(rng, {}, 6, alphabet);
+        const auto seqs_a = random_tracelets(rng, shared, 10, alphabet);
+        const auto seqs_b = random_tracelets(rng, shared, 14, alphabet);
+        auto a = model_from(seqs_a, alphabet);
+        auto b = model_from(seqs_b, alphabet);
+        const WordSet words = merge_word_sets(sorted_unique_words(seqs_a),
+                                              sorted_unique_words(seqs_b));
+        const std::vector<double> raw_a = raw_probs(*a, words);
+        const std::vector<double> raw_b = raw_probs(*b, words);
+        for (MetricKind kind : kAllMetrics) {
+            SCOPED_TRACE(metric_name(kind));
+            const double want = reference_distance(kind, *a, *b, words);
+            const PairTally before = thread_pair_tally();
+            EXPECT_TRUE(same_bits(raw_pair_distance(kind, raw_a, raw_b),
+                                  want));
+            const PairTally after = thread_pair_tally();
+            EXPECT_EQ(after.pairs - before.pairs, 1u);
+            EXPECT_EQ(after.words - before.words, words.size());
+            EXPECT_TRUE(
+                same_bits(pair_distance(kind, *a, *b, words), want));
+        }
+    }
+}
+
+TEST(FamilyWords, IdsMergeToMergeWordSetsOrder)
+{
+    // Members 0 and 1 overlap and each has words the other never saw;
+    // member 2 has a one-word set, member 3 no tracelets, member 4 an
+    // empty tracelet and a duplicate.
+    const std::vector<std::vector<std::vector<int>>> seqs{
+        {{0, 1}, {2}, {0, 1, 2}, {0, 1}},
+        {{0, 1}, {3, 3}, {1}, {0}},
+        {{2}},
+        {},
+        {{}, {3, 3}, {3, 3}},
+    };
+    std::vector<const std::vector<std::vector<int>>*> members;
+    for (const auto& member : seqs)
+        members.push_back(&member);
+    FamilyWords table;
+    table.intern(members, {});
+
+    ASSERT_EQ(table.vocabulary_size(), 6u);
+    for (std::uint32_t id = 0; id + 1 < table.vocabulary_size(); ++id)
+        EXPECT_LT(table.word(id), table.word(id + 1));
+    auto words_of = [&](const std::vector<std::uint32_t>& ids) {
+        WordSet out;
+        for (std::uint32_t id : ids)
+            out.push_back(table.word(id));
+        return out;
+    };
+    for (std::size_t i = 0; i < seqs.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(words_of(table.word_ids(i)),
+                  sorted_unique_words(seqs[i]));
+        for (std::size_t j = 0; j < seqs.size(); ++j) {
+            std::vector<std::uint32_t> merged;
+            std::set_union(table.word_ids(i).begin(),
+                           table.word_ids(i).end(),
+                           table.word_ids(j).begin(),
+                           table.word_ids(j).end(),
+                           std::back_inserter(merged));
+            EXPECT_EQ(words_of(merged),
+                      merge_word_sets(sorted_unique_words(seqs[i]),
+                                      sorted_unique_words(seqs[j])));
+        }
+    }
+    EXPECT_TRUE(table.word_ids(3).empty());
+}
+
+TEST(FamilyWords, DistancesMatchPairDistanceBitForBit)
+{
+    const int alphabet = 6;
+    rock::support::Rng rng(3);
+    const auto shared = random_tracelets(rng, {}, 5, alphabet);
+    std::vector<std::vector<std::vector<int>>> seqs;
+    for (int i = 0; i < 9; ++i)
+        seqs.push_back(random_tracelets(rng, shared, 6, alphabet));
+    seqs[4].clear();  // a type with no tracelets
+    seqs[7].clear();  // another: edge 4 -> 7 integrates no word
+    seqs[5] = {{2}};  // a one-word set
+    std::vector<std::unique_ptr<LanguageModel>> models;
+    std::vector<const std::vector<std::vector<int>>*> members;
+    for (const auto& member : seqs) {
+        models.push_back(model_from(member, alphabet));
+        members.push_back(&member);
+    }
+    // Member 8 is on no edge; 4 -> 7 has an empty union.
+    std::vector<std::pair<int, int>> edges{{4, 7}};
+    for (int p = 0; p < 8; ++p) {
+        for (int c = 0; c < 8; ++c) {
+            if (p != c && (p + 2 * c) % 3 != 0 && !(p == 4 && c == 7))
+                edges.emplace_back(p, c);
+        }
+    }
+
+    FamilyWords memo;
+    memo.intern(members, edges);
+    FamilyWords::Scratch scratch;
+    for (std::size_t i = 0; i < seqs.size(); ++i)
+        memo.fill(i, *models[i], scratch);
+
+    // One walk per (member, needed word): its words and its
+    // neighbours'.
+    for (std::size_t i = 0; i < seqs.size(); ++i) {
+        std::set<std::vector<int>> need;
+        bool on_edge = false;
+        for (const auto& [p, c] : edges) {
+            const auto pi = static_cast<std::size_t>(p);
+            const auto ci = static_cast<std::size_t>(c);
+            if (pi != i && ci != i)
+                continue;
+            on_edge = true;
+            for (const auto& w : sorted_unique_words(seqs[pi == i ? ci : pi]))
+                need.insert(w);
+        }
+        if (on_edge) {
+            for (const auto& w : sorted_unique_words(seqs[i]))
+                need.insert(w);
+        }
+        EXPECT_EQ(memo.memo_size(i), need.size()) << "member " << i;
+    }
+    EXPECT_EQ(memo.memo_size(8), 0u);
+
+    for (MetricKind kind : kAllMetrics) {
+        SCOPED_TRACE(metric_name(kind));
+        for (const auto& [p, c] : edges) {
+            const auto pi = static_cast<std::size_t>(p);
+            const auto ci = static_cast<std::size_t>(c);
+            const WordSet words =
+                merge_word_sets(sorted_unique_words(seqs[pi]),
+                                sorted_unique_words(seqs[ci]));
+            const double want =
+                words.empty()
+                    ? 0.0
+                    : pair_distance(kind, *models[pi], *models[ci], words);
+            const PairTally before = thread_pair_tally();
+            const double got = memo.distance(kind, pi, ci, scratch);
+            const PairTally after = thread_pair_tally();
+            EXPECT_TRUE(same_bits(got, want)) << p << " -> " << c;
+            EXPECT_EQ(after.pairs - before.pairs, words.empty() ? 0u : 1u);
+            EXPECT_EQ(after.words - before.words, words.size());
+        }
+    }
+    memo.clear();
+    EXPECT_EQ(memo.vocabulary_size(), 0u);
 }
 
 /**

@@ -20,6 +20,8 @@
  *    pre-finalize general path),
  *  - sampled random corpora x {alphabet, depth, threshold} for Katz,
  *  - DKL values through divergence::kl_divergence,
+ *  - PPM's whole-word sequence_log_prob() against the per-symbol
+ *    prob() loop (same bits, same escape tally),
  *  - corpora from sampled GeneratorSpecs pushed through the real
  *    pipeline (the models reconstruct() trains and ships).
  */
@@ -449,6 +451,92 @@ TEST(FlatTrie, PpmByteIdenticalAcrossConfigs)
         }
     }
     EXPECT_EQ(cases, 54);
+}
+
+// ---------------------------------------------------------------------
+// PPM whole-word walk == the per-symbol loop, bit for bit
+// ---------------------------------------------------------------------
+
+/** The sum sequence_log_prob() must reproduce: ln prob() of every
+ *  symbol given its prefix, added in symbol order. */
+double
+per_symbol_log_prob(const rock::slm::LanguageModel& model,
+                    const std::vector<int>& seq)
+{
+    double log_p = 0.0;
+    std::vector<int> context;
+    for (int symbol : seq) {
+        log_p += std::log(model.prob(symbol, context));
+        context.push_back(symbol);
+    }
+    return log_p;
+}
+
+TEST(FlatTrie, PpmSequenceWalkMatchesPerSymbolLoop)
+{
+    const int alphabet = 9;
+    int cases = 0;
+    int exclusion_differs = 0;
+    for (int depth = 0; depth <= 4; ++depth) {
+        for (EscapeMethod escape :
+             {EscapeMethod::A, EscapeMethod::C, EscapeMethod::D}) {
+            for (bool exclusion : {false, true}) {
+                for (bool finalized : {false, true}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << "depth " << depth << " escape "
+                                 << static_cast<int>(escape)
+                                 << " exclusion " << exclusion
+                                 << " finalized " << finalized);
+                    rock::support::Rng rng(static_cast<std::uint64_t>(
+                        100 * depth + 10 * static_cast<int>(escape) +
+                        (exclusion ? 1 : 0)));
+                    auto corpus = random_corpus(rng, alphabet, 24, 12);
+                    // Trained words, unseen words and the empty word.
+                    auto queries = corpus;
+                    auto unseen = random_corpus(rng, alphabet, 24, 10);
+                    queries.insert(queries.end(), unseen.begin(),
+                                   unseen.end());
+                    queries.push_back({});
+
+                    rock::slm::PpmModel model(alphabet, depth,
+                                              exclusion, escape);
+                    rock::slm::PpmModel plain(alphabet, depth,
+                                              /*exclusion=*/false,
+                                              escape);
+                    for (const auto& seq : corpus) {
+                        model.train(seq);
+                        plain.train(seq);
+                    }
+                    if (finalized) {
+                        model.finalize();
+                        plain.finalize();
+                    }
+                    for (const auto& q : queries) {
+                        const auto t0 = rock::slm::thread_escape_tally();
+                        const double got = model.sequence_log_prob(q);
+                        const auto t1 = rock::slm::thread_escape_tally();
+                        const double want = per_symbol_log_prob(model, q);
+                        const auto t2 = rock::slm::thread_escape_tally();
+                        ASSERT_TRUE(bit_identical(got, want))
+                            << "word of length " << q.size() << ": "
+                            << got << " vs " << want;
+                        ASSERT_EQ(t1 - t0, t2 - t1)
+                            << "escape tally differs";
+                        ASSERT_TRUE(bit_identical(model.sequence_prob(q),
+                                                  std::exp(want)));
+                        // Exclusion changes the numbers, so a walk that
+                        // skipped the generic path would show here.
+                        if (exclusion && finalized &&
+                            !bit_identical(got, plain.sequence_log_prob(q)))
+                            ++exclusion_differs;
+                    }
+                    ++cases;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 60);
+    EXPECT_GT(exclusion_differs, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -179,6 +179,21 @@ TEST(Report, JsonRoundTripIsExact)
     EXPECT_EQ(parsed.to_json(), report.to_json());
 }
 
+TEST(Report, CaptureRecordsProcessMemory)
+{
+    // Touch a few MB so the resident set is clearly non-zero.
+    std::vector<char> ballast(8 << 20, 1);
+    obs::MetricsReport report = obs::MetricsReport::capture();
+    ASSERT_TRUE(report.gauges.count("process.peak_rss_mb"));
+    ASSERT_TRUE(report.gauges.count("process.rss_mb"));
+    const double peak = report.gauges.at("process.peak_rss_mb");
+    const double now = report.gauges.at("process.rss_mb");
+    EXPECT_GT(now, 0.0);
+    EXPECT_GT(peak, 0.0);
+    EXPECT_GE(peak, now);
+    EXPECT_GT(ballast[ballast.size() - 1], 0);
+}
+
 TEST(Report, FromJsonRejectsWrongSchemaAndGarbage)
 {
     EXPECT_THROW(obs::MetricsReport::from_json("{}"),

@@ -4,16 +4,21 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "corpus/benchmarks.h"
 #include "corpus/examples.h"
+#include "corpus/generator.h"
 #include "divergence/metrics.h"
+#include "divergence/word_set.h"
 #include "eval/application_distance.h"
 #include "eval/ground_truth.h"
+#include "fuzz/fuzzer.h"
 #include "rock/pipeline.h"
 #include "slm/model.h"
 #include "toyc/compiler.h"
@@ -269,6 +274,65 @@ TEST(Pipeline, WordSetStrategiesAgreeOnStreams)
             eval::application_distance(result.hierarchy, gt);
         EXPECT_DOUBLE_EQ(d.avg_missing + d.avg_added, 0.0);
     }
+}
+
+// ---- memoized distances == the per-pair path ----------------------------
+
+/** Every weighed edge of @p result equals pair_distance() over
+ *  merge_word_sets() of the two types' tracelets, bit for bit, times
+ *  the typeinf discount when a solved subtype fact agrees with it. */
+void
+expect_per_pair_weights(const ReconstructionResult& result,
+                        const RockConfig& config)
+{
+    const auto& types = result.structural.types;
+    const bool fuse = config.typeinf && !result.typeinf.types.empty();
+    for (const auto& [edge, got] : result.sorted_distances()) {
+        const auto p = static_cast<std::size_t>(edge.first);
+        const auto c = static_cast<std::size_t>(edge.second);
+        const divergence::WordSet words = divergence::merge_word_sets(
+            divergence::sorted_unique_words(result.type_sequences[p]),
+            divergence::sorted_unique_words(result.type_sequences[c]));
+        double want = 0.0;
+        if (!words.empty())
+            want = divergence::pair_distance(config.metric,
+                                             *result.models[p],
+                                             *result.models[c], words);
+        if (fuse && result.typeinf.subtype(types[c], types[p]) &&
+            want > 0.0)
+            want *= config.typeinf_discount;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(want))
+            << edge.first << " -> " << edge.second;
+    }
+}
+
+TEST(Pipeline, MemoizedDistancesEqualPerPairPath)
+{
+    std::vector<std::pair<std::string, bir::BinaryImage>> images;
+    const corpus::CorpusProgram smoothing =
+        corpus::benchmark_by_name("Smoothing").program;
+    images.emplace_back(
+        "Smoothing",
+        toyc::compile(smoothing.program, smoothing.options).image);
+    for (std::uint64_t seed : {2u, 5u, 11u, 23u}) {
+        images.emplace_back(
+            "sample_spec " + std::to_string(seed),
+            toyc::compile(corpus::generate_program(fuzz::sample_spec(seed)))
+                .image);
+    }
+    std::size_t weighed = 0;
+    for (const auto& [name, image] : images) {
+        for (int threads : {1, 4}) {
+            SCOPED_TRACE(name + ", threads " + std::to_string(threads));
+            RockConfig config;
+            config.threads = threads;
+            const ReconstructionResult result = reconstruct(image, config);
+            expect_per_pair_weights(result, config);
+            weighed += result.distances.size();
+        }
+    }
+    EXPECT_GT(weighed, 0u);
 }
 
 // ---- the determinism contract: first_difference ------------------------

@@ -29,7 +29,9 @@
 #     cache hits -- hardware-independent, never skipped; and a
 #     memory gate (`skype_scale --classes 5000 --threads 4` +
 #     `rockstat --check --max-peak-rss-mb 1024`): the default
-#     5000-class image must peak below 1 GB. The warm
+#     5000-class image must peak below 1 GB; and the benchmark
+#     self-test (`perfbench/run.py --selftest`), whose traced replays
+#     must equal reconstruct() bit for bit. The warm
 #     JSONL is kept as an artifact (ROCK_CI_ARTIFACTS dir);
 #  5. serve: boots rockd on a unix socket, replays a duplicate-heavy
 #     trace of 2000-class submissions through rockctl with 4
@@ -165,6 +167,11 @@ leg_perf() {
         --json "$perf_dir/skype-5000.jsonl"
     ./build/tools/rockstat --check "$perf_dir/skype-5000.jsonl" \
         --max-peak-rss-mb 1024
+    # Benchmark self-test: its traced replays recompute every layer of
+    # reconstruct() through the per-layer APIs -- every DKL weight
+    # through pair_distance() over merge_word_sets() -- and must match
+    # the pipeline bit for bit.
+    python3 perfbench/run.py --selftest
     # Keep the warm JSONL when the caller wants artifacts uploaded
     # (the GitHub workflow sets ROCK_CI_ARTIFACTS).
     if [ -n "${ROCK_CI_ARTIFACTS:-}" ]; then
