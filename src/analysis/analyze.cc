@@ -1,7 +1,5 @@
 #include "analysis/analyze.h"
 
-#include <algorithm>
-
 #include "cache/artifact_cache.h"
 #include "obs/metrics.h"
 #include "support/log.h"
@@ -283,6 +281,16 @@ analyze(const bir::BinaryImage& image, const SymExecConfig& config,
         cfg::CfgCache& cache,
         const std::shared_ptr<cache::ArtifactCache>& artifacts)
 {
+    support::ThreadPool pool(support::resolve_threads(config.threads));
+    return analyze(image, config, cache, artifacts, pool);
+}
+
+AnalysisResult
+analyze(const bir::BinaryImage& image, const SymExecConfig& config,
+        cfg::CfgCache& cache,
+        const std::shared_ptr<cache::ArtifactCache>& artifacts,
+        support::ThreadPool& pool)
+{
     AnalysisResult result;
     result.vtables = scan_vtables(image);
 
@@ -301,11 +309,7 @@ analyze(const bir::BinaryImage& image, const SymExecConfig& config,
     // in function order below, so the result is identical for any
     // thread count (paper Section 3.2: the analysis is strictly
     // intra-procedural, hence embarrassingly parallel).
-    support::ThreadPool pool(static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(
-            support::resolve_threads(config.threads)),
-        std::max<std::size_t>(1, num_functions))));
-
+    //
     // One decode per function for both phases, served from the shared
     // CFG cache (the verify stage already paid for the recovery when
     // the pipeline runs with verification on). Sweeps are chunked by

@@ -34,6 +34,10 @@ namespace rock::cache {
 class ArtifactCache;
 }
 
+namespace rock::support {
+class ThreadPool;
+}
+
 namespace rock::analysis {
 
 /** Combined output of the behavioral analysis over one image. */
@@ -76,11 +80,19 @@ std::uint64_t mix_symexec_config(std::uint64_t h,
 AnalysisResult analyze(const bir::BinaryImage& image,
                        const SymExecConfig& config = {});
 
+/** As below, on a pool of resolve_threads(config.threads). */
+AnalysisResult analyze(const bir::BinaryImage& image,
+                       const SymExecConfig& config,
+                       cfg::CfgCache& cache,
+                       const std::shared_ptr<cache::ArtifactCache>&
+                           artifacts = nullptr);
+
 /**
- * As above, sharing @p cache (built on demand): function bodies come
- * from the cached CFG slots instead of being re-decoded per phase,
- * and the per-function sweeps are cost-chunked by instruction count.
- * The pipeline passes the same cache the verify stage built.
+ * Analyze @p image sharing @p cache (built on demand): function bodies
+ * come from the cached CFG slots instead of being re-decoded per
+ * phase, and the per-function sweeps run on @p pool, cost-chunked by
+ * instruction count (config.threads is not read). The pipeline passes
+ * the same cache the verify stage built and its own pool.
  *
  * When @p artifacts is non-null, each function's per-phase symbolic
  * execution result is memoized in it under kind "symexec", keyed by
@@ -93,6 +105,7 @@ AnalysisResult analyze(const bir::BinaryImage& image,
                        const SymExecConfig& config,
                        cfg::CfgCache& cache,
                        const std::shared_ptr<cache::ArtifactCache>&
-                           artifacts = nullptr);
+                           artifacts,
+                       support::ThreadPool& pool);
 
 } // namespace rock::analysis

@@ -58,9 +58,10 @@ struct SymExecConfig {
      * The analysis is strictly intra-procedural, hence embarrassingly
      * parallel (paper Section 3.2: "we can further scale our approach
      * by parallelization"). Results are merged in function order, so
-     * the output is identical for any thread count. When driven
-     * through rock::core::reconstruct(), RockConfig::threads
-     * overrides this knob for the whole pipeline.
+     * the output is identical for any thread count. Read only by the
+     * analyze() overloads that build their own pool: the ones that
+     * take a support::ThreadPool, and rock::core::reconstruct(), run
+     * on the caller's pool.
      */
     int threads = 1;
 };

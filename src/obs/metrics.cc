@@ -1,5 +1,7 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/trace.h"
@@ -40,13 +42,12 @@ Histogram::observe(double value)
 {
     if (!metrics_enabled())
         return;
-    std::size_t bucket = bounds_.size(); // overflow bucket
-    for (std::size_t i = 0; i < bounds_.size(); ++i) {
-        if (value <= bounds_[i]) {
-            bucket = i;
-            break;
-        }
-    }
+    // First bound >= value; past the end = the overflow bucket (NaN
+    // included, as no bound compares >= it).
+    const std::size_t bucket = static_cast<std::size_t>(
+        std::partition_point(bounds_.begin(), bounds_.end(),
+                             [value](double b) { return !(value <= b); }) -
+        bounds_.begin());
     buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     double cur = sum_.load(std::memory_order_relaxed);
@@ -89,8 +90,13 @@ Histogram::reset()
 std::vector<double>
 Histogram::default_latency_bounds_ms()
 {
-    return {0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000, 5000, 10000,
-            100000};
+    // 0.1 ms * 2^(k/4): four buckets per octave, so a quantile read
+    // off a bucket bound is within 19% of the true value, and a 2x
+    // change moves it by four buckets. k = 80 is 104.9 s.
+    std::vector<double> bounds;
+    for (int k = 0; k <= 80; ++k)
+        bounds.push_back(0.1 * std::exp2(k / 4.0));
+    return bounds;
 }
 
 Registry&

@@ -10,7 +10,7 @@
  *    Edmonds contractions...), never scheduling artifacts, so their
  *    totals are bit-identical for every RockConfig::threads value
  *    (tests/determinism_test.cc asserts this end to end).
- *  - Gauge: last-written double (worker counts, utilization). Not
+ *  - Gauge: last-written double (worker counts, memory). Not
  *    covered by the determinism contract.
  *  - Histogram: fixed upper-bound buckets + count + sum, for latency
  *    distributions. Not deterministic either (it observes wall time).
@@ -130,7 +130,8 @@ class Histogram {
     double sum() const;
     void reset();
 
-    /** Default latency bounds: 0.1ms .. ~100s, quasi-logarithmic. */
+    /** Default latency bounds: log-linear, four per octave from
+     *  0.1 ms to 104.9 s (81 bounds). */
     static std::vector<double> default_latency_bounds_ms();
 
   private:

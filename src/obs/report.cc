@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -68,6 +69,19 @@ current_rss_mb()
            (1024.0 * 1024.0);
 }
 
+double
+HistogramSnapshot::quantile(double q) const
+{
+    const double target = q * static_cast<double>(count);
+    double cumulative = 0.0;
+    for (std::size_t i = 0; i < bounds.size(); ++i) {
+        cumulative += static_cast<double>(counts[i]);
+        if (cumulative >= target)
+            return bounds[i];
+    }
+    return std::numeric_limits<double>::infinity();
+}
+
 MetricsReport
 MetricsReport::capture(const Registry& registry)
 {
@@ -80,6 +94,12 @@ MetricsReport::capture(const Registry& registry)
     const double rss = current_rss_mb();
     report.gauges["process.rss_mb"] = rss;
     report.gauges["process.peak_rss_mb"] = std::max(peak_rss_mb(), rss);
+    rusage usage{};
+    ::getrusage(RUSAGE_SELF, &usage);
+    report.gauges["process.voluntary_ctx_switches"] =
+        static_cast<double>(usage.ru_nvcsw);
+    report.gauges["process.involuntary_ctx_switches"] =
+        static_cast<double>(usage.ru_nivcsw);
     registry.visit_histograms(
         [&](const std::string& name, const std::vector<double>& bounds,
             const std::vector<std::uint64_t>& counts,

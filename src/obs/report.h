@@ -45,6 +45,13 @@ struct HistogramSnapshot {
     double sum = 0.0;
 
     bool operator==(const HistogramSnapshot&) const = default;
+
+    /**
+     * Quantile @p q: the upper bound of the first bucket at which the
+     * cumulative count reaches q * count; infinity when it lands in
+     * the overflow bucket (no finite bound covers it).
+     */
+    double quantile(double q) const;
 };
 
 /** Snapshot of everything observable. */
@@ -57,8 +64,9 @@ struct MetricsReport {
     bool operator==(const MetricsReport&) const = default;
 
     /** Snapshot @p registry (default: the global one) + span log,
-     *  plus the process memory gauges `process.peak_rss_mb` and
-     *  `process.rss_mb`. */
+     *  plus the process gauges `process.peak_rss_mb`,
+     *  `process.rss_mb`, `process.voluntary_ctx_switches` and
+     *  `process.involuntary_ctx_switches`. */
     static MetricsReport
     capture(const Registry& registry = Registry::global());
 

@@ -111,16 +111,15 @@ struct FamilyPlan {
 /** Everything one reconstruct() call shares between its stages. */
 struct RunContext {
     RunContext(const bir::BinaryImage& image_, const RockConfig& config_,
-               ReconstructionResult& result_)
-        : image(image_), config(config_), result(result_)
+               ReconstructionResult& result_, support::ThreadPool& pool_)
+        : image(image_), config(config_), result(result_), pool(pool_)
     {
     }
 
     const bir::BinaryImage& image;
     const RockConfig& config;
     ReconstructionResult& result;
-    const int threads = support::resolve_threads(config.threads);
-    support::ThreadPool pool{threads};
+    support::ThreadPool& pool;
 
     // Artifact cache (null when caching is off).
     std::shared_ptr<cache::ArtifactCache> store;
@@ -217,10 +216,8 @@ run_front_end(RunContext& ctx)
     }
 
     timing.analyze_ms = timed("pipeline.analyze", [&] {
-        analysis::SymExecConfig symexec = ctx.config.symexec;
-        symexec.threads = ctx.threads;
-        result.analysis =
-            analysis::analyze(ctx.image, symexec, cfgs, ctx.store);
+        result.analysis = analysis::analyze(
+            ctx.image, ctx.config.symexec, cfgs, ctx.store, ctx.pool);
     });
 
     timing.structural_ms = timed("pipeline.structural", [&] {
@@ -923,8 +920,16 @@ first_difference(const ReconstructionResult& a,
 ReconstructionResult
 reconstruct(const bir::BinaryImage& image, const RockConfig& config)
 {
+    support::ThreadPool pool(support::resolve_threads(config.threads));
+    return reconstruct(image, config, pool);
+}
+
+ReconstructionResult
+reconstruct(const bir::BinaryImage& image, const RockConfig& config,
+            support::ThreadPool& pool)
+{
     ReconstructionResult result;
-    RunContext ctx(image, config, result);
+    RunContext ctx(image, config, result, pool);
     // Every stage runs under a "pipeline.<stage>" span; StageTiming is
     // filled from this call's own spans only.
     obs::Span total_span("pipeline.reconstruct");
@@ -953,7 +958,7 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
     ROCK_LOG_INFO << "reconstruct: " << n << " types, "
                   << result.families.size() << " families ("
                   << result.ambiguous_families
-                  << " behaviorally resolved), " << ctx.threads
+                  << " behaviorally resolved), " << pool.size()
                   << " threads";
     return result;
 }

@@ -38,6 +38,10 @@ namespace rock::cache {
 class ArtifactCache;
 }
 
+namespace rock::support {
+class ThreadPool;
+}
+
 namespace rock::core {
 
 /** End-to-end configuration of a reconstruction. */
@@ -79,13 +83,16 @@ struct RockConfig {
      */
     double typeinf_discount = 0.25;
     /**
-     * Worker threads for every parallel stage (symbolic execution,
-     * SLM training, pairwise distances, per-family arborescences):
-     * 1 = serial (default), 0 = hardware concurrency, N = exactly N.
-     * Overrides symexec.threads for the analysis sweep. Work is
-     * partitioned deterministically and merged in index order, so the
-     * ReconstructionResult is bit-identical for every thread count
-     * (first_difference() below; enforced by tests/determinism_test.cc).
+     * Size of the one support::ThreadPool that reconstruct(image,
+     * config) builds and runs every parallel stage on (CFG recovery,
+     * verify, symbolic execution, typeinf, SLM training, pairwise
+     * distances, per-family arborescences): 1 = serial (default),
+     * 0 = hardware concurrency, N = exactly N. symexec.threads is not
+     * read, and reconstruct(image, config, pool) reads neither: the
+     * caller's pool decides. Work is partitioned deterministically and
+     * merged in index order, so the ReconstructionResult is
+     * bit-identical for every thread count (first_difference() below;
+     * enforced by tests/determinism_test.cc).
      */
     int threads = 1;
     /**
@@ -263,8 +270,19 @@ void majority_filter(std::vector<graph::Arborescence>& forests);
 
 } // namespace detail
 
-/** Run the full pipeline on @p image. */
+/** Run the full pipeline on @p image, on a pool of
+ *  resolve_threads(config.threads) built for this call. */
 ReconstructionResult reconstruct(const bir::BinaryImage& image,
                                  const RockConfig& config = {});
+
+/**
+ * Run the full pipeline on @p image with every stage on @p pool
+ * (config.threads is not read). Builds no thread of its own, so one
+ * pool can serve many calls, concurrent ones included, and a task
+ * running on @p pool may make the call (rockd does).
+ */
+ReconstructionResult reconstruct(const bir::BinaryImage& image,
+                                 const RockConfig& config,
+                                 support::ThreadPool& pool);
 
 } // namespace rock::core

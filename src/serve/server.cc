@@ -158,8 +158,17 @@ std::string
 submit_response_text(const bir::BinaryImage& image,
                      const core::RockConfig& config)
 {
+    support::ThreadPool pool(support::resolve_threads(config.threads));
+    return submit_response_text(image, config, pool);
+}
+
+std::string
+submit_response_text(const bir::BinaryImage& image,
+                     const core::RockConfig& config,
+                     support::ThreadPool& pool)
+{
     core::ReconstructionResult result =
-        core::reconstruct(image, config);
+        core::reconstruct(image, config, pool);
     core::Hierarchy hierarchy = result.hierarchy;
     // Same labels as tools/rockhier.cc: the symbol names the binary
     // retained (stripped images have none).
@@ -593,23 +602,16 @@ Server::process_wave(std::vector<Pending>& wave)
     }
 
     counters::batch_unique().add(groups.size());
-    std::vector<Group*> order;
-    order.reserve(groups.size());
-    for (auto& [key, group] : groups) {
-        (void)key;
-        order.push_back(&group);
-    }
-
-    auto compute = [&](Group& group, int threads) {
+    auto compute = [&](Group& group) {
         const Pending& leader = wave[group.members.front()];
         protocol::Response& response = group.response;
         try {
             bir::BinaryImage image =
                 bir::load_image(leader.payload);
             core::RockConfig config = options_.rock;
-            config.threads = threads;
             config.cache = cache_;
-            std::string text = submit_response_text(image, config);
+            std::string text =
+                submit_response_text(image, config, *pool_);
             response.payload.assign(text.begin(), text.end());
         } catch (const support::FatalError& e) {
             response.code = protocol::Code::BadImage;
@@ -622,26 +624,21 @@ Server::process_wave(std::vector<Pending>& wave)
         }
     };
 
-    // One behaviour per unique image: a singleton wave gets the whole
-    // pool inside reconstruct(); a multi-group wave shards groups
-    // across the pool as independent run_tasks nodes, each
-    // reconstructing serially (per-family chains still pipeline
-    // inside). Either schedule yields bit-identical bytes -- the
-    // determinism contract is thread-count independent.
-    if (order.size() == 1) {
-        compute(*order.front(), options_.threads);
-    } else {
-        std::vector<support::Task> tasks(order.size());
-        for (std::size_t g = 0; g < order.size(); ++g)
-            tasks[g].fn = [&, g] { compute(*order[g], 1); };
-        pool_->run_tasks(tasks);
-    }
+    // One behaviour per unique image: a task on the daemon's pool that
+    // reconstructs on the same pool, so a lone image's family chains
+    // get every thread and several images share them. Any schedule
+    // yields bit-identical bytes -- the determinism contract is
+    // thread-count independent.
+    std::vector<support::Task> tasks;
+    for (auto& [key, group] : groups)
+        tasks.push_back({[&compute, &group] { compute(group); }, {}});
+    pool_->run_tasks(tasks);
 
-    for (Group* group : order) {
-        if (group->response.ok() && group->members.size() > 1)
-            counters::dedup_hits().add(group->members.size() - 1);
-        for (std::size_t i : group->members) {
-            protocol::Response copy = group->response;
+    for (auto& [key, group] : groups) {
+        if (group.response.ok() && group.members.size() > 1)
+            counters::dedup_hits().add(group.members.size() - 1);
+        for (std::size_t i : group.members) {
+            protocol::Response copy = group.response;
             respond(wave[i], std::move(copy));
         }
     }

@@ -3,8 +3,8 @@
  * `rockd` -- the resident analysis service (ROADMAP item 2, second
  * half). A long-running daemon that accepts VMI images over a
  * unix-domain socket (protocol.h), batches small requests into
- * analysis waves, shards the wave's work across a support::ThreadPool
- * worker pool, and serves everything through a shared
+ * analysis waves, runs each wave on the daemon's one
+ * support::ThreadPool, and serves everything through a shared
  * cache::ArtifactCache so the triage-fleet traffic pattern -- many
  * users, mostly-duplicate submissions -- rides the warm paths
  * docs/CACHING.md measured at >= 5x.
@@ -12,11 +12,14 @@
  * Concurrency model (verona-bc behaviour-oriented scheduling is the
  * exemplar): every connection is a *task source* feeding one shared
  * request queue; the batcher turns queue prefixes into waves; each
- * unique image in a wave is one independent behaviour executed on the
- * worker pool; inside a behaviour, reconstruct()'s per-family
- * run_tasks chains keep each family a serialized chain. There is no
- * global barrier anywhere between connections -- only the wave's own
- * fan-out/fan-in.
+ * unique image in a wave is one task of a run_tasks graph on the
+ * daemon's pool, and that task reconstructs on the same pool, so
+ * reconstruct()'s per-family chains share the pool's threads with
+ * the wave's other images. Every wave runs this one way, whatever
+ * its size; the batcher runs a one-group wave's task itself and waits
+ * while the workers run its loops, and no thread is started per
+ * request. There is no global barrier anywhere between connections --
+ * only the wave's own fan-out/fan-in.
  *
  * Wave dedup: submissions are grouped by an FNV-1a hash of their
  * payload bytes; one reconstruction per group, identical response
@@ -61,10 +64,11 @@ namespace rock::serve {
 struct ServerOptions {
     /** Unix-domain socket path to bind (required). */
     std::string socket_path;
-    /** Worker pool size: 0 = hardware, 1 = serial, N = exactly N. */
+    /** Size of the daemon's one pool, which runs every wave and every
+     *  reconstruction in it: 0 = hardware, 1 = serial, N = exactly N. */
     int threads = 0;
-    /** Base pipeline configuration; `threads` and `cache` are
-     *  overridden per wave by the daemon. */
+    /** Base pipeline configuration. The daemon sets `cache` per wave
+     *  and never reads `threads`: reconstructions run on its pool. */
     core::RockConfig rock;
     /** Shared artifact store; null = a private in-memory store (the
      *  daemon always caches -- that is its point). */
@@ -109,10 +113,16 @@ struct ServerStatus {
  * the ASCII forest -- byte-for-byte what `rockhier IMAGE.vmi` prints
  * to stdout. Shared by the daemon, tests and the serve-differential
  * oracle so "bit-identical to a cold run" is one code path compared
- * against another process, not a reimplementation.
+ * against another process, not a reimplementation. Reconstructs on a
+ * pool of resolve_threads(config.threads).
  */
 std::string submit_response_text(const bir::BinaryImage& image,
                                  const core::RockConfig& config);
+
+/** As above, reconstructing on @p pool (config.threads is not read). */
+std::string submit_response_text(const bir::BinaryImage& image,
+                                 const core::RockConfig& config,
+                                 support::ThreadPool& pool);
 
 /**
  * The daemon. start() binds and spawns the acceptor/batcher/reader

@@ -1,7 +1,7 @@
 #include "support/parallel.h"
 
 #include <algorithm>
-#include <chrono>
+#include <exception>
 #include <queue>
 #include <stdexcept>
 
@@ -14,8 +14,8 @@ namespace {
 /**
  * Pool telemetry. Loop/item counts depend only on the call sequence,
  * never on the worker count, so they live in the deterministic
- * counter section; busy time and utilization are scheduling facts and
- * go to the timing section (docs/OBSERVABILITY.md).
+ * counter section; chunk counts and the pool size are scheduling
+ * facts and go to the timing section (docs/OBSERVABILITY.md).
  */
 struct PoolMetrics {
     obs::Counter& loops =
@@ -26,10 +26,6 @@ struct PoolMetrics {
         "threadpool.loop_chunks");
     obs::Gauge& workers =
         obs::Registry::global().gauge("threadpool.workers");
-    obs::Gauge& utilization =
-        obs::Registry::global().gauge("threadpool.utilization");
-    obs::Histogram& busy_ms = obs::Registry::global().histogram(
-        "threadpool.worker_busy_ms");
 };
 
 PoolMetrics&
@@ -39,12 +35,8 @@ pool_metrics()
     return m;
 }
 
-double
-ms_between(std::chrono::steady_clock::time_point a,
-           std::chrono::steady_clock::time_point b)
-{
-    return std::chrono::duration<double, std::milli>(b - a).count();
-}
+/** The pool whose worker_loop() this thread runs (null elsewhere). */
+thread_local const ThreadPool* current_pool = nullptr;
 
 } // namespace
 
@@ -110,14 +102,42 @@ plan_chunks(std::size_t count, std::size_t workers,
     return chunks;
 }
 
-ThreadPool::ThreadPool(int threads)
+/** One registered run_tasks() graph. Every field but `tasks` is
+ *  guarded by the pool's mutex_. */
+struct ThreadPool::Graph {
+    explicit Graph(std::vector<Task>& tasks_)
+        : tasks(tasks_), pending(tasks_.size(), 0),
+          dependents(tasks_.size()), remaining(tasks_.size())
+    {
+    }
+
+    std::vector<Task>& tasks;
+    /** Per task: deps not yet finished. */
+    std::vector<std::size_t> pending;
+    std::vector<std::vector<std::size_t>> dependents;
+    /** Lowest index first: a valid topological order that is also the
+     *  one fixed serial schedule of the size-1 pool. */
+    std::priority_queue<std::size_t, std::vector<std::size_t>,
+                        std::greater<std::size_t>>
+        ready;
+    /** Tasks neither finished nor cancelled. */
+    std::size_t remaining;
+    /** Tasks some thread is running right now. */
+    std::size_t running = 0;
+    /** The registering caller runs ready tasks while it waits. */
+    bool caller_runs = false;
+    /** The first exception; once set, ready tasks are cancelled. */
+    std::exception_ptr error;
+    /** Wakes the registering caller: a task became ready (when it runs
+     *  tasks), or the graph drained or stalled. */
+    std::condition_variable wake;
+};
+
+ThreadPool::ThreadPool(int threads) : size_(std::max(1, threads))
 {
-    int n = std::max(1, threads);
-    if (n == 1)
-        return;
-    num_workers_ = static_cast<std::size_t>(n);
-    workers_.reserve(static_cast<std::size_t>(n));
-    for (int w = 0; w < n; ++w)
+    const int workers = size_ > 1 ? size_ : 0;
+    workers_.reserve(static_cast<std::size_t>(workers));
+    for (int w = 0; w < workers; ++w)
         workers_.emplace_back([this] { worker_loop(); });
 }
 
@@ -135,38 +155,112 @@ ThreadPool::~ThreadPool()
 int
 ThreadPool::size() const
 {
-    return static_cast<int>(num_workers_);
+    return size_;
 }
 
 void
-ThreadPool::run_generation(const std::vector<Chunk>& chunks,
-                           const std::function<void(std::size_t)>& body)
+ThreadPool::wake_workers(std::size_t n)
 {
-    PoolMetrics& metrics = pool_metrics();
-    auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t k = 0; k < std::min(n, workers_.size()); ++k)
+        work_cv_.notify_one();
+}
+
+void
+ThreadPool::run_ready(Graph& graph, std::unique_lock<std::mutex>& lock)
+{
+    const std::size_t t = graph.ready.top();
+    graph.ready.pop();
+    if (!graph.error) {
+        ++graph.running;
+        lock.unlock();
+        std::exception_ptr error;
+        try {
+            graph.tasks[t].fn();
+        } catch (...) {
+            error = std::current_exception();
+        }
+        lock.lock();
+        --graph.running;
+        if (error && !graph.error)
+            graph.error = error;
+    }
+    --graph.remaining;
+    std::size_t released = 0;
+    for (std::size_t d : graph.dependents[t]) {
+        if (--graph.pending[d] == 0) {
+            graph.ready.push(d);
+            ++released;
+        }
+    }
+    // This thread goes on to take one ready task itself; the caller
+    // waiting on the graph needs to hear of new work it may run, the
+    // end, or a stall it must diagnose. Notified under the lock: the
+    // graph dies as soon as its caller sees it drained.
+    if ((released > 0 && graph.caller_runs) ||
+        (graph.running == 0 && graph.ready.empty()))
+        graph.wake.notify_one();
+    if (released > 1)
+        wake_workers(released - 1);
+}
+
+void
+ThreadPool::execute(std::vector<Task>& tasks)
+{
+    if (tasks.empty())
+        return;
+    Graph graph(tasks);
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        for (std::size_t d : tasks[i].deps) {
+            if (d >= tasks.size()) {
+                throw std::runtime_error(
+                    "run_tasks: dependency index out of range");
+            }
+            graph.dependents[d].push_back(i);
+            ++graph.pending[i];
+        }
+    }
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        if (graph.pending[i] == 0)
+            graph.ready.push(i);
+    }
+
+    // A worker must run its own nested graph (if every worker only
+    // waited, no thread would be left to run it), a pool without
+    // workers runs everything on the caller, and a one-task graph
+    // needs no other thread. An outside caller of a larger graph only
+    // waits: when the thread that runs a reconstruction's serial
+    // stages also ran a share of every loop, warm rockd requests at 2
+    // workers were about 8% slower (DESIGN.md 5.1).
+    graph.caller_runs = current_pool == this || workers_.empty() ||
+                        tasks.size() == 1;
     std::unique_lock<std::mutex> lock(mutex_);
-    body_ = &body;
-    chunks_ = &chunks;
-    next_chunk_.store(0, std::memory_order_relaxed);
-    error_ = nullptr;
-    busy_ms_accum_ = 0.0;
-    active_ = num_workers_;
-    ++generation_;
-    work_cv_.notify_all();
-    done_cv_.wait(lock, [this] { return active_ == 0; });
-    body_ = nullptr;
-    chunks_ = nullptr;
-    double wall = ms_between(t0, std::chrono::steady_clock::now());
-    if (wall > 0.0) {
-        metrics.utilization.set(
-            busy_ms_accum_ /
-            (wall * static_cast<double>(num_workers_)));
+    graphs_.push_back(&graph);
+    std::size_t for_workers = graph.ready.size();
+    if (graph.caller_runs && for_workers > 0)
+        --for_workers; // the caller takes the first ready task itself
+    wake_workers(for_workers);
+    for (;;) {
+        if (graph.caller_runs && !graph.ready.empty()) {
+            run_ready(graph, lock);
+            continue;
+        }
+        if (graph.remaining == 0)
+            break;
+        if (graph.running == 0 && graph.ready.empty()) {
+            // Tasks left, none ready and none running: the graph
+            // cannot make progress (dependency cycle).
+            if (!graph.error) {
+                graph.error = std::make_exception_ptr(std::runtime_error(
+                    "run_tasks: unsatisfiable dependencies"));
+            }
+            break;
+        }
+        graph.wake.wait(lock);
     }
-    if (error_) {
-        std::exception_ptr err = error_;
-        error_ = nullptr;
-        std::rethrow_exception(err);
-    }
+    graphs_.erase(std::find(graphs_.begin(), graphs_.end(), &graph));
+    lock.unlock();
+    if (graph.error)
+        std::rethrow_exception(graph.error);
 }
 
 void
@@ -176,28 +270,23 @@ ThreadPool::parallel_for(std::size_t count, const ChunkPlan& plan,
     PoolMetrics& metrics = pool_metrics();
     metrics.loops.add();
     metrics.items.add(count);
-    metrics.workers.set(static_cast<double>(num_workers_));
-
-    std::vector<Chunk> chunks = plan_chunks(count, num_workers_, plan);
+    metrics.workers.set(size_);
+    const std::vector<Chunk> chunks =
+        plan_chunks(count, static_cast<std::size_t>(size_), plan);
     // Chunk counts depend on the pool size, so they live in the
     // timing (non-gated) section as a histogram, not a counter.
     metrics.chunks.observe(static_cast<double>(chunks.size()));
-
-    if (workers_.empty() || chunks.size() < 2) {
-        // Inline: chunks in index order == the plain serial loop.
-        auto t0 = std::chrono::steady_clock::now();
-        for (const Chunk& c : chunks) {
-            for (std::size_t i = c.begin; i < c.end; ++i)
-                body(i);
-        }
-        double busy =
-            ms_between(t0, std::chrono::steady_clock::now());
-        metrics.busy_ms.observe(busy);
-        metrics.utilization.set(1.0);
-        return;
+    std::vector<Task> tasks;
+    tasks.reserve(chunks.size());
+    for (const Chunk& chunk : chunks) {
+        tasks.push_back({[&body, &chunk] {
+                             for (std::size_t i = chunk.begin;
+                                  i < chunk.end; ++i)
+                                 body(i);
+                         },
+                         {}});
     }
-
-    run_generation(chunks, body);
+    execute(tasks);
 }
 
 void
@@ -206,176 +295,26 @@ ThreadPool::run_tasks(std::vector<Task>& tasks)
     PoolMetrics& metrics = pool_metrics();
     metrics.loops.add();
     metrics.items.add(tasks.size());
-    metrics.workers.set(static_cast<double>(num_workers_));
-    if (tasks.empty())
-        return;
-
-    const std::size_t n = tasks.size();
-    std::vector<std::size_t> pending(n, 0);
-    std::vector<std::vector<std::size_t>> dependents(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t d : tasks[i].deps) {
-            if (d >= n) {
-                throw std::runtime_error(
-                    "run_tasks: dependency index out of range");
-            }
-            dependents[d].push_back(i);
-            ++pending[i];
-        }
-    }
-
-    // Lowest ready index first: a valid topological order that is
-    // also the one fixed serial schedule of the size-1 pool.
-    std::priority_queue<std::size_t, std::vector<std::size_t>,
-                        std::greater<std::size_t>>
-        ready;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (pending[i] == 0)
-            ready.push(i);
-    }
-
-    std::size_t remaining = n;
-    std::exception_ptr first_error;
-    bool cancelled = false;
-
-    auto finish_task = [&](std::size_t t) {
-        --remaining;
-        for (std::size_t dep : dependents[t]) {
-            if (--pending[dep] == 0)
-                ready.push(dep);
-        }
-    };
-
-    if (workers_.empty() || n < 2) {
-        auto t0 = std::chrono::steady_clock::now();
-        while (remaining > 0) {
-            if (ready.empty())
-                throw std::runtime_error(
-                    "run_tasks: unsatisfiable dependencies");
-            std::size_t t = ready.top();
-            ready.pop();
-            if (!cancelled) {
-                try {
-                    tasks[t].fn();
-                } catch (...) {
-                    if (!first_error)
-                        first_error = std::current_exception();
-                    cancelled = true;
-                }
-            }
-            finish_task(t);
-        }
-        metrics.busy_ms.observe(
-            ms_between(t0, std::chrono::steady_clock::now()));
-        metrics.utilization.set(1.0);
-        if (first_error)
-            std::rethrow_exception(first_error);
-        return;
-    }
-
-    std::mutex m;
-    std::condition_variable cv;
-    std::size_t running = 0;
-    std::function<void(std::size_t)> body = [&](std::size_t) {
-        std::unique_lock<std::mutex> lock(m);
-        for (;;) {
-            while (ready.empty() && remaining > 0 && running > 0)
-                cv.wait(lock);
-            if (remaining == 0) {
-                cv.notify_all();
-                return;
-            }
-            if (ready.empty()) {
-                // No runnable task, none in flight, work left: the
-                // graph cannot make progress (dependency cycle).
-                if (!first_error) {
-                    first_error =
-                        std::make_exception_ptr(std::runtime_error(
-                            "run_tasks: unsatisfiable dependencies"));
-                }
-                cancelled = true;
-                remaining = 0;
-                cv.notify_all();
-                return;
-            }
-            std::size_t t = ready.top();
-            ready.pop();
-            ++running;
-            bool skip = cancelled;
-            lock.unlock();
-            if (!skip) {
-                try {
-                    tasks[t].fn();
-                } catch (...) {
-                    lock.lock();
-                    if (!first_error)
-                        first_error = std::current_exception();
-                    cancelled = true;
-                    lock.unlock();
-                }
-            }
-            lock.lock();
-            --running;
-            finish_task(t);
-            if (remaining == 0 || !ready.empty())
-                cv.notify_all();
-        }
-    };
-    // One chunk per worker: each runs the claim loop above once.
-    std::vector<Chunk> per_worker;
-    for (std::size_t w = 0; w < num_workers_; ++w)
-        per_worker.push_back({w, w + 1});
-    run_generation(per_worker, body);
-    if (first_error)
-        std::rethrow_exception(first_error);
+    metrics.workers.set(size_);
+    execute(tasks);
 }
 
 void
 ThreadPool::worker_loop()
 {
-    std::size_t seen_generation = 0;
+    current_pool = this;
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        const std::function<void(std::size_t)>* body;
-        const std::vector<Chunk>* chunks;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            work_cv_.wait(lock, [&] {
-                return stop_ || generation_ != seen_generation;
-            });
-            if (stop_)
-                return;
-            seen_generation = generation_;
-            body = body_;
-            chunks = chunks_;
+        auto oldest = std::find_if(
+            graphs_.begin(), graphs_.end(),
+            [](const Graph* graph) { return !graph->ready.empty(); });
+        if (oldest != graphs_.end()) {
+            run_ready(**oldest, lock);
+            continue;
         }
-        auto t0 = std::chrono::steady_clock::now();
-        try {
-            // Idle workers claim the next unstarted chunk. Placement
-            // depends on scheduling; per-item effects never do
-            // (slot-confined writes).
-            for (;;) {
-                std::size_t c =
-                    next_chunk_.fetch_add(1, std::memory_order_relaxed);
-                if (c >= chunks->size())
-                    break;
-                const Chunk& chunk = (*chunks)[c];
-                for (std::size_t i = chunk.begin; i < chunk.end; ++i)
-                    (*body)(i);
-            }
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (!error_)
-                error_ = std::current_exception();
-        }
-        double busy =
-            ms_between(t0, std::chrono::steady_clock::now());
-        pool_metrics().busy_ms.observe(busy);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            busy_ms_accum_ += busy;
-            if (--active_ == 0)
-                done_cv_.notify_all();
-        }
+        if (stop_)
+            return;
+        work_cv_.wait(lock);
     }
 }
 

@@ -9,18 +9,26 @@
  * families). This header provides the one concurrency primitive the
  * code base uses:
  *
- *  - ThreadPool: a small fixed-size pool of workers that executes
- *    index-space loops (`parallel_for`) and task graphs
- *    (`run_tasks`). A pool of size 1 runs the loop inline on the
- *    caller, making the serial path *exactly* the code the parallel
- *    path runs.
+ *  - ThreadPool: one executor for dependency graphs of tasks
+ *    (`run_tasks`). An index-space loop (`parallel_for`) is such a
+ *    graph: one independent task per cost-planned chunk. A pool of
+ *    size N > 1 owns N worker threads that run every graph; a worker
+ *    that calls run_tasks or parallel_for runs its own graph's ready
+ *    tasks while it waits, so a task may call them on the pool that
+ *    runs it. Several threads may share one pool. A pool of size 1
+ *    owns no worker and runs every task inline on its caller, making
+ *    the serial path *exactly* the code the parallel path runs.
  *
- * There is one scheduling mode, cost-aware dynamic chunks: the index
- * space is pre-partitioned into contiguous chunks of roughly equal
- * *cost* (per-item costs supplied by the caller, e.g. instruction
- * counts; uniform when none are given), and idle workers claim the
- * next unstarted chunk from a shared atomic cursor -- cheap work
- * stealing at chunk granularity, so one expensive item cannot
+ * Scheduling: every graph registers with the pool until it drains.
+ * An idle worker takes the lowest-index ready task of the oldest
+ * registered graph. A caller runs its own graph's ready tasks, lowest
+ * index first, when it is a worker, when the pool has none, or when
+ * the graph is a single task; any other caller only waits, so the
+ * thread that runs a reconstruction's serial stages does not also
+ * run a share of its loops (measured slower, DESIGN.md 5.1). Loops
+ * are pre-partitioned into contiguous chunks of roughly equal *cost*
+ * (per-item costs supplied by the caller, e.g. instruction counts;
+ * uniform when none are given), so one expensive item cannot
  * serialize the tail of the loop.
  *
  * Determinism contract: every item writes only its own
@@ -32,11 +40,9 @@
  */
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -52,7 +58,7 @@ namespace rock::support {
 int resolve_threads(int threads);
 
 /**
- * How to carve an index space into dynamically scheduled chunks.
+ * How to carve an index space into chunks.
  * Pass to ThreadPool::parallel_for(count, plan, body).
  */
 struct ChunkPlan {
@@ -98,19 +104,19 @@ std::vector<Chunk> plan_chunks(std::size_t count, std::size_t workers,
                                const ChunkPlan& plan);
 
 /**
- * Fixed-size worker pool for index-space loops.
- *
- * One pool can serve many parallel_for calls (the pipeline reuses a
- * single pool across all its stages); calls are serialized -- the
- * pool runs one loop at a time and parallel_for blocks until the
- * whole index space is done.
+ * Fixed-size task executor. Any number of threads may call
+ * parallel_for and run_tasks on one pool at once, tasks included:
+ * each call blocks until its own graph has drained. A call made by
+ * one of the pool's workers runs that graph's ready tasks meanwhile,
+ * so nested calls cannot deadlock.
  */
 class ThreadPool {
   public:
     /**
-     * @param threads  resolved worker count (see resolve_threads());
-     *                 <= 1 creates no worker threads and runs every
-     *                 loop inline on the calling thread.
+     * @param threads  resolved thread count (see resolve_threads());
+     *                 the pool starts that many workers when it is
+     *                 > 1, and none otherwise: then every task runs
+     *                 inline on the calling thread.
      */
     explicit ThreadPool(int threads);
     ~ThreadPool();
@@ -118,28 +124,29 @@ class ThreadPool {
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    /** Number of threads that execute loop bodies (>= 1). */
+    /** Threads that run the pool's tasks: its workers, or the caller
+     *  alone when it has none (>= 1). */
     int size() const;
 
     /**
-     * Run @p body(i) for every i in [0, count) over cost-balanced
-     * chunks claimed dynamically by idle workers, and block until all
-     * of them finish. The first exception thrown by any body is
-     * rethrown on the caller after the loop has quiesced; a worker
-     * that throws abandons the remainder of its current chunk but
-     * other chunks still run. A pool of size 1 executes the chunks
-     * in index order inline -- the exact serial instruction stream.
+     * Run @p body(i) for every i in [0, count): one independent task
+     * per chunk of plan_chunks(count, size(), plan), run as a
+     * run_tasks() graph, so a pool of size 1 executes the chunks in
+     * index order inline -- the exact serial instruction stream. The
+     * first exception thrown by a body abandons the rest of its chunk,
+     * cancels the chunks not yet started and is rethrown here once
+     * the running ones finish.
      */
     void parallel_for(std::size_t count, const ChunkPlan& plan,
                       const std::function<void(std::size_t)>& body);
 
     /**
      * Execute a dependency DAG of tasks: each task runs after all of
-     * its deps, idle workers claim whatever is ready (lowest index
-     * first), and the call blocks until the whole graph has drained.
-     * This is the per-family stage-pipelining primitive: independent
-     * chains (one per family) flow through the pool concurrently with
-     * no global barrier between pipeline stages.
+     * its deps, ready tasks run lowest index first, and the call
+     * blocks until the whole graph has drained. This is the
+     * per-family stage-pipelining primitive: independent chains (one
+     * per family) flow through the pool concurrently with no global
+     * barrier between pipeline stages.
      *
      * Determinism contract: like parallel_for, each task must write
      * only its own slots; the task *count* and graph shape must not
@@ -156,31 +163,28 @@ class ThreadPool {
     void run_tasks(std::vector<Task>& tasks);
 
   private:
+    struct Graph;
+
+    /** Register @p tasks as a graph, run it, rethrow its error. */
+    void execute(std::vector<Task>& tasks);
+    /** Run (or cancel) the lowest ready task of @p graph; @p lock
+     *  holds mutex_ and is released while the task runs. */
+    void run_ready(Graph& graph, std::unique_lock<std::mutex>& lock);
+    /** Wake up to @p n idle workers. */
+    void wake_workers(std::size_t n);
     void worker_loop();
-    void run_generation(const std::vector<Chunk>& chunks,
-                        const std::function<void(std::size_t)>& body);
 
-    /** Worker count fixed before any thread starts (1 = inline). */
-    std::size_t num_workers_ = 1;
-    std::vector<std::thread> workers_;
-
+    int size_ = 1;
     std::mutex mutex_;
+    /** Signals idle workers that a registered graph has ready tasks
+     *  (or that the pool is stopping). */
     std::condition_variable work_cv_;
-    std::condition_variable done_cv_;
-    /** Incremented per parallel_for call; wakes the workers. */
-    std::size_t generation_ = 0;
-    /** Workers still running the current generation. */
-    std::size_t active_ = 0;
-    const std::function<void(std::size_t)>* body_ = nullptr;
-    /** Chunks of the current generation. */
-    const std::vector<Chunk>* chunks_ = nullptr;
-    /** Next unclaimed chunk index of the current generation. */
-    std::atomic<std::size_t> next_chunk_{0};
-    std::exception_ptr error_;
-    /** Worker busy-ms summed over the current generation (feeds the
-     *  `threadpool.utilization` gauge; see src/obs). */
-    double busy_ms_accum_ = 0.0;
+    /** Graphs with tasks left, oldest first; each lives on the stack
+     *  of the call that registered it. */
+    std::vector<Graph*> graphs_;
     bool stop_ = false;
+    /** Last: the workers use every member above. */
+    std::vector<std::thread> workers_;
 };
 
 } // namespace rock::support

@@ -19,6 +19,7 @@
 #include "corpus/generator.h"
 #include "obs/metrics.h"
 #include "rock/pipeline.h"
+#include "support/parallel.h"
 #include "toyc/compiler.h"
 
 namespace {
@@ -184,6 +185,50 @@ TEST(Determinism, StageTimingPopulatedForEveryStage)
         EXPECT_GE(result.timing.total_ms,
                   result.timing.analyze_ms +
                       result.timing.structural_ms);
+    }
+}
+
+TEST(Determinism, SharedPoolReusedAndCalledFromItsOwnTasks)
+{
+    // rockd's shape: one pool serves every reconstruct() call, reused
+    // across calls and entered from tasks already running on it.
+    corpus::CorpusProgram smoothing =
+        corpus::benchmark_by_name("Smoothing").program;
+    corpus::GeneratorSpec spec;
+    spec.num_classes = 40;
+    spec.num_trees = 3;
+    spec.max_depth = 4;
+    spec.scenarios_per_class = 2;
+    spec.fold_noise_pairs = 2;
+    spec.mi_prob = 0.1;
+    spec.seed = 7;
+    const std::vector<toyc::CompileResult> compiled = {
+        toyc::compile(smoothing.program, smoothing.options),
+        toyc::compile(corpus::generate_program(spec))};
+    const RockConfig config;
+    std::vector<ReconstructionResult> reference;
+    for (const toyc::CompileResult& c : compiled)
+        reference.push_back(reconstruct(c.image, config));
+
+    for (int threads : {2, 4}) {
+        SCOPED_TRACE(threads);
+        support::ThreadPool pool(threads);
+        for (std::size_t i = 0; i < compiled.size(); ++i) {
+            EXPECT_EQ(first_difference(
+                          reference[i],
+                          reconstruct(compiled[i].image, config, pool)),
+                      "");
+        }
+        std::vector<ReconstructionResult> nested(compiled.size());
+        std::vector<support::Task> tasks(compiled.size());
+        for (std::size_t i = 0; i < compiled.size(); ++i) {
+            tasks[i].fn = [&, i] {
+                nested[i] = reconstruct(compiled[i].image, config, pool);
+            };
+        }
+        pool.run_tasks(tasks);
+        for (std::size_t i = 0; i < compiled.size(); ++i)
+            EXPECT_EQ(first_difference(reference[i], nested[i]), "");
     }
 }
 

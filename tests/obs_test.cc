@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 #include <stdexcept>
 #include <thread>
@@ -90,6 +91,32 @@ TEST(Metrics, HistogramBucketBoundaries)
     EXPECT_EQ(h.count(), 6u);
     EXPECT_NEAR(h.sum(), 0.5 + 1.0 + 1.001 + 10.0 + 99.9 + 100.1,
                 1e-9);
+}
+
+TEST(Metrics, DefaultLatencyBucketsSeparateATwofoldChange)
+{
+    // Four buckets per octave from 0.1 ms to past 100 s: requests of
+    // 1.2 s and of 2.4 s report different p50s, each within one
+    // bucket (19%) of the truth.
+    const std::vector<double> bounds =
+        obs::Histogram::default_latency_bounds_ms();
+    EXPECT_LE(bounds.front(), 0.1);
+    EXPECT_GE(bounds.back(), 100000.0);
+    auto p50_of = [&](double ms) {
+        obs::Histogram h(bounds);
+        for (int i = 0; i < 5; ++i)
+            h.observe(ms);
+        return obs::HistogramSnapshot{h.bounds(), h.counts(), h.count(),
+                                      h.sum()}
+            .quantile(0.5);
+    };
+    const double fast = p50_of(1200.0);
+    const double slow = p50_of(2400.0);
+    EXPECT_GE(fast, 1200.0);
+    EXPECT_LT(fast, 1200.0 * 1.19);
+    EXPECT_GE(slow, 2400.0);
+    EXPECT_LT(slow, 2400.0 * 1.19);
+    EXPECT_NE(fast, slow);
 }
 
 TEST(Metrics, HistogramRejectsNonIncreasingBounds)
@@ -192,6 +219,13 @@ TEST(Report, CaptureRecordsProcessMemory)
     EXPECT_GT(peak, 0.0);
     EXPECT_GE(peak, now);
     EXPECT_GT(ballast[ballast.size() - 1], 0);
+    // Context switches sit next to memory; sleeping blocks this
+    // thread, a voluntary switch.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    report = obs::MetricsReport::capture();
+    ASSERT_TRUE(report.gauges.count("process.voluntary_ctx_switches"));
+    ASSERT_TRUE(report.gauges.count("process.involuntary_ctx_switches"));
+    EXPECT_GT(report.gauges.at("process.voluntary_ctx_switches"), 0.0);
 }
 
 TEST(Report, FromJsonRejectsWrongSchemaAndGarbage)

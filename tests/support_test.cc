@@ -8,8 +8,10 @@
 #include <atomic>
 #include <cstring>
 #include <numeric>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "support/error.h"
@@ -492,9 +494,263 @@ TEST(Parallel, ChunkedExceptionPropagates)
                                    }),
                  std::runtime_error);
     // The pool survives for the next loop.
-    int calls = 0;
+    std::atomic<int> calls{0};
     pool.parallel_for(4, plan, [&](std::size_t) { ++calls; });
-    EXPECT_EQ(calls, 4);
+    EXPECT_EQ(calls.load(), 4);
+}
+
+// ---------------------------------------------------------------------
+// run_tasks: the pool's one executor
+// ---------------------------------------------------------------------
+
+TEST(RunTasks, DependenciesAreRespected)
+{
+    // A random DAG whose edges point both up and down the index space:
+    // every task must start after all of its deps have finished.
+    const std::size_t n = 120;
+    Rng rng(31);
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    for (std::size_t i = n; i > 1; --i)
+        std::swap(order[i - 1],
+                  order[static_cast<std::size_t>(
+                      rng.uniform(0, static_cast<int>(i) - 1))]);
+    for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE(threads);
+        ThreadPool pool(threads);
+        std::vector<std::atomic<bool>> done(n);
+        std::vector<std::atomic<int>> runs(n);
+        std::atomic<int> violations{0};
+        std::vector<Task> tasks(n);
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::size_t t = order[k];
+            for (int e = 0; e < 3 && k > 0; ++e)
+                tasks[t].deps.push_back(order[static_cast<std::size_t>(
+                    rng.uniform(0, static_cast<int>(k) - 1))]);
+            tasks[t].fn = [&, t] {
+                for (std::size_t d : tasks[t].deps) {
+                    if (!done[d].load())
+                        ++violations;
+                }
+                ++runs[t];
+                done[t].store(true);
+            };
+        }
+        pool.run_tasks(tasks);
+        EXPECT_EQ(violations.load(), 0);
+        for (const auto& r : runs)
+            EXPECT_EQ(r.load(), 1);
+    }
+}
+
+TEST(RunTasks, InlinePoolRunsReadyTasksInAscendingOrder)
+{
+    // Ready set {1, 3, 5} at the start; 1 releases 2, 3 releases 0,
+    // 0 releases 4. Lowest ready index first gives 1 2 3 0 4 5, all on
+    // the calling thread.
+    ThreadPool pool(1);
+    std::vector<std::size_t> ran;
+    std::set<std::thread::id> threads;
+    std::vector<Task> tasks(6);
+    const std::vector<std::vector<std::size_t>> deps = {
+        {3}, {}, {1}, {}, {0}, {}};
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+        tasks[t].deps = deps[t];
+        tasks[t].fn = [&, t] {
+            ran.push_back(t);
+            threads.insert(std::this_thread::get_id());
+        };
+    }
+    pool.run_tasks(tasks);
+    EXPECT_EQ(ran, (std::vector<std::size_t>{1, 2, 3, 0, 4, 5}));
+    EXPECT_EQ(threads, std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(RunTasks, FirstExceptionCancelsUnstartedTasksAndIsRethrown)
+{
+    {
+        // Inline: task 0 throws first, so the independent task 1 that
+        // would throw a second error never starts.
+        ThreadPool pool(1);
+        int later = 0;
+        std::vector<Task> tasks(4);
+        tasks[0].fn = [] { throw std::runtime_error("first"); };
+        tasks[1].fn = [] { throw std::runtime_error("second"); };
+        tasks[2].fn = [&] { ++later; };
+        tasks[3].fn = [&] { ++later; };
+        try {
+            pool.run_tasks(tasks);
+            ADD_FAILURE() << "run_tasks did not throw";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "first");
+        }
+        EXPECT_EQ(later, 0);
+    }
+    for (int threads : {2, 4}) {
+        // Every other task depends on the throwing one, so none of
+        // them may start at any pool size; the pool stays usable.
+        SCOPED_TRACE(threads);
+        ThreadPool pool(threads);
+        std::atomic<int> ran{0};
+        std::vector<Task> tasks(16);
+        tasks[0].fn = [] { throw std::logic_error("root"); };
+        for (std::size_t t = 1; t < tasks.size(); ++t) {
+            tasks[t].deps = {0};
+            tasks[t].fn = [&] { ++ran; };
+        }
+        EXPECT_THROW(pool.run_tasks(tasks), std::logic_error);
+        EXPECT_EQ(ran.load(), 0);
+        std::atomic<int> after{0};
+        pool.parallel_for(10, ChunkPlan{}, [&](std::size_t) { ++after; });
+        EXPECT_EQ(after.load(), 10);
+    }
+}
+
+TEST(RunTasks, UnsatisfiableDependenciesThrowWithoutHanging)
+{
+    for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE(threads);
+        ThreadPool pool(threads);
+        std::atomic<int> ran{0};
+        // 0 and 1 wait on each other, 2 on itself; 3 is free to run.
+        std::vector<Task> cycle(4);
+        cycle[0].deps = {1};
+        cycle[1].deps = {0};
+        cycle[2].deps = {2};
+        for (Task& task : cycle)
+            task.fn = [&] { ++ran; };
+        EXPECT_THROW(pool.run_tasks(cycle), std::runtime_error);
+        EXPECT_EQ(ran.load(), 1);
+
+        std::vector<Task> out_of_range(3);
+        out_of_range[1].deps = {3};
+        for (Task& task : out_of_range)
+            task.fn = [&] { ++ran; };
+        EXPECT_THROW(pool.run_tasks(out_of_range), std::runtime_error);
+        EXPECT_EQ(ran.load(), 1); // rejected before any task starts
+    }
+}
+
+TEST(RunTasks, TasksMayCallTheirOwnPool)
+{
+    // Nested parallel_for and run_tasks calls on the pool that runs
+    // the task: a waiting worker runs its own graph, so the calls
+    // finish even when every thread of the pool is inside one.
+    for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE(threads);
+        ThreadPool pool(threads);
+        std::atomic<long> sum{0};
+        std::vector<Task> outer(8);
+        for (std::size_t t = 0; t < outer.size(); ++t) {
+            if (t >= 2)
+                outer[t].deps = {t - 2}; // two interleaved chains
+            outer[t].fn = [&] {
+                pool.parallel_for(50, ChunkPlan{}, [&](std::size_t i) {
+                    sum += static_cast<long>(i);
+                });
+                std::vector<Task> chain(3);
+                for (std::size_t c = 0; c < chain.size(); ++c) {
+                    if (c > 0)
+                        chain[c].deps = {c - 1};
+                    chain[c].fn = [&] { sum += 1000; };
+                }
+                pool.run_tasks(chain);
+            };
+        }
+        pool.run_tasks(outer);
+        EXPECT_EQ(sum.load(), 8 * (49 * 50 / 2 + 3000));
+    }
+
+    // A size-2 pool (one worker plus the caller) whose four tasks all
+    // block in nested loops, two levels deep.
+    ThreadPool pool(2);
+    std::atomic<int> leaves{0};
+    std::vector<Task> tasks(4);
+    for (Task& task : tasks) {
+        task.fn = [&] {
+            pool.parallel_for(16, ChunkPlan{}, [&](std::size_t) {
+                std::vector<Task> inner(2);
+                for (Task& leaf : inner)
+                    leaf.fn = [&] { ++leaves; };
+                pool.run_tasks(inner);
+            });
+        };
+    }
+    pool.run_tasks(tasks);
+    EXPECT_EQ(leaves.load(), 4 * 16 * 2);
+}
+
+TEST(RunTasks, PoolRunsOnAtMostSizeThreads)
+{
+    // N workers, or the caller alone at size 1: a pool of size N
+    // never runs a task on more than N threads, nested calls included.
+    for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE(threads);
+        ThreadPool pool(threads);
+        std::mutex mutex;
+        std::set<std::thread::id> seen;
+        auto note = [&] {
+            std::lock_guard<std::mutex> lock(mutex);
+            seen.insert(std::this_thread::get_id());
+        };
+        pool.parallel_for(64, ChunkPlan{}, [&](std::size_t) {
+            note();
+            pool.parallel_for(8, ChunkPlan{}, [&](std::size_t) { note(); });
+        });
+        EXPECT_LE(seen.size(), static_cast<std::size_t>(threads));
+    }
+}
+
+TEST(RunTasks, OutsideCallerRunsOnlyAOneTaskGraph)
+{
+    // The workers run a larger graph while its outside caller waits; a
+    // one-task graph runs on its caller, and a loop that task starts
+    // still finishes on the workers.
+    ThreadPool pool(2);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::mutex mutex;
+    std::set<std::thread::id> seen;
+    std::vector<Task> tasks(8);
+    for (Task& task : tasks) {
+        task.fn = [&] {
+            std::lock_guard<std::mutex> lock(mutex);
+            seen.insert(std::this_thread::get_id());
+        };
+    }
+    pool.run_tasks(tasks);
+    EXPECT_EQ(seen.count(caller), 0u);
+    EXPECT_LE(seen.size(), 2u);
+
+    std::thread::id ran_on;
+    std::atomic<int> items{0};
+    std::vector<Task> one(1);
+    one[0].fn = [&] {
+        ran_on = std::this_thread::get_id();
+        pool.parallel_for(16, ChunkPlan{}, [&](std::size_t) { ++items; });
+    };
+    pool.run_tasks(one);
+    EXPECT_EQ(ran_on, caller);
+    EXPECT_EQ(items.load(), 16);
+}
+
+TEST(RunTasks, ConcurrentCallersShareOnePool)
+{
+    // Two outside threads drive one pool at once (rockd's batcher and
+    // a test harness may): every loop still covers its items once.
+    ThreadPool pool(3);
+    std::atomic<int> total{0};
+    auto drive = [&] {
+        for (int round = 0; round < 40; ++round) {
+            std::vector<int> hits(37, 0);
+            pool.parallel_for(hits.size(), ChunkPlan{},
+                              [&](std::size_t i) { hits[i] += 1; });
+            total += std::accumulate(hits.begin(), hits.end(), 0);
+        }
+    };
+    std::thread other(drive);
+    drive();
+    other.join();
+    EXPECT_EQ(total.load(), 2 * 40 * 37);
 }
 
 } // namespace

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate for the repository, in five legs:
+# CI gate for the repository, in six legs:
 #
 #  1. tier1: the tier-1 verify line (ROADMAP.md): default build, full
 #     ctest suite, 200-seed rockfuzz campaign;
@@ -42,7 +42,13 @@
 #     economics -- `--min-hit-rate 0.5`: a duplicate-heavy trace that
 #     misses the artifact cache means the serving layer broke the
 #     warm path (docs/SERVING.md). The daemon metrics and per-request
-#     latency JSONL are kept as artifacts (ROCK_CI_ARTIFACTS dir).
+#     latency JSONL are kept as artifacts (ROCK_CI_ARTIFACTS dir);
+#  6. tsan: a ThreadSanitizer build (-DROCK_SANITIZE=thread) of the
+#     three suites that drive the thread pool hardest -- support_test
+#     (nested and concurrent run_tasks), determinism_test (every
+#     thread count, one pool shared across calls) and serve_test (the
+#     daemon's waves) -- run as the support_tsan / determinism_tsan /
+#     serve_tsan ctest entries.
 #
 # Leg hygiene: every leg runs under a hard `timeout` (a wedged daemon
 # or hung fuzz case fails the leg instead of stalling CI until the
@@ -52,8 +58,8 @@
 #
 # Usage:
 #   tools/ci.sh [--quick] [--only LEG]
-#     --quick      skip the sanitizer leg (fast local pre-push check)
-#     --only LEG   run one leg: tier1 | sanitize | vm | perf | serve
+#     --quick      skip the sanitizer legs (fast local pre-push check)
+#     --only LEG   run one leg: tier1 | sanitize | vm | perf | serve | tsan
 #   JOBS=N overrides build/test parallelism (default: nproc).
 #   ROCK_CI_LEG_TIMEOUT=SECS overrides every leg's time limit.
 set -euo pipefail
@@ -81,6 +87,14 @@ leg_sanitize() {
     cmake --build build-asan -j "$JOBS"
     (cd build-asan && ctest --output-on-failure -j "$JOBS")
     ./build-asan/tools/rockfuzz --seeds 50 --repro-dir "$ROCK_CI_REPRO_DIR"
+}
+
+leg_tsan() {
+    echo "==> tsan: ThreadSanitizer build of the pool, determinism and serve suites"
+    cmake -B build-tsan -S . -DROCK_SANITIZE=thread
+    cmake --build build-tsan -j "$JOBS" --target support_test \
+        determinism_test serve_test
+    (cd build-tsan && ctest --output-on-failure -j "$JOBS" -R '_tsan$')
 }
 
 leg_vm() {
@@ -270,26 +284,29 @@ run_sanitize=1
 run_vm=1
 run_perf=1
 run_serve=1
+run_tsan=1
 while [ $# -gt 0 ]; do
     case "$1" in
       --quick)
-        run_sanitize=0
+        run_sanitize=0 run_tsan=0
         ;;
       --only)
         [ $# -ge 2 ] || { echo "ci.sh: --only needs a leg" >&2; exit 2; }
         run_tier1=0 run_sanitize=0 run_vm=0 run_perf=0 run_serve=0
+        run_tsan=0
         case "$2" in
           tier1)    run_tier1=1 ;;
           sanitize) run_sanitize=1 ;;
           vm)       run_vm=1 ;;
           perf)     run_perf=1 ;;
           serve)    run_serve=1 ;;
+          tsan)     run_tsan=1 ;;
           *) echo "ci.sh: unknown leg '$2'" >&2; exit 2 ;;
         esac
         shift
         ;;
       *)
-        echo "usage: tools/ci.sh [--quick] [--only tier1|sanitize|vm|perf|serve]" >&2
+        echo "usage: tools/ci.sh [--quick] [--only tier1|sanitize|vm|perf|serve|tsan]" >&2
         exit 2
         ;;
     esac
@@ -321,7 +338,7 @@ trap cleanup EXIT
 # legs get the larger budget. ROCK_CI_LEG_TIMEOUT overrides all.
 leg_limit() {
     case "$1" in
-      tier1|sanitize) echo "${ROCK_CI_LEG_TIMEOUT:-5400}" ;;
+      tier1|sanitize|tsan) echo "${ROCK_CI_LEG_TIMEOUT:-5400}" ;;
       *)              echo "${ROCK_CI_LEG_TIMEOUT:-2700}" ;;
     esac
 }
@@ -347,5 +364,6 @@ if [ "$run_sanitize" -eq 1 ]; then run_leg sanitize; fi
 if [ "$run_vm" -eq 1 ];       then run_leg vm;       fi
 if [ "$run_perf" -eq 1 ];     then run_leg perf;     fi
 if [ "$run_serve" -eq 1 ];    then run_leg serve;    fi
+if [ "$run_tsan" -eq 1 ];     then run_leg tsan;     fi
 
 echo "==> ci.sh: all green"

@@ -76,7 +76,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -175,25 +174,6 @@ struct ServeGates {
 };
 
 /**
- * Quantile @p q of a histogram snapshot: the upper bound of the
- * first bucket at which the cumulative count reaches q * total.
- * Overflow bucket = infinity (no finite bound covers the quantile,
- * so any finite --max-*-ms gate fails -- by design).
- */
-double
-histogram_quantile(const rock::obs::HistogramSnapshot& h, double q)
-{
-    double target = q * static_cast<double>(h.count);
-    double cumulative = 0.0;
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-        cumulative += static_cast<double>(h.counts[i]);
-        if (cumulative >= target)
-            return h.bounds[i];
-    }
-    return std::numeric_limits<double>::infinity();
-}
-
-/**
  * Gate a canonical metrics report on serving thresholds. Returns the
  * process exit code directly: 0 pass, 1 gate breach, 2 when the
  * report carries no usable serve.request_latency_ms histogram.
@@ -225,8 +205,10 @@ run_serve_check(const std::string& path, const ServeGates& gates)
     }
 
     int failures = 0;
-    double p50 = histogram_quantile(hist->second, 0.50);
-    double p95 = histogram_quantile(hist->second, 0.95);
+    // An overflow-bucket quantile is infinity, so any finite
+    // --max-*-ms gate fails on it -- by design.
+    double p50 = hist->second.quantile(0.50);
+    double p95 = hist->second.quantile(0.95);
     if (gates.max_p50_ms > 0.0 && !(p50 <= gates.max_p50_ms)) {
         std::fprintf(stderr,
                      "rockstat: FAIL %s: p50 latency %.1f ms, need "
