@@ -19,7 +19,7 @@
 #include "cache/artifact_cache.h"
 #include "cfg/verify.h"
 #include "eval/ground_truth.h"
-#include "obs/report.h"
+#include "obs/metrics.h"
 #include "rock/classify.h"
 #include "rock/relaxed.h"
 #include "serve/protocol.h"
@@ -1058,17 +1058,18 @@ check_cache_consistent(const OracleContext& ctx)
     CaseConfig cached = ctx.config;
     cached.rock.cache = store;
 
-    obs::MetricsReport before_cold = obs::MetricsReport::capture();
+    const obs::Registry& registry = obs::Registry::global();
+    const auto before_cold = registry.counter_values();
     core::ReconstructionResult cold =
         reconstruct_image(fc.compiled.image, cached);
-    obs::MetricsReport after_cold = obs::MetricsReport::capture();
+    const auto after_cold = registry.counter_values();
 
     if (ctx.config.hooks.corrupt_cache)
         ctx.config.hooks.corrupt_cache(*store);
 
     core::ReconstructionResult warm =
         reconstruct_image(fc.compiled.image, cached);
-    obs::MetricsReport after_warm = obs::MetricsReport::capture();
+    const auto after_warm = registry.counter_values();
 
     std::string diff = core::first_difference(cold, warm);
     if (!diff.empty())
@@ -1081,15 +1082,15 @@ check_cache_consistent(const OracleContext& ctx)
 
     // Counter replay: the warm run's per-run counter deltas must
     // equal the cold run's, except for cache.{hits,misses,...}.
-    auto delta = [](const obs::MetricsReport& after,
-                    const obs::MetricsReport& before,
+    using Counters = std::map<std::string, std::uint64_t>;
+    auto delta = [](const Counters& after, const Counters& before,
                     const std::string& name) -> std::uint64_t {
-        auto a = after.counters.find(name);
-        auto b = before.counters.find(name);
-        return (a == after.counters.end() ? 0 : a->second) -
-               (b == before.counters.end() ? 0 : b->second);
+        auto a = after.find(name);
+        auto b = before.find(name);
+        return (a == after.end() ? 0 : a->second) -
+               (b == before.end() ? 0 : b->second);
     };
-    for (const auto& [name, total] : after_warm.counters) {
+    for (const auto& [name, total] : after_warm) {
         (void)total;
         if (name.rfind("cache.", 0) == 0)
             continue;

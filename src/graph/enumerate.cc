@@ -105,7 +105,11 @@ class Enumerator {
         return false;
     }
 
-    void
+    // Starts on a cache line: this search is the hot loop of the
+    // Table-2 corpus, and where it lands mod 64 moves its speed. Placed
+    // at 32 mod 64 by unrelated code growth elsewhere in a binary, it
+    // ran 20-30% slower than at 0 mod 64 (Intel Xeon, 4 cores).
+    [[gnu::aligned(64)]] void
     dfs(int v, double cost)
     {
         if (static_cast<int>(results_.size()) >= config_.max_results ||

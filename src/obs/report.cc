@@ -85,6 +85,13 @@ HistogramSnapshot::quantile(double q) const
 MetricsReport
 MetricsReport::capture(const Registry& registry)
 {
+    return capture(registry, {process_trace()});
+}
+
+MetricsReport
+MetricsReport::capture(const Registry& registry,
+                       const std::vector<std::shared_ptr<Trace>>& traces)
+{
     MetricsReport report;
     report.counters = registry.counter_values();
     report.gauges = registry.gauge_values();
@@ -107,8 +114,16 @@ MetricsReport::capture(const Registry& registry)
             report.histograms[name] =
                 HistogramSnapshot{bounds, counts, count, sum};
         });
-    report.spans = span_log();
-    // Thread ids in the log are full-width std::hash values; renumber
+    for (const std::shared_ptr<Trace>& trace : traces) {
+        const int offset = static_cast<int>(report.spans.size());
+        for (SpanRecord& s : trace->spans()) {
+            s.id += offset;
+            if (s.parent >= 0)
+                s.parent += offset;
+            report.spans.push_back(std::move(s));
+        }
+    }
+    // Thread ids in the traces are full-width std::hash values; renumber
     // them to dense ordinals (order of first appearance) so the JSON
     // number round-trips exactly (doubles only hold 53 integer bits)
     // and reports stay readable.

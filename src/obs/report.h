@@ -1,7 +1,7 @@
 /**
  * @file
  * MetricsReport: one canonical, machine-readable snapshot of the
- * metrics registry + span log, and the regression-diff logic that
+ * metrics registry + span traces, and the regression-diff logic that
  * tools/rockstat exposes on the command line.
  *
  * The JSON schema ("rock-metrics-v1") segregates determinism classes
@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,12 +64,19 @@ struct MetricsReport {
 
     bool operator==(const MetricsReport&) const = default;
 
-    /** Snapshot @p registry (default: the global one) + span log,
-     *  plus the process gauges `process.peak_rss_mb`,
+    /** Snapshot @p registry (default: the global one) + the process
+     *  trace, plus the process gauges `process.peak_rss_mb`,
      *  `process.rss_mb`, `process.voluntary_ctx_switches` and
      *  `process.involuntary_ctx_switches`. */
     static MetricsReport
     capture(const Registry& registry = Registry::global());
+
+    /** As above, with the spans of @p traces in place of the process
+     *  trace's: concatenated in order, each trace's ids and parent
+     *  links shifted past the spans before it. */
+    static MetricsReport
+    capture(const Registry& registry,
+            const std::vector<std::shared_ptr<Trace>>& traces);
 
     /** Canonical pretty-printed JSON (schema above). */
     std::string to_json() const;

@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -16,19 +15,17 @@ namespace rock::obs {
 
 namespace {
 
-struct SpanLog {
+struct ProcessTrace {
     std::mutex mutex;
-    std::vector<SpanRecord> records;
-    /** Bumped by reset_spans(); ends from a previous generation are
-     *  dropped instead of writing into a reused slot. */
-    std::uint64_t generation = 0;
+    std::shared_ptr<Trace> trace = std::make_shared<Trace>();
 };
 
-SpanLog&
-log()
+ProcessTrace&
+process()
 {
-    static SpanLog* instance = new SpanLog; // never destroyed (see
-                                            // Registry::global())
+    static ProcessTrace* instance = new ProcessTrace; // never destroyed
+                                                      // (see
+                                                      // Registry::global())
     return *instance;
 }
 
@@ -60,78 +57,79 @@ thread_cpu_ms()
     return 0.0;
 }
 
-/** Per-thread stack of open span ids (parent linking). */
-thread_local std::vector<int> t_open_spans;
-/** Generation the ids in t_open_spans belong to. */
-thread_local std::uint64_t t_generation = 0;
-
-int
-open_span(const std::string& name, int* parent_out)
-{
-    SpanLog& l = log();
-    std::lock_guard<std::mutex> lock(l.mutex);
-    if (t_generation != l.generation) {
-        // The log was reset while this thread had spans open (tests
-        // do this between runs); orphan them rather than linking into
-        // a cleared log.
-        t_open_spans.clear();
-        t_generation = l.generation;
-    }
-    SpanRecord rec;
-    rec.id = static_cast<int>(l.records.size());
-    rec.parent = t_open_spans.empty() ? -1 : t_open_spans.back();
-    rec.name = name;
-    rec.start_ms = ms_since_epoch(std::chrono::steady_clock::now());
-    rec.thread = std::hash<std::thread::id>{}(
-        std::this_thread::get_id());
-    *parent_out = rec.parent;
-    l.records.push_back(std::move(rec));
-    t_open_spans.push_back(static_cast<int>(l.records.size()) - 1);
-    return static_cast<int>(l.records.size()) - 1;
-}
-
-void
-close_span(int id, std::uint64_t generation, double wall_ms,
-           double cpu_ms)
-{
-    SpanLog& l = log();
-    std::lock_guard<std::mutex> lock(l.mutex);
-    if (!t_open_spans.empty() && t_open_spans.back() == id)
-        t_open_spans.pop_back();
-    if (generation != l.generation ||
-        id >= static_cast<int>(l.records.size()))
-        return; // log was reset under us; drop the measurement
-    l.records[static_cast<std::size_t>(id)].wall_ms = wall_ms;
-    l.records[static_cast<std::size_t>(id)].cpu_ms = cpu_ms;
-}
-
-std::uint64_t
-current_generation()
-{
-    SpanLog& l = log();
-    std::lock_guard<std::mutex> lock(l.mutex);
-    return l.generation;
-}
+/** The calling thread's trace context. */
+thread_local TraceContext t_context;
 
 } // namespace
 
-/**
- * Span state packing: `parent_` doubles as the record id (>= 0) when
- * active. The generation snapshot detects a reset between open and
- * close.
- */
-Span::Span(std::string name) : name_(std::move(name))
+std::vector<SpanRecord>
+Trace::spans() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return records_;
+}
+
+std::map<std::string, double>
+Trace::subtree_wall_ms(int root) const
+{
+    std::map<std::string, double> totals;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (root < 0 || root >= static_cast<int>(records_.size()))
+        return totals;
+    // Descendants open after their ancestors, so one forward pass from
+    // the root decides membership from each parent's.
+    const auto first = static_cast<std::size_t>(root);
+    std::vector<char> inside(records_.size() - first, 0);
+    inside[0] = 1;
+    for (std::size_t i = first; i < records_.size(); ++i) {
+        const SpanRecord& rec = records_[i];
+        if (i > first &&
+            !(rec.parent >= root &&
+              inside[static_cast<std::size_t>(rec.parent) - first]))
+            continue;
+        inside[i - first] = 1;
+        totals[rec.name] += rec.wall_ms;
+    }
+    return totals;
+}
+
+TraceContext
+current_context()
+{
+    return t_context;
+}
+
+ContextScope::ContextScope(TraceContext context)
+    : saved_(std::exchange(t_context, std::move(context)))
+{
+}
+
+ContextScope::~ContextScope()
+{
+    t_context = std::move(saved_);
+}
+
+Span::Span(std::string name)
 {
     if (!metrics_enabled())
         return;
     active_ = true;
-    generation_snapshot();
     start_ = std::chrono::steady_clock::now();
     cpu_start_ms_ = thread_cpu_ms();
-    int parent = -1;
-    id_ = open_span(name_, &parent);
-    parent_ = parent;
-    start_ms_ = ms_since_epoch(start_);
+    trace_ = t_context.trace ? t_context.trace : process_trace();
+    SpanRecord rec;
+    rec.parent = t_context.trace ? t_context.span : -1;
+    rec.name = std::move(name);
+    rec.start_ms = ms_since_epoch(start_);
+    rec.thread =
+        std::hash<std::thread::id>{}(std::this_thread::get_id());
+    {
+        std::lock_guard<std::mutex> lock(trace_->mutex_);
+        id_ = static_cast<int>(trace_->records_.size());
+        rec.id = id_;
+        trace_->records_.push_back(std::move(rec));
+    }
+    saved_ = std::exchange(t_context, TraceContext{trace_, id_});
 }
 
 Span::~Span()
@@ -145,25 +143,38 @@ Span::end()
     if (!active_)
         return;
     active_ = false;
-    wall_ms_ = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - start_)
-                   .count();
-    close_span(id_, generation_, wall_ms_,
-               thread_cpu_ms() - cpu_start_ms_);
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start_)
+                               .count();
+    const double cpu_ms = thread_cpu_ms() - cpu_start_ms_;
+    {
+        std::lock_guard<std::mutex> lock(trace_->mutex_);
+        SpanRecord& rec = trace_->records_[static_cast<std::size_t>(id_)];
+        rec.wall_ms = wall_ms;
+        rec.cpu_ms = cpu_ms;
+    }
+    t_context = std::move(saved_);
 }
 
-void
-Span::generation_snapshot()
+std::map<std::string, double>
+Span::subtree_wall_ms() const
 {
-    generation_ = current_generation();
+    return trace_ ? trace_->subtree_wall_ms(id_)
+                  : std::map<std::string, double>{};
+}
+
+std::shared_ptr<Trace>
+process_trace()
+{
+    ProcessTrace& p = process();
+    std::lock_guard<std::mutex> lock(p.mutex);
+    return p.trace;
 }
 
 std::vector<SpanRecord>
 span_log()
 {
-    SpanLog& l = log();
-    std::lock_guard<std::mutex> lock(l.mutex);
-    return l.records;
+    return process_trace()->spans();
 }
 
 namespace detail {
@@ -171,10 +182,10 @@ namespace detail {
 void
 reset_spans()
 {
-    SpanLog& l = log();
-    std::lock_guard<std::mutex> lock(l.mutex);
-    l.records.clear();
-    ++l.generation;
+    auto fresh = std::make_shared<Trace>();
+    ProcessTrace& p = process();
+    std::lock_guard<std::mutex> lock(p.mutex);
+    p.trace.swap(fresh);
 }
 
 } // namespace detail

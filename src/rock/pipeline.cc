@@ -147,23 +147,7 @@ struct RunContext {
     std::vector<std::pair<int, int>> edges;
     std::vector<char> edge_discounted;
     std::vector<double> edge_weights;
-
-    // Wall time of this call's own tail spans.
-    std::atomic<double> train_ms{0.0};
-    std::atomic<double> distances_ms{0.0};
-    std::atomic<double> arborescence_ms{0.0};
 };
-
-/** Run @p body under a span named @p name; returns its wall time. */
-template <typename Body>
-double
-timed(const char* name, Body&& body)
-{
-    obs::Span span(name);
-    body();
-    span.end();
-    return span.wall_ms();
-}
 
 /**
  * Resolve the opt-in artifact cache (config.cache, else the process
@@ -194,20 +178,22 @@ void
 run_front_end(RunContext& ctx)
 {
     ReconstructionResult& result = ctx.result;
-    StageTiming& timing = result.timing;
 
     // Shared CFG recovery (parallel over functions): built once,
     // consumed by the verifier, the behavioral analysis and typeinf;
     // nobody downstream rebuilds a CFG or re-decodes a body.
     cfg::CfgCache cfgs(ctx.image);
-    timing.cfg_ms =
-        timed("pipeline.cfg", [&] { cfgs.build_all(ctx.pool); });
+    {
+        obs::Span span("pipeline.cfg");
+        cfgs.build_all(ctx.pool);
+    }
 
     if (ctx.config.verify) {
-        timing.verify_ms = timed("pipeline.verify", [&] {
+        {
+            obs::Span span("pipeline.verify");
             result.diagnostics =
                 cfg::verify_image(ctx.image, ctx.pool, cfgs);
-        });
+        }
         if (!result.diagnostics.empty()) {
             ROCK_LOG_WARN << "rockcheck: " << result.diagnostics.size()
                           << " diagnostic(s) on the input image, e.g. "
@@ -215,25 +201,28 @@ run_front_end(RunContext& ctx)
         }
     }
 
-    timing.analyze_ms = timed("pipeline.analyze", [&] {
+    {
+        obs::Span span("pipeline.analyze");
         result.analysis = analysis::analyze(
             ctx.image, ctx.config.symexec, cfgs, ctx.store, ctx.pool);
-    });
+    }
 
-    timing.structural_ms = timed("pipeline.structural", [&] {
+    {
+        obs::Span span("pipeline.structural");
         result.structural = structural::structural_analysis(
             result.analysis.vtables, result.analysis.evidence,
             result.analysis.ctor_types);
-    });
+    }
 
     // Solved derives-from facts sharpen the arborescence objective;
     // inconsistent evidence joins the rockcheck findings.
     if (ctx.config.typeinf) {
-        timing.typeinf_ms = timed("pipeline.typeinf", [&] {
+        {
+            obs::Span span("pipeline.typeinf");
             result.typeinf =
                 typeinf::infer(ctx.image, cfgs, result.analysis.vtables,
                                ctx.pool, ctx.store);
-        });
+        }
         for (cfg::Diagnostic& d : result.typeinf.diagnostics())
             result.diagnostics.push_back(std::move(d));
     }
@@ -427,22 +416,21 @@ intern_family(RunContext& ctx, std::size_t f)
     FamilyPlan& fam = ctx.families[f];
     if (fam.famdist_loaded)
         return;
-    ctx.distances_ms += timed("pipeline.distances", [&] {
-        const auto& members = ctx.result.families[f].members;
-        std::vector<const std::vector<std::vector<int>>*> seqs;
-        seqs.reserve(members.size());
-        for (int t : members)
-            seqs.push_back(
-                &ctx.result.type_sequences[static_cast<std::size_t>(t)]);
-        std::vector<std::pair<int, int>> edges;
-        edges.reserve(fam.edge_end - fam.edge_begin);
-        for (std::size_t e = fam.edge_begin; e < fam.edge_end; ++e) {
-            const auto [p, c] = ctx.edges[e];
-            edges.emplace_back(ctx.member_pos[static_cast<std::size_t>(p)],
-                               ctx.member_pos[static_cast<std::size_t>(c)]);
-        }
-        fam.memo.intern(seqs, edges);
-    });
+    obs::Span span("pipeline.distances");
+    const auto& members = ctx.result.families[f].members;
+    std::vector<const std::vector<std::vector<int>>*> seqs;
+    seqs.reserve(members.size());
+    for (int t : members)
+        seqs.push_back(
+            &ctx.result.type_sequences[static_cast<std::size_t>(t)]);
+    std::vector<std::pair<int, int>> edges;
+    edges.reserve(fam.edge_end - fam.edge_begin);
+    for (std::size_t e = fam.edge_begin; e < fam.edge_end; ++e) {
+        const auto [p, c] = ctx.edges[e];
+        edges.emplace_back(ctx.member_pos[static_cast<std::size_t>(p)],
+                           ctx.member_pos[static_cast<std::size_t>(c)]);
+    }
+    fam.memo.intern(seqs, edges);
 }
 
 /** Train task: the models of family @p f's members in @p chunk, then
@@ -453,22 +441,22 @@ train_chunk(RunContext& ctx, std::size_t f, support::Chunk chunk,
 {
     FamilyPlan& fam = ctx.families[f];
     const auto& members = ctx.result.families[f].members;
-    ctx.train_ms += timed("pipeline.train", [&] {
+    {
+        obs::Span span("pipeline.train");
         for (std::size_t pos = chunk.begin; pos < chunk.end; ++pos)
             train_type(ctx, static_cast<std::size_t>(members[pos]));
-    });
+    }
     if (!fill_memo || fam.famdist_loaded)
         return;
-    ctx.distances_ms += timed("pipeline.distances", [&] {
-        const std::uint64_t escapes_before = slm::thread_escape_tally();
-        divergence::FamilyWords::Scratch scratch;
-        for (std::size_t pos = chunk.begin; pos < chunk.end; ++pos)
-            fam.memo.fill(pos,
-                           *ctx.result.models[static_cast<std::size_t>(
-                               members[pos])],
-                           scratch);
-        fam.escapes += slm::thread_escape_tally() - escapes_before;
-    });
+    obs::Span span("pipeline.distances");
+    const std::uint64_t escapes_before = slm::thread_escape_tally();
+    divergence::FamilyWords::Scratch scratch;
+    for (std::size_t pos = chunk.begin; pos < chunk.end; ++pos)
+        fam.memo.fill(pos,
+                      *ctx.result.models[static_cast<std::size_t>(
+                          members[pos])],
+                      scratch);
+    fam.escapes += slm::thread_escape_tally() - escapes_before;
 }
 
 /** Distance of weighed edge @p e of family @p fam under the configured
@@ -511,20 +499,19 @@ void
 weigh_chunk(RunContext& ctx, std::size_t f, support::Chunk chunk)
 {
     FamilyPlan& fam = ctx.families[f];
-    ctx.distances_ms += timed("pipeline.distances", [&] {
-        if (fam.famdist_loaded)
-            return;
-        const auto before = divergence::thread_pair_tally();
-        const std::uint64_t escapes_before = slm::thread_escape_tally();
-        divergence::FamilyWords::Scratch scratch;
-        for (std::size_t e = fam.edge_begin + chunk.begin;
-             e < fam.edge_begin + chunk.end; ++e)
-            ctx.edge_weights[e] = edge_weight(ctx, fam, e, scratch);
-        const auto after = divergence::thread_pair_tally();
-        fam.pairs += after.pairs - before.pairs;
-        fam.words += after.words - before.words;
-        fam.escapes += slm::thread_escape_tally() - escapes_before;
-    });
+    obs::Span span("pipeline.distances");
+    if (fam.famdist_loaded)
+        return;
+    const auto before = divergence::thread_pair_tally();
+    const std::uint64_t escapes_before = slm::thread_escape_tally();
+    divergence::FamilyWords::Scratch scratch;
+    for (std::size_t e = fam.edge_begin + chunk.begin;
+         e < fam.edge_begin + chunk.end; ++e)
+        ctx.edge_weights[e] = edge_weight(ctx, fam, e, scratch);
+    const auto after = divergence::thread_pair_tally();
+    fam.pairs += after.pairs - before.pairs;
+    fam.words += after.words - before.words;
+    fam.escapes += slm::thread_escape_tally() - escapes_before;
 }
 
 /** Content key of one "famsolve" artifact: everything solve_family()
@@ -558,6 +545,7 @@ solve_family(const RunContext& ctx, const FamilyPlan& fam, int m)
     // forest over all feasible edges, pruned ones too? Decided exactly,
     // with no search (graph/ambiguity.h).
     {
+        obs::Span span("graph.ambiguity");
         std::vector<std::pair<int, int>> feasible;
         feasible.reserve(fam.candidates.size());
         for (const CandidateEdge& edge : fam.candidates)
@@ -580,9 +568,16 @@ solve_family(const RunContext& ctx, const FamilyPlan& fam, int m)
     graph::EnumerateConfig ties;
     ties.epsilon = ctx.config.tie_epsilon;
     ties.max_results = ctx.config.max_alternatives;
-    auto forests = graph::enumerate_min_forests(weighted, ties);
+    std::vector<graph::Arborescence> forests;
+    {
+        obs::Span span("graph.enumerate");
+        forests = graph::enumerate_min_forests(weighted, ties);
+    }
     sol.cooptimal = forests.size();
-    detail::majority_filter(forests);
+    {
+        obs::Span span("graph.majority");
+        detail::majority_filter(forests);
+    }
     ROCK_ASSERT(!forests.empty(), "no forest survived filtering");
     sol.resolved = sol.cooptimal - forests.size();
     for (auto& forest : forests)
@@ -661,8 +656,6 @@ solve_stage(RunContext& ctx, std::size_t f)
             p = p < 0 ? -1 : out.members[static_cast<std::size_t>(p)];
         out.alternatives.push_back(std::move(parents));
     }
-    span.end();
-    ctx.arborescence_ms += span.wall_ms();
 }
 
 /**
@@ -734,18 +727,17 @@ void
 merge_results(RunContext& ctx)
 {
     ReconstructionResult& result = ctx.result;
-    ctx.distances_ms += timed("pipeline.distances", [&] {
+    {
+        obs::Span span("pipeline.distances");
         result.distances.reserve(ctx.edges.size());
         for (std::size_t e = 0; e < ctx.edges.size(); ++e)
             result.distances.emplace(ctx.edges[e], ctx.edge_weights[e]);
-    });
-    ctx.arborescence_ms += timed("pipeline.arborescence", [&] {
+    }
+    {
+        obs::Span span("pipeline.arborescence");
         for (const FamilyResult& fam : result.families)
             result.ambiguous_families += fam.structurally_ambiguous;
-    });
-    result.timing.train_ms = ctx.train_ms;
-    result.timing.distances_ms = ctx.distances_ms;
-    result.timing.arborescence_ms = ctx.arborescence_ms;
+    }
 
     std::vector<int> first(result.families.size(), 0);
     result.hierarchy = result.hierarchy_with(first);
@@ -757,6 +749,30 @@ merge_results(RunContext& ctx)
             {kManifestKind, ctx.manifest_content, ctx.manifest_fp},
             w.take());
     }
+}
+
+/** StageTiming of the call whose "pipeline.reconstruct" span is
+ *  @p call: one pass over that span's own subtree, so spans of other
+ *  calls sharing the trace never count. */
+StageTiming
+stage_timing(const obs::Span& call)
+{
+    const std::map<std::string, double> ms = call.subtree_wall_ms();
+    auto stage = [&ms](const char* name) {
+        const auto it = ms.find(name);
+        return it == ms.end() ? 0.0 : it->second;
+    };
+    StageTiming t;
+    t.cfg_ms = stage("pipeline.cfg");
+    t.verify_ms = stage("pipeline.verify");
+    t.analyze_ms = stage("pipeline.analyze");
+    t.structural_ms = stage("pipeline.structural");
+    t.typeinf_ms = stage("pipeline.typeinf");
+    t.train_ms = stage("pipeline.train");
+    t.distances_ms = stage("pipeline.distances");
+    t.arborescence_ms = stage("pipeline.arborescence");
+    t.total_ms = stage("pipeline.reconstruct");
+    return t;
 }
 
 } // namespace
@@ -930,21 +946,26 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config,
 {
     ReconstructionResult result;
     RunContext ctx(image, config, result, pool);
-    // Every stage runs under a "pipeline.<stage>" span; StageTiming is
-    // filled from this call's own spans only.
+    // Every stage runs under a "pipeline.<stage>" span below this one,
+    // pool tasks included; StageTiming reads this call's subtree only.
     obs::Span total_span("pipeline.reconstruct");
     obs::Registry::global().counter("pipeline.runs").add();
 
     open_cache(ctx);
     run_front_end(ctx);
-    ctx.train_ms += timed("pipeline.train", [&] { intern_alphabet(ctx); });
-    ctx.distances_ms +=
-        timed("pipeline.distances", [&] { plan_candidates(ctx); });
+    {
+        obs::Span span("pipeline.train");
+        intern_alphabet(ctx);
+    }
+    {
+        obs::Span span("pipeline.distances");
+        plan_candidates(ctx);
+    }
     run_family_chains(ctx);
     merge_results(ctx);
 
     total_span.end();
-    result.timing.total_ms = total_span.wall_ms();
+    result.timing = stage_timing(total_span);
 
     const std::size_t n = result.structural.types.size();
     if (obs::metrics_enabled()) {

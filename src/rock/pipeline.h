@@ -112,15 +112,17 @@ struct RockConfig {
  * stage (milliseconds). Populated on every reconstruct() call;
  * bench/pipeline_scaling emits these as machine-readable JSON.
  *
- * Deprecated-but-stable: since the obs layer landed, each field comes
- * from the call's own "pipeline.<stage>" obs::Span records
- * (obs/trace.h), which are the source of truth -- new consumers should
- * read the span tree via obs::MetricsReport instead. A front-end field
- * is its one span's wall time; train/distances/arborescence sum every
- * span of that stage the call opened (preludes, per-family tasks,
- * merges), so a concurrent call's spans never leak in, while at
- * threads > 1 overlapping task spans can sum past total_ms. Both
- * properties are pinned by tests/obs_test.cc.
+ * Deprecated-but-stable: the call's span tree (obs/trace.h) is the
+ * source of truth -- new consumers should read it via
+ * obs::MetricsReport instead. Each field sums the wall time of every
+ * "pipeline.<stage>" span under the call's own "pipeline.reconstruct"
+ * span, read in one pass over that subtree once the call ends: a
+ * front-end field is its one span, train/distances/arborescence add up
+ * preludes, per-family pool tasks and merges. Pool tasks' spans nest
+ * under the call that submitted them, so a concurrent call's spans
+ * never leak in, while at threads > 1 overlapping task spans can sum
+ * past total_ms. All fields are 0 when metrics are disabled.
+ * tests/obs_test.cc pins these properties.
  */
 struct StageTiming {
     /** Shared per-image CFG recovery (cfg::CfgCache::build_all). */

@@ -340,6 +340,29 @@ Server::status() const
     return s;
 }
 
+obs::MetricsReport
+Server::metrics_report() const
+{
+    std::vector<std::shared_ptr<obs::Trace>> traces;
+    {
+        std::lock_guard<std::mutex> lock(traces_mutex_);
+        traces.assign(traces_.begin(), traces_.end());
+    }
+    return obs::MetricsReport::capture(obs::Registry::global(), traces);
+}
+
+void
+Server::keep_trace(std::shared_ptr<obs::Trace> trace)
+{
+    std::shared_ptr<obs::Trace> dropped; // freed after the unlock
+    std::lock_guard<std::mutex> lock(traces_mutex_);
+    traces_.push_back(std::move(trace));
+    if (traces_.size() > kKeptTraces) {
+        dropped = std::move(traces_.front());
+        traces_.pop_front();
+    }
+}
+
 std::string
 Server::status_json() const
 {
@@ -491,7 +514,7 @@ Server::handle_immediate(const std::shared_ptr<Conn>& conn,
         std::string json = status_json();
         response.payload.assign(json.begin(), json.end());
     } else if (request.op == "stats") {
-        std::string json = obs::MetricsReport::capture().to_json();
+        std::string json = metrics_report().to_json();
         response.payload.assign(json.begin(), json.end());
     } else if (request.op == "shutdown") {
         request_shutdown();
@@ -605,7 +628,11 @@ Server::process_wave(std::vector<Pending>& wave)
     auto compute = [&](Group& group) {
         const Pending& leader = wave[group.members.front()];
         protocol::Response& response = group.response;
+        // The image's own trace: its reconstruction's spans, pool
+        // tasks' included, land here and nowhere else.
+        auto trace = std::make_shared<obs::Trace>();
         try {
+            obs::ContextScope scope(obs::TraceContext{trace, -1});
             bir::BinaryImage image =
                 bir::load_image(leader.payload);
             core::RockConfig config = options_.rock;
@@ -622,6 +649,7 @@ Server::process_wave(std::vector<Pending>& wave)
             response.error = e.what();
             counters::rejects().add();
         }
+        keep_trace(std::move(trace));
     };
 
     // One behaviour per unique image: a task on the daemon's pool that

@@ -31,6 +31,12 @@
  * by tests/serve_test.cc, the `serve-differential` fuzz oracle, and
  * the CI serve leg's cmp against a fresh rockhier process.
  *
+ * Tracing: each unique image of a wave reconstructs under an
+ * obs::Trace of its own, which its pool tasks inherit; the daemon keeps
+ * the last Server::kKeptTraces of them for `stats` and drops older
+ * ones, so neither its memory nor its `stats` reply grows with the
+ * request count.
+ *
  * Determinism note: serve.* counters describe *traffic* (arrival
  * timing decides wave boundaries and dedup groups), so unlike the
  * pipeline counters they are not bit-identical run to run; response
@@ -50,6 +56,8 @@
 #include <vector>
 
 #include "cache/artifact_cache.h"
+#include "obs/report.h"
+#include "obs/trace.h"
 #include "rock/pipeline.h"
 #include "serve/protocol.h"
 #include "support/parallel.h"
@@ -133,6 +141,9 @@ std::string submit_response_text(const bir::BinaryImage& image,
  */
 class Server {
   public:
+    /** Request traces `stats` reports: the most recent ones. */
+    static constexpr std::size_t kKeptTraces = 16;
+
     explicit Server(ServerOptions options);
     ~Server();
 
@@ -153,6 +164,9 @@ class Server {
     bool done() const;
 
     ServerStatus status() const;
+    /** The `stats` reply: every metric, plus the spans of the last
+     *  kKeptTraces request traces, oldest first. */
+    obs::MetricsReport metrics_report() const;
     const ServerOptions& options() const { return options_; }
     /** The artifact store actually in use (options.cache or the
      *  private one). Valid after start(). */
@@ -178,6 +192,9 @@ class Server {
     void process_wave(std::vector<Pending>& wave);
     void handle_immediate(const std::shared_ptr<Conn>& conn,
                           const protocol::Request& request);
+    /** Append @p trace to traces_, dropping the oldest past
+     *  kKeptTraces. */
+    void keep_trace(std::shared_ptr<obs::Trace> trace);
     std::string status_json() const;
 
     ServerOptions options_;
@@ -206,6 +223,10 @@ class Server {
     std::atomic<bool> joined_{false};
     mutable std::mutex wait_mutex_;
     std::condition_variable done_cv_;
+
+    mutable std::mutex traces_mutex_;
+    /** The last kKeptTraces request traces, oldest first. */
+    std::deque<std::shared_ptr<obs::Trace>> traces_;
 
     std::atomic<std::uint64_t> requests_{0};
     std::atomic<std::uint64_t> submits_{0};

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace rock::support {
 
@@ -102,16 +103,20 @@ plan_chunks(std::size_t count, std::size_t workers,
     return chunks;
 }
 
-/** One registered run_tasks() graph. Every field but `tasks` is
- *  guarded by the pool's mutex_. */
+/** One registered run_tasks() graph. Every field but `tasks` and
+ *  `context` is guarded by the pool's mutex_. */
 struct ThreadPool::Graph {
     explicit Graph(std::vector<Task>& tasks_)
-        : tasks(tasks_), pending(tasks_.size(), 0),
-          dependents(tasks_.size()), remaining(tasks_.size())
+        : tasks(tasks_), context(obs::current_context()),
+          pending(tasks_.size(), 0), dependents(tasks_.size()),
+          remaining(tasks_.size())
     {
     }
 
     std::vector<Task>& tasks;
+    /** The registering caller's trace and open span: every task runs
+     *  under it, so its spans nest under the call that submitted it. */
+    const obs::TraceContext context;
     /** Per task: deps not yet finished. */
     std::vector<std::size_t> pending;
     std::vector<std::vector<std::size_t>> dependents;
@@ -175,6 +180,7 @@ ThreadPool::run_ready(Graph& graph, std::unique_lock<std::mutex>& lock)
         lock.unlock();
         std::exception_ptr error;
         try {
+            obs::ContextScope scope(graph.context);
             graph.tasks[t].fn();
         } catch (...) {
             error = std::current_exception();

@@ -31,6 +31,11 @@
  * uniform when none are given), so one expensive item cannot
  * serialize the tail of the loop.
  *
+ * Tracing: a graph carries its caller's obs::TraceContext (the trace
+ * and the span open on the calling thread), and every task runs under
+ * it, whichever thread runs it, so a task's spans nest under the span
+ * of the call that submitted the graph (obs/trace.h).
+ *
  * Determinism contract: every item writes only its own
  * pre-allocated output slot and callers merge slots in index order
  * afterwards. Chunk *placement* varies with scheduling, but the

@@ -155,6 +155,29 @@ TEST(FuzzMeta, OrphanInjectionTripsStructureOracle)
     EXPECT_EQ(report.failures[0].oracle, "structure");
 }
 
+TEST(FuzzMeta, StaleCacheEntryIsCaughtByCacheConsistent)
+{
+    // Forge every cached famsolve artifact between the cold and the
+    // warm run: valid framing, every member a root. Decoding succeeds,
+    // so only the oracle's cold-vs-warm comparison can notice.
+    fuzz::CaseConfig config;
+    config.hooks = fuzz::injection_by_name("stale-cache-entry");
+    fuzz::FuzzOptions options;
+    options.seeds = 3;
+    options.first_seed = 1;
+    options.only = {"cache-consistent"};
+    options.shrink = false;
+    fuzz::FuzzReport report = fuzz::run_fuzz(options, config);
+    ASSERT_EQ(report.failures.size(), 3u)
+        << "the cache-consistent oracle missed a forged famsolve entry";
+    for (const fuzz::FuzzFailure& failure : report.failures) {
+        EXPECT_EQ(failure.oracle, "cache-consistent");
+        EXPECT_NE(failure.detail.find("cold vs warm cache"),
+                  std::string::npos)
+            << failure.detail;
+    }
+}
+
 TEST(FuzzMeta, DroppedTraceletsAreCaughtByVmDifferential)
 {
     // Deliberately lose every static tracelet containing a virtual

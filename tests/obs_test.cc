@@ -12,6 +12,10 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <functional>
+#include <map>
+#include <memory>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -163,15 +167,103 @@ TEST(Trace, SpanNestingAndOrdering)
     EXPECT_GE(log[0].wall_ms, log[2].wall_ms);
 }
 
-TEST(Trace, EndIsIdempotentAndExposesWallMs)
+TEST(Trace, EndIsIdempotent)
 {
     obs::Registry::global().reset();
     obs::Span span("test.idempotent");
     span.end();
-    double first = span.wall_ms();
+    const double first = obs::span_log().at(0).wall_ms;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
     span.end();
-    EXPECT_EQ(span.wall_ms(), first);
+    EXPECT_EQ(obs::span_log().at(0).wall_ms, first);
     EXPECT_EQ(obs::span_log().size(), 1u);
+    EXPECT_EQ(span.subtree_wall_ms(),
+              (std::map<std::string, double>{{"test.idempotent", first}}));
+}
+
+TEST(Trace, PoolTasksNestUnderTheSubmittingSpan)
+{
+    // Workers run the tasks, yet each task's span is a child of the
+    // span open on the thread that submitted the graph, and a span a
+    // task opens inside another nests under it.
+    obs::Registry::global().reset();
+    support::ThreadPool pool(4);
+    {
+        obs::Span call("test.call");
+        std::vector<support::Task> tasks;
+        for (int t = 0; t < 16; ++t) {
+            tasks.push_back({[] {
+                                 obs::Span task("test.task");
+                                 obs::Span inner("test.inner");
+                             },
+                             {}});
+        }
+        pool.run_tasks(tasks);
+    }
+    const auto log = obs::span_log();
+    ASSERT_EQ(log.size(), 33u);
+    EXPECT_EQ(log[0].name, "test.call");
+    EXPECT_EQ(log[0].parent, -1);
+    for (const obs::SpanRecord& span : log) {
+        if (span.name == "test.task") {
+            EXPECT_EQ(span.parent, 0);
+        } else if (span.name == "test.inner") {
+            EXPECT_EQ(log.at(static_cast<std::size_t>(span.parent)).name,
+                      "test.task");
+        }
+    }
+    // Once the call's span closes, the caller's next span is a root.
+    obs::Span after("test.after");
+    after.end();
+    EXPECT_EQ(obs::span_log().back().parent, -1);
+}
+
+TEST(Trace, InstalledTraceKeepsSpansOutOfTheProcessTrace)
+{
+    obs::Registry::global().reset();
+    auto trace = std::make_shared<obs::Trace>();
+    support::ThreadPool pool(2);
+    {
+        obs::ContextScope scope(obs::TraceContext{trace, -1});
+        obs::Span request("test.request");
+        pool.parallel_for(8, support::ChunkPlan{},
+                          [](std::size_t) { obs::Span item("test.item"); });
+    }
+    EXPECT_TRUE(obs::span_log().empty());
+    const auto spans = trace->spans();
+    ASSERT_EQ(spans.size(), 9u);
+    EXPECT_EQ(spans[0].parent, -1);
+    for (std::size_t i = 1; i < spans.size(); ++i)
+        EXPECT_EQ(spans[i].parent, 0) << i;
+    // The scope restored the thread's context: back to the process
+    // trace.
+    {
+        obs::Span outside("test.outside");
+    }
+    EXPECT_EQ(obs::span_log().size(), 1u);
+}
+
+TEST(Trace, ResetStartsAFreshProcessTraceWhileOpenSpansFinishInTheirs)
+{
+    obs::Registry::global().reset();
+    const std::shared_ptr<obs::Trace> before = obs::process_trace();
+    {
+        obs::Span open("test.open");
+        obs::detail::reset_spans();
+        // Still nested in the span opened before the reset.
+        obs::Span child("test.child");
+    }
+    EXPECT_NE(obs::process_trace(), before);
+    EXPECT_TRUE(obs::span_log().empty());
+    const auto old = before->spans();
+    ASSERT_EQ(old.size(), 2u);
+    EXPECT_GT(old[0].wall_ms, 0.0);
+    EXPECT_EQ(old[1].parent, 0);
+    {
+        obs::Span fresh("test.fresh");
+    }
+    ASSERT_EQ(obs::span_log().size(), 1u);
+    EXPECT_EQ(obs::span_log()[0].parent, -1);
 }
 
 TEST(Trace, DisabledSpansRecordNothing)
@@ -530,6 +622,177 @@ TEST(EndToEnd, StageTimingOnlyCountsItsOwnCall)
         std::rethrow_exception(big_error);
     for (const core::StageTiming& t : big_timings)
         EXPECT_LE(stage_sum(t), t.total_ms) << "big call";
+}
+
+toyc::CompileResult
+compile_generated(int classes, std::uint64_t seed)
+{
+    corpus::GeneratorSpec spec;
+    spec.num_classes = classes;
+    spec.num_trees = std::max(2, classes / 40);
+    spec.max_depth = 6;
+    spec.seed = seed;
+    return toyc::compile(corpus::generate_program(spec));
+}
+
+using SpanPairs = std::multiset<std::pair<std::string, std::string>>;
+
+/** Ids of span @p root and every span below it in @p log. */
+std::vector<int>
+subtree_ids(const std::vector<obs::SpanRecord>& log, int root)
+{
+    std::vector<char> inside(log.size(), 0);
+    std::vector<int> ids;
+    for (std::size_t i = static_cast<std::size_t>(root); i < log.size();
+         ++i) {
+        const int parent = log[i].parent;
+        if (static_cast<int>(i) == root ||
+            (parent >= root && inside[static_cast<std::size_t>(parent)])) {
+            inside[i] = 1;
+            ids.push_back(static_cast<int>(i));
+        }
+    }
+    return ids;
+}
+
+/** (name, parent name) of every span under @p root, the root's own
+ *  parent name reading "". */
+SpanPairs
+subtree_pairs(const std::vector<obs::SpanRecord>& log, int root)
+{
+    SpanPairs pairs;
+    for (int id : subtree_ids(log, root)) {
+        const obs::SpanRecord& span = log[static_cast<std::size_t>(id)];
+        pairs.emplace(span.name,
+                      id == root ? ""
+                                 : log[static_cast<std::size_t>(span.parent)]
+                                       .name);
+    }
+    return pairs;
+}
+
+TEST(EndToEnd, WorkerSpansNestUnderTheirCall)
+{
+    // On a 4-thread pool the per-family tasks run on workers, yet
+    // their spans hang below the call's pipeline.reconstruct span in
+    // exactly the tree a 1-thread pool records.
+    const toyc::CompileResult compiled = compile_generated(120, 3);
+    core::RockConfig config;
+    config.typeinf = false; // keeps every family's distance tasks busy
+    auto tree = [&](int threads) {
+        obs::Registry::global().reset();
+        support::ThreadPool pool(threads);
+        core::reconstruct(compiled.image, config, pool);
+        const auto log = obs::span_log();
+        for (const obs::SpanRecord& span : log) {
+            if (span.parent < 0) {
+                EXPECT_EQ(span.id, 0) << span.name << " at " << threads;
+            }
+        }
+        return subtree_pairs(log, 0);
+    };
+    const SpanPairs serial = tree(1);
+    EXPECT_EQ(serial, tree(4));
+    EXPECT_EQ(serial.count({"pipeline.reconstruct", ""}), 1u);
+    EXPECT_GT(serial.count({"pipeline.train", "pipeline.reconstruct"}), 1u);
+    // The family solve's steps nest under its arborescence span.
+    for (const char* step :
+         {"graph.ambiguity", "graph.enumerate", "graph.majority"}) {
+        EXPECT_GT(serial.count({step, "pipeline.arborescence"}), 0u)
+            << step;
+    }
+}
+
+TEST(EndToEnd, ConcurrentCallsOnASharedPoolKeepTheirOwnSubtrees)
+{
+    // Two threads reconstruct different images on one 4-thread pool at
+    // once, into one trace. Every span belongs to the call that made
+    // it: each call's subtree has the shape of the same call made
+    // alone, lies inside the call's own span in time, and is exactly
+    // what its StageTiming sums.
+    const toyc::CompileResult big = compile_generated(400, 3);
+    const toyc::CompileResult small = compile_generated(40, 5);
+    support::ThreadPool pool(4);
+    const core::RockConfig config;
+    auto alone = [&](const toyc::CompileResult& compiled) {
+        obs::Registry::global().reset();
+        core::reconstruct(compiled.image, config, pool);
+        return subtree_pairs(obs::span_log(), 0);
+    };
+    const SpanPairs big_shape = alone(big);
+    const SpanPairs small_shape = alone(small);
+
+    struct Call {
+        const SpanPairs* shape = nullptr;
+        std::uint64_t thread = 0;
+        core::StageTiming timing;
+    };
+    constexpr int kCallsPerThread = 3;
+    obs::Registry::global().reset();
+    std::vector<Call> big_calls;
+    std::vector<Call> small_calls;
+    auto run = [&](const toyc::CompileResult& compiled,
+                   const SpanPairs& shape, std::vector<Call>& calls) {
+        const std::uint64_t thread =
+            std::hash<std::thread::id>{}(std::this_thread::get_id());
+        for (int i = 0; i < kCallsPerThread; ++i)
+            calls.push_back(
+                {&shape, thread,
+                 core::reconstruct(compiled.image, config, pool).timing});
+    };
+    {
+        std::jthread a([&] { run(big, big_shape, big_calls); });
+        std::jthread b([&] { run(small, small_shape, small_calls); });
+    }
+
+    const auto log = obs::span_log();
+    // Roots are exactly the calls; on each thread they open in order.
+    std::map<std::uint64_t, std::vector<int>> roots;
+    for (const obs::SpanRecord& span : log) {
+        if (span.parent >= 0)
+            continue;
+        EXPECT_EQ(span.name, "pipeline.reconstruct");
+        roots[span.thread].push_back(span.id);
+    }
+    ASSERT_EQ(roots.size(), 2u);
+    for (const std::vector<Call>* calls : {&big_calls, &small_calls}) {
+        ASSERT_EQ(calls->size(), static_cast<std::size_t>(kCallsPerThread));
+        const std::vector<int>& ids = roots[calls->front().thread];
+        ASSERT_EQ(ids.size(), calls->size());
+        for (std::size_t c = 0; c < calls->size(); ++c) {
+            const Call& call = (*calls)[c];
+            const obs::SpanRecord& root =
+                log[static_cast<std::size_t>(ids[c])];
+            SCOPED_TRACE(testing::Message()
+                         << (calls == &big_calls ? "big" : "small")
+                         << " call " << c);
+            EXPECT_EQ(subtree_pairs(log, root.id), *call.shape);
+            std::map<std::string, double> sums;
+            for (int id : subtree_ids(log, root.id)) {
+                const obs::SpanRecord& span =
+                    log[static_cast<std::size_t>(id)];
+                sums[span.name] += span.wall_ms;
+                EXPECT_GE(span.start_ms, root.start_ms) << span.name;
+                EXPECT_LE(span.start_ms + span.wall_ms,
+                          root.start_ms + root.wall_ms + 1e-6)
+                    << span.name;
+            }
+            const core::StageTiming& t = call.timing;
+            EXPECT_EQ(t.total_ms, root.wall_ms);
+            EXPECT_EQ(t.cfg_ms, sums["pipeline.cfg"]);
+            EXPECT_EQ(t.verify_ms, sums["pipeline.verify"]);
+            EXPECT_EQ(t.analyze_ms, sums["pipeline.analyze"]);
+            EXPECT_EQ(t.structural_ms, sums["pipeline.structural"]);
+            EXPECT_EQ(t.typeinf_ms, sums["pipeline.typeinf"]);
+            EXPECT_EQ(t.train_ms, sums["pipeline.train"]);
+            EXPECT_EQ(t.distances_ms, sums["pipeline.distances"]);
+            EXPECT_EQ(t.arborescence_ms, sums["pipeline.arborescence"]);
+            // The serial front end runs on the calling thread alone.
+            EXPECT_LE(t.cfg_ms + t.verify_ms + t.analyze_ms +
+                          t.structural_ms + t.typeinf_ms,
+                      t.total_ms);
+        }
+    }
 }
 
 } // namespace

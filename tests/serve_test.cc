@@ -17,7 +17,10 @@
 #include <vector>
 
 #include "bir/serialize.h"
+#include "cache/artifact_cache.h"
 #include "corpus/generator.h"
+#include "obs/report.h"
+#include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -268,6 +271,54 @@ TEST(ServeReject, MalformedFramesGetDeterministicCodes)
         std::vector<std::uint8_t> garbage = {1, 2, 3, 4};
         EXPECT_EQ(Code::BadImage, client.submit(garbage).code);
     }
+
+    server.request_shutdown();
+    server.wait();
+}
+
+TEST(ServeStats, KeepsOnlyTheLastRequestTraces)
+{
+    // A long-lived daemon must not grow with its request count: each
+    // image reconstructs into a trace of its own, `stats` reports the
+    // last kKeptTraces of them, and the process trace gets nothing.
+    std::vector<std::uint8_t> bytes = corpus_image_bytes(16, 8);
+    serve::ServerOptions options = base_options("traces");
+    options.batch_window_ms = 0;
+    // A one-byte budget evicts every artifact: each submit runs cold.
+    options.cache = std::make_shared<cache::ArtifactCache>(
+        cache::CacheOptions{"", 1});
+    serve::Server server(options);
+    server.start();
+    const std::size_t process_spans = obs::span_log().size();
+
+    serve::Client client(server.options().socket_path);
+    constexpr std::size_t kSubmits = 3 * serve::Server::kKeptTraces;
+    for (std::size_t i = 0; i < kSubmits; ++i)
+        ASSERT_EQ(Code::Ok, client.submit(bytes).code) << i;
+    serve::protocol::Response stats = client.stats();
+    ASSERT_EQ(Code::Ok, stats.code);
+    EXPECT_EQ(obs::span_log().size(), process_spans);
+
+    const obs::MetricsReport report =
+        obs::MetricsReport::from_json(payload_text(stats));
+    std::vector<std::size_t> spans_per_request;
+    for (const obs::SpanRecord& span : report.spans) {
+        if (span.parent < 0) {
+            EXPECT_EQ(span.name, "pipeline.reconstruct");
+            spans_per_request.push_back(0);
+        }
+        ASSERT_FALSE(spans_per_request.empty());
+        // The budget keeps the entry written last, the manifest, so
+        // every other run opens the zero-length warm marker too.
+        if (span.name != "pipeline.warm")
+            ++spans_per_request.back();
+    }
+    // Whole requests only, the pool workers' spans included: every
+    // kept trace holds the same tree of the same image.
+    EXPECT_EQ(spans_per_request.size(), serve::Server::kKeptTraces);
+    EXPECT_GT(spans_per_request.front(), 8u);
+    for (std::size_t n : spans_per_request)
+        EXPECT_EQ(n, spans_per_request.front());
 
     server.request_shutdown();
     server.wait();

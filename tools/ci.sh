@@ -41,8 +41,12 @@
 #     the daemon's rock-metrics-v1 latency histogram, and (c) cache
 #     economics -- `--min-hit-rate 0.5`: a duplicate-heavy trace that
 #     misses the artifact cache means the serving layer broke the
-#     warm path (docs/SERVING.md). The daemon metrics and per-request
-#     latency JSONL are kept as artifacts (ROCK_CI_ARTIFACTS dir);
+#     warm path (docs/SERVING.md); then (d) a leak gate: a second,
+#     1-thread daemon whose cache keeps nothing serves 50 cold
+#     Analyzer submits, then 500 more, and must grow by at most 2 MB
+#     of VmRSS and at most 2x in its `stats` reply between the two
+#     points. The daemon metrics and per-request latency JSONL are
+#     kept as artifacts (ROCK_CI_ARTIFACTS dir);
 #  6. tsan: a ThreadSanitizer build (-DROCK_SANITIZE=thread) of the
 #     three suites that drive the thread pool hardest -- support_test
 #     (nested and concurrent run_tasks), determinism_test (every
@@ -267,6 +271,51 @@ leg_serve() {
     # rate must clear 0.5 because 9 of 12 submissions were duplicates.
     ./build/tools/rockstat --check "$serve_dir/serve-metrics.json" \
         --max-p50-ms 60000 --max-p95-ms 100000 --min-hit-rate 0.5
+
+    # Leak gate: a long-lived daemon must not grow with its request
+    # count. One worker, a one-byte cache (every submit runs cold), one
+    # client; the first reading comes after 50 submits, once the
+    # daemon's ring of recent request traces is full, the second after
+    # 500 more.
+    ./build/tools/rockc --benchmark Analyzer \
+        -o "$serve_dir/analyzer.vmi" > /dev/null
+    for n in 50 500; do
+        for _ in $(seq "$n"); do echo "$serve_dir/analyzer.vmi"; done \
+            > "$serve_dir/leak$n.txt"
+    done
+    ./build/tools/rockd --socket "$serve_dir/leak.sock" --threads 1 \
+        --cache-max-bytes 1 2> "$serve_dir/leak.log" &
+    leak_pid=$!
+    for _ in $(seq 100); do
+        [ -S "$serve_dir/leak.sock" ] && break
+        sleep 0.1
+    done
+    leak_ctl() {
+        ./build/tools/rockctl --socket "$serve_dir/leak.sock" "$@" \
+            > /dev/null
+    }
+    for n in 50 500; do
+        leak_ctl replay "$serve_dir/leak$n.txt" --clients 1
+        leak_ctl stats --out "$serve_dir/stats$n.json"
+        awk '/^VmRSS:/ {print $2}' "/proc/$leak_pid/status" \
+            > "$serve_dir/rss$n.kb"
+    done
+    leak_ctl shutdown || true
+    wait "$leak_pid"
+    rss_before=$(cat "$serve_dir/rss50.kb")
+    rss_after=$(cat "$serve_dir/rss500.kb")
+    stats_before=$(wc -c < "$serve_dir/stats50.json")
+    stats_after=$(wc -c < "$serve_dir/stats500.json")
+    echo "rockd leak gate: VmRSS ${rss_before} -> ${rss_after} kB," \
+        "stats ${stats_before} -> ${stats_after} bytes (50 -> 550 submits)"
+    [ $((rss_after - rss_before)) -le 2048 ] || {
+        echo "ci.sh: rockd VmRSS grew by more than 2 MB" >&2
+        exit 1
+    }
+    [ "$stats_after" -le $((2 * stats_before)) ] || {
+        echo "ci.sh: rockd stats reply grew past 2x" >&2
+        exit 1
+    }
     rm -rf "$serve_dir"
 }
 

@@ -142,8 +142,7 @@ main(int argc, char** argv)
                      static_cast<unsigned long long>(final.submits),
                      static_cast<unsigned long long>(final.waves));
         if (!metrics_path.empty())
-            obs::write_report_file(obs::MetricsReport::capture(),
-                                   metrics_path);
+            obs::write_report_file(server.metrics_report(), metrics_path);
         return 0;
     } catch (const support::FatalError& e) {
         std::fprintf(stderr, "rockd: error: %s\n", e.what());
