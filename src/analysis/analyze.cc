@@ -212,8 +212,6 @@ event_kind_metric(EventKind kind)
 void
 record_metrics(const AnalysisResult& result, std::size_t functions)
 {
-    if (!obs::metrics_enabled())
-        return;
     obs::Registry& reg = obs::Registry::global();
     reg.counter("analysis.functions").add(functions);
     // Both phases symbolically execute every function.

@@ -203,7 +203,7 @@ ArtifactCache::insert_locked(const ArtifactKey& key,
 void
 ArtifactCache::evict_locked()
 {
-    while (resident_bytes_ > options_.max_bytes && lru_.size() > 1) {
+    while (resident_bytes_ > options_.max_bytes) {
         const ArtifactKey& victim = lru_.back();
         auto it = entries_.find(victim);
         resident_bytes_ -= it->second.blob.size();
@@ -300,8 +300,6 @@ ArtifactCache::write_disk(const ArtifactKey& key,
     for (const auto& [mtime, path] : files) {
         if (total <= options_.max_bytes)
             break;
-        if (path == fs::path(final_path))
-            continue; // never evict the entry just written
         std::uintmax_t sz = fs::file_size(path, ec);
         if (!ec && fs::remove(path, ec) && !ec) {
             total -= sz;

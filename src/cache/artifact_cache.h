@@ -224,7 +224,8 @@ struct CacheOptions {
      *  first put when missing. */
     std::string dir;
     /** Budget for the in-memory tier (LRU eviction) and for the disk
-     *  tier (oldest files pruned on insert). */
+     *  tier (oldest files pruned on insert). Strict: an entry the
+     *  budget cannot afford is not kept, not even one just written. */
     std::uint64_t max_bytes = 256ull << 20;
 };
 

@@ -63,15 +63,13 @@ CfgCache::build_all(support::ThreadPool& pool)
     });
     built_ = true;
 
-    if (obs::metrics_enabled()) {
-        // Pure functions of the image: deterministic counters.
-        std::set<std::pair<std::uint32_t, std::uint64_t>> unique;
-        for (std::size_t i = 0; i < n; ++i)
-            unique.emplace(image_.functions[i].size, hashes_[i]);
-        obs::Registry& reg = obs::Registry::global();
-        reg.counter("cfg.cache.functions").add(n);
-        reg.counter("cfg.cache.unique_bodies").add(unique.size());
-    }
+    // Pure functions of the image: deterministic counters.
+    std::set<std::pair<std::uint32_t, std::uint64_t>> unique;
+    for (std::size_t i = 0; i < n; ++i)
+        unique.emplace(image_.functions[i].size, hashes_[i]);
+    obs::Registry& reg = obs::Registry::global();
+    reg.counter("cfg.cache.functions").add(n);
+    reg.counter("cfg.cache.unique_bodies").add(unique.size());
 }
 
 const Cfg&

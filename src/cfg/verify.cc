@@ -468,18 +468,15 @@ verify_image(const bir::BinaryImage& image, support::ThreadPool& pool,
 
     // Verifier telemetry: function count and findings by kind (pure
     // functions of the image -- deterministic counters).
-    if (obs::metrics_enabled()) {
-        obs::Registry& reg = obs::Registry::global();
-        reg.counter("verify.functions").add(image.functions.size());
-        reg.counter("verify.diagnostics").add(out.size());
-        std::map<DiagKind, std::uint64_t> by_kind;
-        for (const Diagnostic& diag : out)
-            ++by_kind[diag.kind];
-        for (const auto& [kind, count] : by_kind) {
-            reg.counter(std::string("verify.diagnostics.") +
-                        diag_name(kind))
-                .add(count);
-        }
+    obs::Registry& reg = obs::Registry::global();
+    reg.counter("verify.functions").add(image.functions.size());
+    reg.counter("verify.diagnostics").add(out.size());
+    std::map<DiagKind, std::uint64_t> by_kind;
+    for (const Diagnostic& diag : out)
+        ++by_kind[diag.kind];
+    for (const auto& [kind, count] : by_kind) {
+        reg.counter(std::string("verify.diagnostics.") + diag_name(kind))
+            .add(count);
     }
     return out;
 }

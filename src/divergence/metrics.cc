@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "obs/metrics.h"
 #include "support/error.h"
 
 namespace rock::divergence {
@@ -178,14 +177,8 @@ double
 raw_pair_distance(MetricKind kind, std::span<const double> parent,
                   std::span<const double> child)
 {
-    // Work-volume telemetry: pairs evaluated and words integrated
-    // over -- both pure functions of the feasible-edge work list.
-    static obs::Counter& pairs =
-        obs::Registry::global().counter("divergence.pairs");
-    static obs::Counter& word_count =
-        obs::Registry::global().counter("divergence.words");
-    pairs.add();
-    word_count.add(parent.size());
+    // Work volume: pairs evaluated and words integrated over -- both
+    // pure functions of the feasible-edge work list.
     tls_pair_tally.pairs += 1;
     tls_pair_tally.words += parent.size();
     return metric_from_raw(kind, parent, child);

@@ -26,12 +26,13 @@
 namespace rock::divergence {
 
 /**
- * Per-thread running totals mirroring the `divergence.pairs` /
- * `divergence.words` counters. Bumped even when metrics are disabled:
- * the warm-cache pipeline (src/cache/) snapshots deltas of these
- * tallies around distance computation and stores them with the cached
- * distances, so a warm run replays the exact counter increments of a
- * cold run regardless of either run's metrics setting.
+ * Per-thread running totals of pairs evaluated and words integrated
+ * over, the only per-pair count. reconstruct() reads their deltas
+ * around each family's distance work, stores them in the family's
+ * "famdist" artifact and adds them to the `divergence.pairs` and
+ * `divergence.words` counters once per family, on a cold run and a
+ * warm one alike. A direct pair_distance() outside reconstruct()
+ * moves only these tallies.
  */
 struct PairTally {
     std::uint64_t pairs = 0;
@@ -96,8 +97,8 @@ double pair_distance(MetricKind kind, const slm::LanguageModel& parent,
  * models' raw word probabilities over the same word set, in word-set
  * order. Normalizes each (word_distribution()'s sum and division) and
  * evaluates @p kind with kl_between()'s and the JS functions'
- * expressions, so the result matches them bit for bit. Bumps
- * `divergence.pairs` and `divergence.words`.
+ * expressions, so the result matches them bit for bit. Bumps the
+ * calling thread's PairTally.
  */
 double raw_pair_distance(MetricKind kind,
                          std::span<const double> parent,

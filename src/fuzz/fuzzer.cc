@@ -142,7 +142,7 @@ pick_covering_spec(std::uint64_t case_seed, int pool,
     if (best_fresh < 0)
         return sample_spec(case_seed);
     covered.insert(best_blocks.begin(), best_blocks.end());
-    if (obs::metrics_enabled() && best_fresh > 0) {
+    if (best_fresh > 0) {
         static obs::Counter& fresh_blocks =
             obs::Registry::global().counter(
                 "fuzz.coverage_new_blocks");
@@ -314,15 +314,13 @@ run_fuzz(const FuzzOptions& options, const CaseConfig& config)
     }
     report.elapsed_ms = now_ms() - start;
     report.covered_blocks = covered.size();
-    if (obs::metrics_enabled()) {
-        obs::Registry& reg = obs::Registry::global();
-        reg.counter("fuzz.cases_run").add(
-            static_cast<std::uint64_t>(report.cases_run));
-        reg.counter("fuzz.failures").add(report.failures.size());
-        if (options.coverage_pool > 1)
-            reg.gauge("fuzz.covered_blocks")
-                .set(static_cast<double>(covered.size()));
-    }
+    obs::Registry& reg = obs::Registry::global();
+    reg.counter("fuzz.cases_run").add(
+        static_cast<std::uint64_t>(report.cases_run));
+    reg.counter("fuzz.failures").add(report.failures.size());
+    if (options.coverage_pool > 1)
+        reg.gauge("fuzz.covered_blocks")
+            .set(static_cast<double>(covered.size()));
     return report;
 }
 

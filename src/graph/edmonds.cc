@@ -3,15 +3,14 @@
 #include <limits>
 #include <numeric>
 
-#include "obs/metrics.h"
 #include "support/error.h"
 
 namespace rock::graph {
 
 namespace {
 
-/** Per-thread mirror of `graph.edmonds.contractions`, bumped even
- *  when metrics are disabled (see thread_contraction_tally()). */
+/** Contractions performed on this thread
+ *  (thread_contraction_tally()). */
 thread_local std::uint64_t tls_contraction_tally = 0;
 
 /** One input edge as the solver sees it: endpoints and weight at the
@@ -128,15 +127,8 @@ solve(int n, int root, std::vector<WorkEdge>& work)
 
         // Each detected cycle becomes one supernode contraction; the
         // count is a pure function of the input graph (deterministic).
-        {
-            static obs::Counter& contractions =
-                obs::Registry::global().counter(
-                    "graph.edmonds.contractions");
-            const auto cycles =
-                static_cast<std::uint64_t>(level.num_cycles);
-            contractions.add(cycles);
-            tls_contraction_tally += cycles;
-        }
+        tls_contraction_tally +=
+            static_cast<std::uint64_t>(level.num_cycles);
 
         // Contract every cycle into a supernode.
         comp.assign(idx(n), -1);

@@ -65,11 +65,11 @@ Arborescence min_forest(const Digraph& graph);
 
 /**
  * Monotone per-thread total of supernode contractions performed by
- * the solver on the calling thread. Mirrors the
- * `graph.edmonds.contractions` counter but is bumped even when
- * metrics are disabled: the warm-cache pipeline (src/cache/) stores
- * deltas of this tally with cached family solutions so a warm run
- * replays the exact counter increments of a cold run.
+ * the solver on the calling thread, the only per-contraction count.
+ * reconstruct() reads its delta around each family's solve, stores it
+ * in the family's "famsolve" artifact and adds it to the
+ * `graph.edmonds.contractions` counter once per family; a direct
+ * solver call outside reconstruct() moves only this tally.
  */
 std::uint64_t thread_contraction_tally();
 

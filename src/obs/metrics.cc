@@ -8,24 +8,6 @@
 
 namespace rock::obs {
 
-namespace {
-
-std::atomic<bool> g_enabled{true};
-
-} // namespace
-
-bool
-metrics_enabled()
-{
-    return g_enabled.load(std::memory_order_relaxed);
-}
-
-void
-set_metrics_enabled(bool enabled)
-{
-    g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)),
       buckets_(bounds_.size() + 1)
@@ -40,8 +22,6 @@ Histogram::Histogram(std::vector<double> bounds)
 void
 Histogram::observe(double value)
 {
-    if (!metrics_enabled())
-        return;
     // First bound >= value; past the end = the overflow bucket (NaN
     // included, as no bound compares >= it).
     const std::size_t bucket = static_cast<std::size_t>(

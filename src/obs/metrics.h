@@ -15,16 +15,23 @@
  *  - Histogram: fixed upper-bound buckets + count + sum, for latency
  *    distributions. Not deterministic either (it observes wall time).
  *
- * Hot-path cost contract: every record operation first checks one
- * process-global flag with a single relaxed atomic load and returns
- * immediately when metrics are disabled; when enabled, counters cost
- * one relaxed fetch_add. Callers on hot paths cache the metric
+ * Cost: metrics always record; a counter add is one relaxed
+ * fetch_add on an atomic every thread shares. Callers cache the metric
  * reference in a function-local static so the by-name registry lookup
  * (mutex + map) happens once per process:
  *
  *     static obs::Counter& c =
- *         obs::Registry::global().counter("slm.escapes");
+ *         obs::Registry::global().counter("slm.models_trained");
  *     c.add();
+ *
+ * The per-event work of the three hottest loops -- PPM escapes, DKL
+ * pairs and words, Edmonds contractions -- never touches a shared
+ * atomic. Each thread tallies it (slm::thread_escape_tally(),
+ * divergence::thread_pair_tally(), graph::thread_contraction_tally()),
+ * and reconstruct() adds each family's totals to `slm.escapes`,
+ * `divergence.pairs`, `divergence.words` and
+ * `graph.edmonds.contractions` once, at one site, whether it measured
+ * them or decoded them from a cache hit.
  *
  * Registry::reset() zeroes values *in place*: metric references
  * remain valid for the life of the process (required by the caching
@@ -46,20 +53,12 @@
 
 namespace rock::obs {
 
-/** Is instrumentation recording? One relaxed load; true by default. */
-bool metrics_enabled();
-
-/** Flip recording globally (tests; embedders that want zero noise). */
-void set_metrics_enabled(bool enabled);
-
 /** Monotonic event count. Deterministic across thread counts. */
 class Counter {
   public:
     void
     add(std::uint64_t n = 1)
     {
-        if (!metrics_enabled())
-            return;
         value_.fetch_add(n, std::memory_order_relaxed);
     }
 
@@ -81,16 +80,12 @@ class Gauge {
     void
     set(double v)
     {
-        if (!metrics_enabled())
-            return;
         value_.store(v, std::memory_order_relaxed);
     }
 
     void
     add(double delta)
     {
-        if (!metrics_enabled())
-            return;
         double cur = value_.load(std::memory_order_relaxed);
         while (!value_.compare_exchange_weak(
             cur, cur + delta, std::memory_order_relaxed,

@@ -9,8 +9,6 @@
 #define ROCK_OBS_HAVE_THREAD_CPUTIME 1
 #endif
 
-#include "obs/metrics.h"
-
 namespace rock::obs {
 
 namespace {
@@ -111,9 +109,6 @@ ContextScope::~ContextScope()
 
 Span::Span(std::string name)
 {
-    if (!metrics_enabled())
-        return;
-    active_ = true;
     start_ = std::chrono::steady_clock::now();
     cpu_start_ms_ = thread_cpu_ms();
     trace_ = t_context.trace ? t_context.trace : process_trace();
@@ -159,8 +154,7 @@ Span::end()
 std::map<std::string, double>
 Span::subtree_wall_ms() const
 {
-    return trace_ ? trace_->subtree_wall_ms(id_)
-                  : std::map<std::string, double>{};
+    return trace_->subtree_wall_ms(id_);
 }
 
 std::shared_ptr<Trace>

@@ -22,9 +22,12 @@
  * contract, only counters are; MetricsReport puts spans in the
  * non-deterministic "timing" section of its JSON schema.
  *
- * Cost contract: when metrics are disabled (set_metrics_enabled),
- * constructing and destroying a Span costs one relaxed atomic load
- * and two branch tests -- no clock reads, no allocation, no lock.
+ * Cost: every Span records. Opening one reads the wall and thread CPU
+ * clocks, builds one SpanRecord and appends it under its trace's
+ * mutex; closing it reads both clocks again and takes the mutex once
+ * more. Per-event work inside a span is counted elsewhere: the
+ * hottest loops keep per-thread tallies that reconstruct() adds to
+ * their registry counters once per family (obs/metrics.h).
  */
 #pragma once
 
@@ -120,18 +123,18 @@ class Span {
     /** Close and record the span (idempotent). */
     void end();
 
-    /** Trace::subtree_wall_ms() of this span; empty when tracing was
-     *  disabled at construction. Read it after end(). */
+    /** Trace::subtree_wall_ms() of this span. Read it after end(). */
     std::map<std::string, double> subtree_wall_ms() const;
 
   private:
     std::chrono::steady_clock::time_point start_;
     double cpu_start_ms_ = 0.0;
-    /** The context this span replaced; null trace when inactive. */
+    /** The context this span replaced. */
     TraceContext saved_;
     std::shared_ptr<Trace> trace_;
     int id_ = -1;
-    bool active_ = false;
+    /** Open; end() clears it. */
+    bool active_ = true;
 };
 
 /** The trace that spans of threads with none installed record into. */

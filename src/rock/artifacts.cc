@@ -16,10 +16,7 @@ mix_model(std::uint64_t h, const slm::ModelConfig& c)
 {
     h = mix(h, static_cast<std::uint64_t>(c.kind));
     h = mix(h, static_cast<std::uint64_t>(c.depth));
-    h = mix(h, static_cast<std::uint64_t>(c.escape));
     h = mix(h, c.exclusion ? 1 : 0);
-    h = mix_double(h, c.laplace_alpha);
-    h = mix(h, static_cast<std::uint64_t>(c.katz_threshold));
     return h;
 }
 

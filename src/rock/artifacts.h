@@ -11,11 +11,12 @@
  *               trie codec; the key builders live here)
  *   "famdist"   one blob per family: the final edge weights of its
  *               feasible-edge range plus the work tallies (pairs,
- *               words, escapes) needed to replay the obs counters on
- *               a warm hit
+ *               words, escapes) a warm hit adds to the obs counters
+ *               where a cold run adds the ones it measured
  *   "famsolve"  one blob per multi-member family: the co-optimal
  *               parent assignments (local member indices) plus the
- *               counter replays of the arborescence stage
+ *               arborescence stage's counts, Edmonds contractions
+ *               included
  *   "manifest"  one entry per (image digest, config fingerprint)
  *               marking a completed reconstruction; a hit opens the
  *               "pipeline.warm" span
@@ -97,10 +98,10 @@ std::uint64_t config_fingerprint(const RockConfig& config);
 struct FamilyDistanceBlob {
     /** Final (post-discount) weights, in family edge order. */
     std::vector<double> weights;
-    /** divergence.pairs / divergence.words counter replays. */
+    /** divergence.pairs / divergence.words tallies. */
     std::uint64_t pairs = 0;
     std::uint64_t words = 0;
-    /** slm.escapes counter replay (model walks during the metric). */
+    /** slm.escapes tally (model walks during the metric). */
     std::uint64_t escapes = 0;
 };
 
@@ -120,7 +121,7 @@ struct FamilySolveBlob {
     std::uint64_t cooptimal = 0;
     /** arborescence.ties_majority_resolved counter replay. */
     std::uint64_t resolved = 0;
-    /** graph.edmonds.contractions counter replay. */
+    /** graph.edmonds.contractions tally. */
     std::uint64_t contractions = 0;
     /** Surviving parent assignments, member position -> local member
      *  index of the parent (-1 = root); alternatives[0] is selected. */

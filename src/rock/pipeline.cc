@@ -101,8 +101,8 @@ struct FamilyPlan {
      *  filled by the train chunks, read by the distance chunks and
      *  freed before the solve. */
     divergence::FamilyWords memo;
-    /** Memo-fill and distance-chunk work tallies, stored for warm-hit
-     *  replay. */
+    /** Memo-fill and distance-chunk work tallies, or a famdist hit's
+     *  stored ones; solve_stage() adds them to the registry. */
     std::atomic<std::uint64_t> pairs{0};
     std::atomic<std::uint64_t> words{0};
     std::atomic<std::uint64_t> escapes{0};
@@ -345,8 +345,8 @@ plan_candidates(RunContext& ctx)
 
     ctx.edge_weights.assign(ctx.edges.size(), 0.0);
 
-    // A "famdist" hit pre-fills the family's weights and replays the
-    // work counters the skipped evaluation would have bumped.
+    // A "famdist" hit pre-fills the family's weights and the work
+    // tallies of the evaluation it skips.
     for (FamilyPlan& fam : ctx.families) {
         if (!ctx.store || fam.edge_begin == fam.edge_end)
             continue;
@@ -373,9 +373,9 @@ plan_candidates(RunContext& ctx)
                   ctx.edge_weights.begin() +
                       static_cast<std::ptrdiff_t>(fam.edge_begin));
         fam.famdist_loaded = true;
-        reg.counter("divergence.pairs").add(dist.pairs);
-        reg.counter("divergence.words").add(dist.words);
-        reg.counter("slm.escapes").add(dist.escapes);
+        fam.pairs = dist.pairs;
+        fam.words = dist.words;
+        fam.escapes = dist.escapes;
     }
 }
 
@@ -589,9 +589,9 @@ solve_family(const RunContext& ctx, const FamilyPlan& fam, int m)
 
 /**
  * Solve task, the end of family @p f's chain: store fresh weights,
- * take the solution from the store or solve it, then replay its
- * counters and map member positions to type indices on one path for
- * hits and misses (only a hit replays Edmonds contractions).
+ * take the solution from the store or solve it, then add the family's
+ * work counts to the registry and map member positions to type
+ * indices on one path for cache hits and misses alike.
  */
 void
 solve_stage(RunContext& ctx, std::size_t f)
@@ -646,9 +646,18 @@ solve_stage(RunContext& ctx, std::size_t f)
         reg.counter("arborescence.ties_majority_resolved").add(sol.resolved);
         if (sol.structurally_ambiguous)
             reg.counter("arborescence.structurally_ambiguous").add();
-        if (hit)
-            reg.counter("graph.edmonds.contractions").add(sol.contractions);
     }
+    // The family's per-thread work tallies, just measured or decoded
+    // from its cache hits. A counter appears with the first work it
+    // counts.
+    auto add_work = [&reg](const char* name, std::uint64_t n) {
+        if (n > 0)
+            reg.counter(name).add(n);
+    };
+    add_work("divergence.pairs", fam.pairs);
+    add_work("divergence.words", fam.words);
+    add_work("slm.escapes", fam.escapes);
+    add_work("graph.edmonds.contractions", sol.contractions);
 
     out.structurally_ambiguous = sol.structurally_ambiguous;
     for (auto& parents : sol.alternatives) {
@@ -968,13 +977,11 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config,
     result.timing = stage_timing(total_span);
 
     const std::size_t n = result.structural.types.size();
-    if (obs::metrics_enabled()) {
-        obs::Registry& reg = obs::Registry::global();
-        reg.counter("pipeline.types").add(n);
-        reg.counter("pipeline.families").add(result.families.size());
-        reg.counter("pipeline.ambiguous_families").add(
-            static_cast<std::uint64_t>(result.ambiguous_families));
-    }
+    obs::Registry& reg = obs::Registry::global();
+    reg.counter("pipeline.types").add(n);
+    reg.counter("pipeline.families").add(result.families.size());
+    reg.counter("pipeline.ambiguous_families").add(
+        static_cast<std::uint64_t>(result.ambiguous_families));
 
     ROCK_LOG_INFO << "reconstruct: " << n << " types, "
                   << result.families.size() << " families ("

@@ -121,8 +121,7 @@ struct RockConfig {
  * preludes, per-family pool tasks and merges. Pool tasks' spans nest
  * under the call that submitted them, so a concurrent call's spans
  * never leak in, while at threads > 1 overlapping task spans can sum
- * past total_ms. All fields are 0 when metrics are disabled.
- * tests/obs_test.cc pins these properties.
+ * past total_ms. tests/obs_test.cc pins these properties.
  */
 struct StageTiming {
     /** Shared per-image CFG recovery (cfg::CfgCache::build_all). */

@@ -38,7 +38,7 @@ KatzModel::finalize()
 double
 KatzModel::discount(int order, int r) const
 {
-    if (r > threshold_)
+    if (r > kThreshold)
         return 1.0;
     const auto& table = coc_[static_cast<std::size_t>(order)];
     auto lookup = [&table](int key) -> long {

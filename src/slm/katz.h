@@ -24,9 +24,11 @@ namespace rock::slm {
 /** Katz back-off model. */
 class KatzModel final : public LanguageModel {
   public:
-    KatzModel(int alphabet_size, int depth, int threshold)
-        : trie_(depth), alphabet_size_(alphabet_size),
-          threshold_(threshold) {}
+    /** Counts at or below this are Good-Turing discounted. */
+    static constexpr int kThreshold = 5;
+
+    KatzModel(int alphabet_size, int depth)
+        : trie_(depth), alphabet_size_(alphabet_size) {}
 
     void train(const std::vector<int>& seq) override;
     double prob(int symbol,
@@ -52,7 +54,6 @@ class KatzModel final : public LanguageModel {
 
     ContextTrie trie_;
     int alphabet_size_;
-    int threshold_;
     /** Count-of-counts per order, each (r, N_r) sorted by r;
      *  rebuilt lazily after training unless finalize() ran. */
     mutable std::vector<std::vector<std::pair<int, long>>> coc_;

@@ -40,14 +40,11 @@ make_model(const ModelConfig& config, int alphabet_size)
     switch (config.kind) {
       case ModelKind::PpmC:
         return std::make_unique<PpmModel>(alphabet_size, config.depth,
-                                          config.exclusion,
-                                          config.escape);
+                                          config.exclusion);
       case ModelKind::Katz:
-        return std::make_unique<KatzModel>(alphabet_size, config.depth,
-                                           config.katz_threshold);
+        return std::make_unique<KatzModel>(alphabet_size, config.depth);
       case ModelKind::NGram:
-        return std::make_unique<NGramModel>(
-            alphabet_size, config.depth, config.laplace_alpha);
+        return std::make_unique<NGramModel>(alphabet_size, config.depth);
     }
     support::panic("unknown model kind");
 }
@@ -68,8 +65,6 @@ void
 record_training_metrics(const LanguageModel& model,
                         const std::vector<std::vector<int>>& sequences)
 {
-    if (!obs::metrics_enabled())
-        return;
     std::uint64_t symbols = 0;
     for (const auto& seq : sequences)
         symbols += seq.size();

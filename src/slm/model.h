@@ -25,28 +25,13 @@ namespace rock::slm {
 /** Model families. */
 enum class ModelKind { PpmC, Katz, NGram };
 
-/**
- * PPM escape estimation methods. The paper uses method C; A and D
- * are the classic alternatives (Cleary/Witten 1984, Howard 1993):
- *  - A: escape count 1            -> P(esc) = 1/(n+1)
- *  - C: escape count q (distinct) -> P(esc) = q/(n+q)
- *  - D: discount 1/2 per distinct -> P(esc) = q/(2n)
- */
-enum class EscapeMethod { A, C, D };
-
 /** Configuration shared by all model families. */
 struct ModelConfig {
     ModelKind kind = ModelKind::PpmC;
     /** Maximum context length D (the paper's figures use depth 2). */
     int depth = 2;
-    /** PPM: escape estimation method (paper: C). */
-    EscapeMethod escape = EscapeMethod::C;
     /** PPM: apply exclusions when backing off. */
     bool exclusion = false;
-    /** NGram: Laplace smoothing constant. */
-    double laplace_alpha = 1.0;
-    /** Katz: counts below this threshold are Good-Turing discounted. */
-    int katz_threshold = 5;
 };
 
 /** Common interface of all trained sequence models. */
@@ -110,9 +95,11 @@ void record_training_metrics(
 
 /**
  * Monotone per-thread total of PPM escapes taken on the calling
- * thread. Mirrors the `slm.escapes` counter but is bumped even when
- * metrics are disabled, so cached divergence artifacts carry the same
- * replay data regardless of the producer's metrics setting.
+ * thread, the only per-escape count. reconstruct() reads its deltas
+ * around each family's model walks, stores them in the family's
+ * "famdist" artifact and adds them to the `slm.escapes` counter once
+ * per family; a direct query outside reconstruct() moves only this
+ * tally.
  */
 std::uint64_t thread_escape_tally();
 

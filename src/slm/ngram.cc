@@ -31,9 +31,9 @@ NGramModel::prob(int symbol, const std::vector<int>& context) const
     trie_.context_chain(context, chain);
     ContextTrie::NodeId node = chain.back();
     long count = trie_.count_of(node, symbol);
-    return (static_cast<double>(count) + alpha_) /
+    return (static_cast<double>(count) + kAlpha) /
            (static_cast<double>(trie_.total(node)) +
-            alpha_ * static_cast<double>(alphabet_size_));
+            kAlpha * static_cast<double>(alphabet_size_));
 }
 
 } // namespace rock::slm

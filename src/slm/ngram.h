@@ -3,7 +3,8 @@
  * Fixed-order Laplace-smoothed n-gram model (baseline).
  *
  * Uses the longest stored context up to the configured depth and
- * additive smoothing: P = (c + alpha) / (n + alpha * |Sigma|).
+ * additive smoothing: P = (c + alpha) / (n + alpha * |Sigma|), with
+ * alpha = 1.
  */
 #pragma once
 
@@ -15,8 +16,11 @@ namespace rock::slm {
 /** Laplace-smoothed fixed-order n-gram. */
 class NGramModel final : public LanguageModel {
   public:
-    NGramModel(int alphabet_size, int depth, double alpha)
-        : trie_(depth), alphabet_size_(alphabet_size), alpha_(alpha) {}
+    /** Laplace smoothing constant. */
+    static constexpr double kAlpha = 1.0;
+
+    NGramModel(int alphabet_size, int depth)
+        : trie_(depth), alphabet_size_(alphabet_size) {}
 
     void train(const std::vector<int>& seq) override;
     double prob(int symbol,
@@ -32,7 +36,6 @@ class NGramModel final : public LanguageModel {
   private:
     ContextTrie trie_;
     int alphabet_size_;
-    double alpha_;
 };
 
 } // namespace rock::slm

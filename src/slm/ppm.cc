@@ -4,28 +4,16 @@
 #include <cmath>
 #include <set>
 
-#include "obs/metrics.h"
 #include "support/error.h"
 
 namespace rock::slm {
 
 namespace {
 
-/** Per-thread mirror of `slm.escapes`, bumped even when metrics are
- *  disabled so cached artifacts stay metrics-setting-independent. */
+/** Escapes taken on this thread (thread_escape_tally()). The count
+ *  is a pure function of (model, query), so a family's total is the
+ *  same at every thread count. */
 thread_local std::uint64_t tls_escape_tally = 0;
-
-/** Escape-taken telemetry (docs/OBSERVABILITY.md: slm.escapes). The
- *  escape count is a pure function of (model, query) so the total
- *  stays deterministic across thread counts. */
-void
-count_escape()
-{
-    static obs::Counter& escapes =
-        obs::Registry::global().counter("slm.escapes");
-    escapes.add();
-    ++tls_escape_tally;
-}
 
 } // namespace
 
@@ -77,35 +65,11 @@ PpmModel::finalize()
         bool covers = distinct >= static_cast<long>(alphabet_size_);
         double n = static_cast<double>(total);
         double q = static_cast<double>(distinct);
-        double esc_p = 0.0;
-        if (!covers) {
-            switch (escape_) {
-              case EscapeMethod::A: esc_p = 1.0 / (n + 1.0); break;
-              case EscapeMethod::C: esc_p = q / (n + q); break;
-              case EscapeMethod::D: esc_p = q / (2.0 * n); break;
-            }
-        }
-        escape_p_[id] = esc_p;
+        escape_p_[id] = covers ? 0.0 : q / (n + q);
         for (const auto& [symbol, count] : entries) {
             (void)symbol;
             double c = static_cast<double>(count);
-            double sym_p = 0.0;
-            if (covers) {
-                sym_p = c / n;
-            } else {
-                switch (escape_) {
-                  case EscapeMethod::A:
-                    sym_p = c / (n + 1.0);
-                    break;
-                  case EscapeMethod::C:
-                    sym_p = c / (n + q);
-                    break;
-                  case EscapeMethod::D:
-                    sym_p = (2.0 * c - 1.0) / (2.0 * n);
-                    break;
-                }
-            }
-            prob_vals_.push_back(sym_p);
+            prob_vals_.push_back(covers ? c / n : c / (n + q));
         }
     }
     prob_offset_[nodes] =
@@ -167,7 +131,7 @@ PpmModel::chain_prob(int symbol,
                 static_cast<std::size_t>(found - entries.begin());
             return escape_acc * prob_vals_[slot];
         }
-        count_escape();
+        ++tls_escape_tally;
         escape_acc *= escape_p_[static_cast<std::size_t>(node)];
     }
     return escape_acc / static_cast<double>(alphabet_size_);
@@ -215,36 +179,15 @@ PpmModel::general_prob(int symbol,
         bool usable = raw_count > 0 &&
                       (!exclusion_ || !excluded.count(symbol));
 
-        // Symbol and escape probabilities per escape method
-        // (Cleary/Witten A, Moffat C, Howard D).
-        double sym_p = 0.0;
-        double esc_p = 0.0;
-        double count = usable ? static_cast<double>(raw_count) : 0.0;
+        // Method C (Moffat): the escape takes q of n + q counts.
         double n = static_cast<double>(total);
         double q = static_cast<double>(distinct);
-        if (covers) {
-            sym_p = count / n;
-            esc_p = 0.0;
-        } else {
-            switch (escape_) {
-              case EscapeMethod::A:
-                sym_p = count / (n + 1.0);
-                esc_p = 1.0 / (n + 1.0);
-                break;
-              case EscapeMethod::C:
-                sym_p = count / (n + q);
-                esc_p = q / (n + q);
-                break;
-              case EscapeMethod::D:
-                sym_p = (2.0 * count - 1.0) / (2.0 * n);
-                esc_p = q / (2.0 * n);
-                break;
-            }
+        if (usable) {
+            double count = static_cast<double>(raw_count);
+            return escape_acc * (covers ? count / n : count / (n + q));
         }
-        if (usable)
-            return escape_acc * sym_p;
-        count_escape();
-        escape_acc *= esc_p;
+        ++tls_escape_tally;
+        escape_acc *= covers ? 0.0 : q / (n + q);
         if (exclusion_) {
             for (const auto& [seen, seen_count] : trie_.counts(node)) {
                 (void)seen_count;

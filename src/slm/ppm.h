@@ -36,13 +36,12 @@
 
 namespace rock::slm {
 
-/** PPM model (escape methods A, C, or D). */
+/** PPM model, escape method C. */
 class PpmModel final : public LanguageModel {
   public:
-    PpmModel(int alphabet_size, int depth, bool exclusion,
-             EscapeMethod escape = EscapeMethod::C)
+    PpmModel(int alphabet_size, int depth, bool exclusion)
         : trie_(depth), alphabet_size_(alphabet_size),
-          exclusion_(exclusion), escape_(escape) {}
+          exclusion_(exclusion) {}
 
     void train(const std::vector<int>& seq) override;
     double prob(int symbol,
@@ -82,7 +81,6 @@ class PpmModel final : public LanguageModel {
     ContextTrie trie_;
     int alphabet_size_;
     bool exclusion_;
-    EscapeMethod escape_;
 
     // ---- finalize() products (valid while finalized_) -----------------
     /** One conditional probability per (node, successor) entry,

@@ -181,21 +181,18 @@ structural_analysis(const std::vector<VTableInfo>& vtables,
         }
     }
 
-    if (obs::metrics_enabled()) {
-        obs::Registry& reg = obs::Registry::global();
-        std::uint64_t feasible = 0;
-        for (const auto& cands : result.possible_parents)
-            feasible += cands.size();
-        reg.counter("structural.types").add(
-            static_cast<std::uint64_t>(n));
-        reg.counter("structural.families").add(
-            static_cast<std::uint64_t>(result.num_families()));
-        reg.counter("structural.forced_parents").add(
-            result.forced_parents.size());
-        reg.counter("structural.secondary_vtables").add(
-            result.secondary_of.size());
-        reg.counter("structural.feasible_parent_edges").add(feasible);
-    }
+    obs::Registry& reg = obs::Registry::global();
+    std::uint64_t feasible = 0;
+    for (const auto& cands : result.possible_parents)
+        feasible += cands.size();
+    reg.counter("structural.types").add(static_cast<std::uint64_t>(n));
+    reg.counter("structural.families").add(
+        static_cast<std::uint64_t>(result.num_families()));
+    reg.counter("structural.forced_parents").add(
+        result.forced_parents.size());
+    reg.counter("structural.secondary_vtables").add(
+        result.secondary_of.size());
+    reg.counter("structural.feasible_parent_edges").add(feasible);
 
     ROCK_LOG_INFO << "structural: " << n << " types, "
                   << result.num_families() << " families, "

@@ -76,19 +76,15 @@ infer(const bir::BinaryImage& image, const cfg::CfgCache& cache,
     result.stats.subtype_edges = result.subtype_edges.size();
     result.stats.inconsistencies = result.inconsistencies.size();
 
-    if (obs::metrics_enabled()) {
-        obs::Registry& reg = obs::Registry::global();
-        reg.counter("typeinf.functions_walked")
-            .add(result.stats.functions_walked);
-        reg.counter("typeinf.unique_bodies")
-            .add(result.stats.unique_bodies);
-        reg.counter("typeinf.constraints").add(result.stats.constraints);
-        reg.counter("typeinf.object_vars").add(result.stats.object_vars);
-        reg.counter("typeinf.subtype_edges")
-            .add(result.stats.subtype_edges);
-        reg.counter("typeinf.inconsistencies")
-            .add(result.stats.inconsistencies);
-    }
+    obs::Registry& reg = obs::Registry::global();
+    reg.counter("typeinf.functions_walked")
+        .add(result.stats.functions_walked);
+    reg.counter("typeinf.unique_bodies").add(result.stats.unique_bodies);
+    reg.counter("typeinf.constraints").add(result.stats.constraints);
+    reg.counter("typeinf.object_vars").add(result.stats.object_vars);
+    reg.counter("typeinf.subtype_edges").add(result.stats.subtype_edges);
+    reg.counter("typeinf.inconsistencies")
+        .add(result.stats.inconsistencies);
 
     ROCK_LOG_INFO << "typeinf: " << result.stats.constraints
                   << " constraints over " << result.stats.object_vars

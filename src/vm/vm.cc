@@ -497,52 +497,46 @@ Interpreter::run_image(int threads) const
         merged.merge(s);
     merged.stats.entries = image_.functions.size();
 
-    if (obs::metrics_enabled()) {
-        auto& reg = obs::Registry::global();
-        static obs::Counter& c_entries = reg.counter("vm.entries");
-        static obs::Counter& c_runs = reg.counter("vm.runs");
-        static obs::Counter& c_steps = reg.counter("vm.steps");
-        static obs::Counter& c_frames = reg.counter("vm.frames");
-        static obs::Counter& c_calls = reg.counter("vm.calls");
-        static obs::Counter& c_allocs = reg.counter("vm.allocs");
-        static obs::Counter& c_traps = reg.counter("vm.traps");
-        static obs::Counter& c_tracelets =
-            reg.counter("vm.tracelets");
-        static obs::Counter& c_blocks =
-            reg.counter("vm.blocks_covered");
-        static obs::Counter& c_skips =
-            reg.counter("vm.skipped_indirect");
-        c_entries.add(merged.stats.entries);
-        c_runs.add(merged.stats.runs);
-        c_steps.add(merged.stats.steps);
-        c_frames.add(merged.stats.frames);
-        c_calls.add(merged.stats.calls);
-        c_allocs.add(merged.stats.allocs);
-        c_traps.add(merged.traps.size());
-        c_tracelets.add(merged.records.size());
-        c_blocks.add(merged.coverage.size());
-        c_skips.add(merged.stats.skipped_indirect);
-        static const std::array<obs::Counter*, kNumOps> c_ops = [] {
-            std::array<obs::Counter*, kNumOps> a{};
-            for (std::size_t i = 0; i < kNumOps; ++i)
-                a[i] = &obs::Registry::global().counter(
-                    "vm.op." + bir::op_name(static_cast<Op>(i)));
-            return a;
-        }();
+    auto& reg = obs::Registry::global();
+    static obs::Counter& c_entries = reg.counter("vm.entries");
+    static obs::Counter& c_runs = reg.counter("vm.runs");
+    static obs::Counter& c_steps = reg.counter("vm.steps");
+    static obs::Counter& c_frames = reg.counter("vm.frames");
+    static obs::Counter& c_calls = reg.counter("vm.calls");
+    static obs::Counter& c_allocs = reg.counter("vm.allocs");
+    static obs::Counter& c_traps = reg.counter("vm.traps");
+    static obs::Counter& c_tracelets = reg.counter("vm.tracelets");
+    static obs::Counter& c_blocks = reg.counter("vm.blocks_covered");
+    static obs::Counter& c_skips = reg.counter("vm.skipped_indirect");
+    c_entries.add(merged.stats.entries);
+    c_runs.add(merged.stats.runs);
+    c_steps.add(merged.stats.steps);
+    c_frames.add(merged.stats.frames);
+    c_calls.add(merged.stats.calls);
+    c_allocs.add(merged.stats.allocs);
+    c_traps.add(merged.traps.size());
+    c_tracelets.add(merged.records.size());
+    c_blocks.add(merged.coverage.size());
+    c_skips.add(merged.stats.skipped_indirect);
+    static const std::array<obs::Counter*, kNumOps> c_ops = [] {
+        std::array<obs::Counter*, kNumOps> a{};
         for (std::size_t i = 0; i < kNumOps; ++i)
-            c_ops[i]->add(merged.op_counts[i]);
-        static const std::array<obs::Counter*, kNumTrapKinds>
-            c_trapk = [] {
-                std::array<obs::Counter*, kNumTrapKinds> a{};
-                for (int i = 0; i < kNumTrapKinds; ++i)
-                    a[i] = &obs::Registry::global().counter(
-                        std::string("vm.traps.") +
-                        trap_name(static_cast<TrapKind>(i)));
-                return a;
-            }();
-        for (const Trap& t : merged.traps)
-            c_trapk[static_cast<int>(t.kind)]->add();
-    }
+            a[i] = &obs::Registry::global().counter(
+                "vm.op." + bir::op_name(static_cast<Op>(i)));
+        return a;
+    }();
+    for (std::size_t i = 0; i < kNumOps; ++i)
+        c_ops[i]->add(merged.op_counts[i]);
+    static const std::array<obs::Counter*, kNumTrapKinds> c_trapk = [] {
+        std::array<obs::Counter*, kNumTrapKinds> a{};
+        for (int i = 0; i < kNumTrapKinds; ++i)
+            a[i] = &obs::Registry::global().counter(
+                std::string("vm.traps.") +
+                trap_name(static_cast<TrapKind>(i)));
+        return a;
+    }();
+    for (const Trap& t : merged.traps)
+        c_trapk[static_cast<int>(t.kind)]->add();
     return merged;
 }
 

@@ -229,6 +229,39 @@ TEST(ArtifactCache, LruEvictionUnderByteBudget)
     EXPECT_FALSE(store.get(key_of("symexec", 0, 0), out));
 }
 
+TEST(ArtifactCache, EntryOverTheBudgetIsNotKept)
+{
+    // Eight bytes afford a one-int blob but not a four-int one, not
+    // even as the only entry and the one just written.
+    const auto small = blob_of({1});
+    const auto big = blob_of({1, 2, 3, 4});
+    std::vector<std::uint8_t> out;
+    { // Memory tier.
+        cache::CacheOptions opts;
+        opts.max_bytes = 8;
+        cache::ArtifactCache store{opts};
+        store.put(key_of("manifest", 1, 0), big);
+        EXPECT_FALSE(store.get(key_of("manifest", 1, 0), out));
+        cache::CacheStats stats = store.stats();
+        EXPECT_EQ(stats.entries, 0u);
+        EXPECT_EQ(stats.bytes, 0u);
+        EXPECT_EQ(stats.evictions, 1u);
+        store.put(key_of("manifest", 2, 0), small);
+        EXPECT_TRUE(store.get(key_of("manifest", 2, 0), out));
+    }
+    { // Disk tier: the payload fits, but no entry file (header and
+      // checksum included) does.
+        TempDir dir("budget");
+        cache::CacheOptions opts;
+        opts.dir = dir.path();
+        opts.max_bytes = 8;
+        cache::ArtifactCache{opts}.put(key_of("manifest", 1, 0), small);
+        EXPECT_TRUE(std::filesystem::is_empty(dir.path()));
+        cache::ArtifactCache fresh{opts};
+        EXPECT_FALSE(fresh.get(key_of("manifest", 1, 0), out));
+    }
+}
+
 TEST(ArtifactCache, ConcurrentSameKeyInsertionIsFirstWinsStable)
 {
     cache::ArtifactCache store{cache::CacheOptions{}};

@@ -15,10 +15,10 @@
  * the original PPM/Katz probability computations (verbatim modulo
  * the obs counter, which does not touch the arithmetic) and checks
  * equality across:
- *  - sampled random corpora x {alphabet, depth, escape method,
- *    exclusion} for PPM (both the finalized fast path and the
- *    pre-finalize general path),
- *  - sampled random corpora x {alphabet, depth, threshold} for Katz,
+ *  - sampled random corpora x {alphabet, depth, exclusion} for PPM-C
+ *    (both the finalized fast path and the pre-finalize general
+ *    path),
+ *  - sampled random corpora x {alphabet, depth} for Katz,
  *  - DKL values through divergence::kl_divergence,
  *  - PPM's whole-word sequence_log_prob() against the per-symbol
  *    prob() loop (same bits, same escape tally),
@@ -44,8 +44,6 @@
 #include "toyc/compiler.h"
 
 namespace {
-
-using rock::slm::EscapeMethod;
 
 // ---------------------------------------------------------------------
 // Reference implementation: the original pointer-based trie and the
@@ -124,13 +122,12 @@ struct RefTrie {
     Node root;
 };
 
-/** The original PpmModel::prob, against a RefTrie. */
+/** The original PpmModel::prob (method C), against a RefTrie. */
 class RefPpm final : public rock::slm::LanguageModel {
   public:
-    RefPpm(int alphabet_size, int depth, bool exclusion,
-           EscapeMethod escape)
+    RefPpm(int alphabet_size, int depth, bool exclusion)
         : trie_(depth), alphabet_size_(alphabet_size),
-          exclusion_(exclusion), escape_(escape)
+          exclusion_(exclusion)
     {
     }
 
@@ -182,20 +179,8 @@ class RefPpm final : public rock::slm::LanguageModel {
                 sym_p = count / n;
                 esc_p = 0.0;
             } else {
-                switch (escape_) {
-                  case EscapeMethod::A:
-                    sym_p = count / (n + 1.0);
-                    esc_p = 1.0 / (n + 1.0);
-                    break;
-                  case EscapeMethod::C:
-                    sym_p = count / (n + q);
-                    esc_p = q / (n + q);
-                    break;
-                  case EscapeMethod::D:
-                    sym_p = (2.0 * count - 1.0) / (2.0 * n);
-                    esc_p = q / (2.0 * n);
-                    break;
-                }
+                sym_p = count / (n + q);
+                esc_p = q / (n + q);
             }
             if (usable)
                 return escape_acc * sym_p;
@@ -217,7 +202,6 @@ class RefPpm final : public rock::slm::LanguageModel {
     RefTrie trie_;
     int alphabet_size_;
     bool exclusion_;
-    EscapeMethod escape_;
 };
 
 /** The original KatzModel, against a RefTrie. */
@@ -397,60 +381,48 @@ TEST(FlatTrie, PpmByteIdenticalAcrossConfigs)
     int cases = 0;
     for (int alphabet : {3, 8, 17}) {
         for (int depth : {1, 2, 3}) {
-            for (EscapeMethod escape :
-                 {EscapeMethod::A, EscapeMethod::C, EscapeMethod::D}) {
-                for (bool exclusion : {false, true}) {
-                    rock::support::Rng rng(
-                        static_cast<std::uint64_t>(
-                            1000 * alphabet + 100 * depth +
-                            10 * static_cast<int>(escape) +
-                            (exclusion ? 1 : 0)));
-                    auto corpus =
-                        random_corpus(rng, alphabet, 24, 12);
-                    auto contexts =
-                        query_contexts(corpus, rng, alphabet);
+            for (bool exclusion : {false, true}) {
+                rock::support::Rng rng(static_cast<std::uint64_t>(
+                    1000 * alphabet + 100 * depth + 10 +
+                    (exclusion ? 1 : 0)));
+                auto corpus = random_corpus(rng, alphabet, 24, 12);
+                auto contexts = query_contexts(corpus, rng, alphabet);
 
-                    rock::slm::PpmModel flat(alphabet, depth,
-                                             exclusion, escape);
-                    RefPpm ref(alphabet, depth, exclusion, escape);
-                    for (const auto& seq : corpus) {
-                        flat.train(seq);
-                        ref.train(seq);
-                    }
-
-                    // Pre-finalize: the general walk over the arena.
-                    expect_models_identical(flat, ref, contexts,
-                                            alphabet,
-                                            "ppm general path");
-                    // Post-finalize: the precomputed-vector fast
-                    // path (or, with exclusion, still the general
-                    // walk -- either way the same bits).
-                    flat.finalize();
-                    expect_models_identical(flat, ref, contexts,
-                                            alphabet,
-                                            "ppm finalized path");
-
-                    // Training again un-finalizes and both paths
-                    // still agree after re-finalizing.
-                    std::vector<int> extra;
-                    for (int i = 0; i < 6; ++i)
-                        extra.push_back(static_cast<int>(rng.index(
-                            static_cast<std::size_t>(alphabet))));
-                    flat.train(extra);
-                    ref.train(extra);
-                    expect_models_identical(
-                        flat, ref, contexts, alphabet,
-                        "ppm retrained general path");
-                    flat.finalize();
-                    expect_models_identical(
-                        flat, ref, contexts, alphabet,
-                        "ppm retrained finalized path");
-                    ++cases;
+                rock::slm::PpmModel flat(alphabet, depth, exclusion);
+                RefPpm ref(alphabet, depth, exclusion);
+                for (const auto& seq : corpus) {
+                    flat.train(seq);
+                    ref.train(seq);
                 }
+
+                // Pre-finalize: the general walk over the arena.
+                expect_models_identical(flat, ref, contexts, alphabet,
+                                        "ppm general path");
+                // Post-finalize: the precomputed-vector fast path
+                // (or, with exclusion, still the general walk --
+                // either way the same bits).
+                flat.finalize();
+                expect_models_identical(flat, ref, contexts, alphabet,
+                                        "ppm finalized path");
+
+                // Training again un-finalizes and both paths still
+                // agree after re-finalizing.
+                std::vector<int> extra;
+                for (int i = 0; i < 6; ++i)
+                    extra.push_back(static_cast<int>(
+                        rng.index(static_cast<std::size_t>(alphabet))));
+                flat.train(extra);
+                ref.train(extra);
+                expect_models_identical(flat, ref, contexts, alphabet,
+                                        "ppm retrained general path");
+                flat.finalize();
+                expect_models_identical(flat, ref, contexts, alphabet,
+                                        "ppm retrained finalized path");
+                ++cases;
             }
         }
     }
-    EXPECT_EQ(cases, 54);
+    EXPECT_EQ(cases, 18);
 }
 
 // ---------------------------------------------------------------------
@@ -478,64 +450,55 @@ TEST(FlatTrie, PpmSequenceWalkMatchesPerSymbolLoop)
     int cases = 0;
     int exclusion_differs = 0;
     for (int depth = 0; depth <= 4; ++depth) {
-        for (EscapeMethod escape :
-             {EscapeMethod::A, EscapeMethod::C, EscapeMethod::D}) {
-            for (bool exclusion : {false, true}) {
-                for (bool finalized : {false, true}) {
-                    SCOPED_TRACE(testing::Message()
-                                 << "depth " << depth << " escape "
-                                 << static_cast<int>(escape)
-                                 << " exclusion " << exclusion
-                                 << " finalized " << finalized);
-                    rock::support::Rng rng(static_cast<std::uint64_t>(
-                        100 * depth + 10 * static_cast<int>(escape) +
-                        (exclusion ? 1 : 0)));
-                    auto corpus = random_corpus(rng, alphabet, 24, 12);
-                    // Trained words, unseen words and the empty word.
-                    auto queries = corpus;
-                    auto unseen = random_corpus(rng, alphabet, 24, 10);
-                    queries.insert(queries.end(), unseen.begin(),
-                                   unseen.end());
-                    queries.push_back({});
+        for (bool exclusion : {false, true}) {
+            for (bool finalized : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << "depth " << depth << " exclusion "
+                             << exclusion << " finalized " << finalized);
+                rock::support::Rng rng(static_cast<std::uint64_t>(
+                    100 * depth + 10 + (exclusion ? 1 : 0)));
+                auto corpus = random_corpus(rng, alphabet, 24, 12);
+                // Trained words, unseen words and the empty word.
+                auto queries = corpus;
+                auto unseen = random_corpus(rng, alphabet, 24, 10);
+                queries.insert(queries.end(), unseen.begin(),
+                               unseen.end());
+                queries.push_back({});
 
-                    rock::slm::PpmModel model(alphabet, depth,
-                                              exclusion, escape);
-                    rock::slm::PpmModel plain(alphabet, depth,
-                                              /*exclusion=*/false,
-                                              escape);
-                    for (const auto& seq : corpus) {
-                        model.train(seq);
-                        plain.train(seq);
-                    }
-                    if (finalized) {
-                        model.finalize();
-                        plain.finalize();
-                    }
-                    for (const auto& q : queries) {
-                        const auto t0 = rock::slm::thread_escape_tally();
-                        const double got = model.sequence_log_prob(q);
-                        const auto t1 = rock::slm::thread_escape_tally();
-                        const double want = per_symbol_log_prob(model, q);
-                        const auto t2 = rock::slm::thread_escape_tally();
-                        ASSERT_TRUE(bit_identical(got, want))
-                            << "word of length " << q.size() << ": "
-                            << got << " vs " << want;
-                        ASSERT_EQ(t1 - t0, t2 - t1)
-                            << "escape tally differs";
-                        ASSERT_TRUE(bit_identical(model.sequence_prob(q),
-                                                  std::exp(want)));
-                        // Exclusion changes the numbers, so a walk that
-                        // skipped the generic path would show here.
-                        if (exclusion && finalized &&
-                            !bit_identical(got, plain.sequence_log_prob(q)))
-                            ++exclusion_differs;
-                    }
-                    ++cases;
+                rock::slm::PpmModel model(alphabet, depth, exclusion);
+                rock::slm::PpmModel plain(alphabet, depth,
+                                          /*exclusion=*/false);
+                for (const auto& seq : corpus) {
+                    model.train(seq);
+                    plain.train(seq);
                 }
+                if (finalized) {
+                    model.finalize();
+                    plain.finalize();
+                }
+                for (const auto& q : queries) {
+                    const auto t0 = rock::slm::thread_escape_tally();
+                    const double got = model.sequence_log_prob(q);
+                    const auto t1 = rock::slm::thread_escape_tally();
+                    const double want = per_symbol_log_prob(model, q);
+                    const auto t2 = rock::slm::thread_escape_tally();
+                    ASSERT_TRUE(bit_identical(got, want))
+                        << "word of length " << q.size() << ": " << got
+                        << " vs " << want;
+                    ASSERT_EQ(t1 - t0, t2 - t1) << "escape tally differs";
+                    ASSERT_TRUE(bit_identical(model.sequence_prob(q),
+                                              std::exp(want)));
+                    // Exclusion changes the numbers, so a walk that
+                    // skipped the generic path would show here.
+                    if (exclusion && finalized &&
+                        !bit_identical(got, plain.sequence_log_prob(q)))
+                        ++exclusion_differs;
+                }
+                ++cases;
             }
         }
     }
-    EXPECT_EQ(cases, 60);
+    EXPECT_EQ(cases, 20);
     EXPECT_GT(exclusion_differs, 0);
 }
 
@@ -545,29 +508,27 @@ TEST(FlatTrie, PpmSequenceWalkMatchesPerSymbolLoop)
 
 TEST(FlatTrie, KatzByteIdenticalAcrossConfigs)
 {
+    const int threshold = rock::slm::KatzModel::kThreshold;
     for (int alphabet : {4, 11}) {
         for (int depth : {1, 2, 3}) {
-            for (int threshold : {1, 5}) {
-                rock::support::Rng rng(static_cast<std::uint64_t>(
-                    7000 + 100 * alphabet + 10 * depth + threshold));
-                auto corpus = random_corpus(rng, alphabet, 24, 12);
-                auto contexts = query_contexts(corpus, rng, alphabet);
+            rock::support::Rng rng(static_cast<std::uint64_t>(
+                7000 + 100 * alphabet + 10 * depth + threshold));
+            auto corpus = random_corpus(rng, alphabet, 24, 12);
+            auto contexts = query_contexts(corpus, rng, alphabet);
 
-                rock::slm::KatzModel flat(alphabet, depth, threshold);
-                RefKatz ref(alphabet, depth, threshold);
-                for (const auto& seq : corpus) {
-                    flat.train(seq);
-                    ref.train(seq);
-                }
-
-                // Lazy count-of-counts path, then the eager
-                // finalized one.
-                expect_models_identical(flat, ref, contexts, alphabet,
-                                        "katz lazy path");
-                flat.finalize();
-                expect_models_identical(flat, ref, contexts, alphabet,
-                                        "katz finalized path");
+            rock::slm::KatzModel flat(alphabet, depth);
+            RefKatz ref(alphabet, depth, threshold);
+            for (const auto& seq : corpus) {
+                flat.train(seq);
+                ref.train(seq);
             }
+
+            // Lazy count-of-counts path, then the eager finalized one.
+            expect_models_identical(flat, ref, contexts, alphabet,
+                                    "katz lazy path");
+            flat.finalize();
+            expect_models_identical(flat, ref, contexts, alphabet,
+                                    "katz finalized path");
         }
     }
 }
@@ -585,12 +546,10 @@ TEST(FlatTrie, KlDivergenceByteIdentical)
         auto corpus_a = random_corpus(rng, alphabet, 20, 10);
         auto corpus_b = random_corpus(rng, alphabet, 20, 10);
 
-        rock::slm::PpmModel flat_a(alphabet, depth, false,
-                                   EscapeMethod::C);
-        rock::slm::PpmModel flat_b(alphabet, depth, false,
-                                   EscapeMethod::C);
-        RefPpm ref_a(alphabet, depth, false, EscapeMethod::C);
-        RefPpm ref_b(alphabet, depth, false, EscapeMethod::C);
+        rock::slm::PpmModel flat_a(alphabet, depth, false);
+        rock::slm::PpmModel flat_b(alphabet, depth, false);
+        RefPpm ref_a(alphabet, depth, false);
+        RefPpm ref_b(alphabet, depth, false);
         for (const auto& seq : corpus_a) {
             flat_a.train(seq);
             ref_a.train(seq);
@@ -654,8 +613,7 @@ TEST(FlatTrie, PipelineModelsMatchPointerOracle)
             // Re-train the pointer oracle exactly as train_model
             // trains the shipped model (RockConfig defaults: PPM-C,
             // depth 2, no exclusion).
-            RefPpm ref(alphabet, config.slm.depth,
-                       config.slm.exclusion, config.slm.escape);
+            RefPpm ref(alphabet, config.slm.depth, config.slm.exclusion);
             for (const auto& seq : result.type_sequences[t])
                 ref.train(seq);
 

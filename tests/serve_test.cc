@@ -308,10 +308,10 @@ TEST(ServeStats, KeepsOnlyTheLastRequestTraces)
             spans_per_request.push_back(0);
         }
         ASSERT_FALSE(spans_per_request.empty());
-        // The budget keeps the entry written last, the manifest, so
-        // every other run opens the zero-length warm marker too.
-        if (span.name != "pipeline.warm")
-            ++spans_per_request.back();
+        // The budget keeps nothing, the manifest included, so no run
+        // is marked warm.
+        EXPECT_NE(span.name, "pipeline.warm");
+        ++spans_per_request.back();
     }
     // Whole requests only, the pool workers' spans included: every
     // kept trace holds the same tree of the same image.

@@ -212,7 +212,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Katz, SeenCountsAreDiscounted)
 {
-    KatzModel model(3, 1, /*threshold=*/5);
+    KatzModel model(3, 1);
     // Many singleton events so Good-Turing has mass to shift.
     model.train({0, 1});
     model.train({0, 2});
@@ -227,7 +227,7 @@ TEST(Katz, SeenCountsAreDiscounted)
 
 TEST(NGram, LaplaceExactValues)
 {
-    NGramModel model(2, 1, /*alpha=*/1.0);
+    NGramModel model(2, 1);
     model.train({0, 0, 1});
     // Context "0": counts {0:1, 1:1}; P(0|0) = (1+1)/(2+2) = 0.5.
     EXPECT_NEAR(model.prob(0, {0}), 0.5, 1e-12);
@@ -257,60 +257,5 @@ TEST(Models, TrainRejectsForeignSymbols)
     EXPECT_THROW(model.train({0, 5}), rock::support::PanicError);
     EXPECT_THROW(model.prob(9, {}), rock::support::PanicError);
 }
-
-// ---------------------------------------------------------------------
-// PPM escape methods A / C / D
-// ---------------------------------------------------------------------
-
-TEST(PpmEscape, MethodAHandValues)
-{
-    // Train "aa","ab": root counts {a:3, b:1}, n=4.
-    // Method A: P(a|e) = 3/5, P(esc) = 1/5.
-    PpmModel model(3, 2, false, EscapeMethod::A);
-    model.train({0, 0});
-    model.train({0, 1});
-    EXPECT_NEAR(model.prob(0, {}), 3.0 / 5.0, 1e-12);
-    EXPECT_NEAR(model.prob(2, {}), (1.0 / 5.0) / 3.0, 1e-12);
-}
-
-TEST(PpmEscape, MethodDHandValues)
-{
-    // Method D: P(a|e) = (2*3-1)/(2*4) = 5/8; P(esc) = 2/8.
-    PpmModel model(3, 2, false, EscapeMethod::D);
-    model.train({0, 0});
-    model.train({0, 1});
-    EXPECT_NEAR(model.prob(0, {}), 5.0 / 8.0, 1e-12);
-    EXPECT_NEAR(model.prob(1, {}), 1.0 / 8.0, 1e-12);
-    EXPECT_NEAR(model.prob(2, {}), (2.0 / 8.0) / 3.0, 1e-12);
-}
-
-class EscapeSweep : public ::testing::TestWithParam<EscapeMethod> {};
-
-TEST_P(EscapeSweep, DistributionsStayProper)
-{
-    rock::support::Rng rng(31);
-    PpmModel model(5, 2, /*exclusion=*/true, GetParam());
-    for (int s = 0; s < 10; ++s) {
-        std::vector<int> seq;
-        for (std::size_t i = 0, len = 1 + rng.index(8); i < len; ++i)
-            seq.push_back(static_cast<int>(rng.index(5)));
-        model.train(seq);
-    }
-    for (const auto& ctx : std::vector<std::vector<int>>{
-             {}, {0}, {3, 1}, {2, 2, 2}}) {
-        double total = 0.0;
-        for (int s = 0; s < 5; ++s) {
-            double p = model.prob(s, ctx);
-            EXPECT_GT(p, 0.0);
-            total += p;
-        }
-        EXPECT_NEAR(total, 1.0, 1e-9);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Methods, EscapeSweep,
-                         ::testing::Values(EscapeMethod::A,
-                                           EscapeMethod::C,
-                                           EscapeMethod::D));
 
 } // namespace

@@ -48,11 +48,13 @@
 #     points. The daemon metrics and per-request latency JSONL are
 #     kept as artifacts (ROCK_CI_ARTIFACTS dir);
 #  6. tsan: a ThreadSanitizer build (-DROCK_SANITIZE=thread) of the
-#     three suites that drive the thread pool hardest -- support_test
-#     (nested and concurrent run_tasks), determinism_test (every
-#     thread count, one pool shared across calls) and serve_test (the
-#     daemon's waves) -- run as the support_tsan / determinism_tsan /
-#     serve_tsan ctest entries.
+#     four suites that drive the thread pool and its recording paths
+#     hardest -- support_test (nested and concurrent run_tasks),
+#     determinism_test (every thread count, one pool shared across
+#     calls), serve_test (the daemon's waves) and obs_test (concurrent
+#     calls on one pool, worker spans nested under their call) -- run
+#     as the support_tsan / determinism_tsan / serve_tsan / obs_tsan
+#     ctest entries.
 #
 # Leg hygiene: every leg runs under a hard `timeout` (a wedged daemon
 # or hung fuzz case fails the leg instead of stalling CI until the
@@ -94,10 +96,10 @@ leg_sanitize() {
 }
 
 leg_tsan() {
-    echo "==> tsan: ThreadSanitizer build of the pool, determinism and serve suites"
+    echo "==> tsan: ThreadSanitizer build of the pool, determinism, serve, obs suites"
     cmake -B build-tsan -S . -DROCK_SANITIZE=thread
     cmake --build build-tsan -j "$JOBS" --target support_test \
-        determinism_test serve_test
+        determinism_test serve_test obs_test
     (cd build-tsan && ctest --output-on-failure -j "$JOBS" -R '_tsan$')
 }
 
