@@ -39,7 +39,7 @@ main()
     }
 
     std::printf("\nPairwise DKL over feasible parent edges:\n");
-    for (const auto& [edge, dist] : result.sorted_distances()) {
+    for (const auto& [edge, dist] : result.distances) {
         std::printf("  DKL( %-30s || %-30s ) = %.4f\n",
                     paper_names[result.structural.types
                                     [static_cast<std::size_t>(

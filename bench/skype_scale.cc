@@ -27,9 +27,9 @@
  * Default is a single all-hardware-threads run (the historical
  * behavior); --threads "1,4" runs the gate pair. On a 4-core x86 host
  * (Release build) the 5000-class default takes about 6 s and peaks
- * near 370 MB at --threads 1, 4.5-6 s and about 440-450 MB at
+ * near 320 MB at --threads 1, 4.5-6 s and about 375 MB at
  * --threads 4 (the giant family's solve stays serial); 2000 classes
- * take about 0.8 s serially and peak near 76 MB. CI runs 2000 classes
+ * take about 0.5 s serially and peak near 72 MB. CI runs 2000 classes
  * for the speedup and warm-cache gates and 5000 classes at 4 threads
  * for the memory gate (`rockstat --check --max-peak-rss-mb 1024`).
  *
@@ -38,6 +38,12 @@
  * the whole process -- generation, compilation and every earlier
  * run of the sweep included -- so it never falls from one line to
  * the next; a run's own footprint shows only when it sets a new peak.
+ *
+ * Every JSON line also carries "cpu_ms", the user+system CPU time the
+ * process spent across that reconstruct() call (getrusage deltas), and
+ * "parallel_efficiency" = cpu_ms / (total_ms x threads): near 1 when
+ * every worker computed the whole call, near 1/threads when they took
+ * turns on one CPU. Neither is gated yet.
  *
  * --warm-runs N appends an artifact-cache phase: one cold
  * reconstruction populating a content-addressed cache
@@ -67,13 +73,36 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "cache/artifact_cache.h"
 #include "corpus/generator.h"
 #include "obs/report.h"
 #include "rock/pipeline.h"
+#include "support/parallel.h"
 #include "toyc/compiler.h"
 
 namespace {
+
+/** User + system CPU time of the whole process so far, in ms. */
+double
+process_cpu_ms()
+{
+    rusage usage{};
+    ::getrusage(RUSAGE_SELF, &usage);
+    auto ms = [](const timeval& tv) {
+        return static_cast<double>(tv.tv_sec) * 1e3 +
+               static_cast<double>(tv.tv_usec) / 1e3;
+    };
+    return ms(usage.ru_utime) + ms(usage.ru_stime);
+}
+
+/** cpu_ms / (total_ms x threads), or 0 for an empty run. */
+double
+parallel_efficiency(double cpu_ms, double total_ms, int threads)
+{
+    return total_ms > 0.0 ? cpu_ms / (total_ms * threads) : 0.0;
+}
 
 std::vector<int>
 parse_threads(const std::string& csv)
@@ -195,10 +224,12 @@ main(int argc, char** argv)
     for (int threads : thread_counts) {
         core::RockConfig config;
         config.threads = threads;
+        const double cpu_before = process_cpu_ms();
         t0 = clock::now();
         core::ReconstructionResult result =
             core::reconstruct(compiled.image, config);
         double reconstruct_ms = ms_since(t0);
+        const double cpu_ms = process_cpu_ms() - cpu_before;
         const core::StageTiming& t = result.timing;
 
         std::string diff =
@@ -241,6 +272,7 @@ main(int argc, char** argv)
             "\"train_ms\":%.3f,"
             "\"distances_ms\":%.3f,\"arborescence_ms\":%.3f,"
             "\"total_ms\":%.3f,\"speedup_vs_serial\":%.3f,"
+            "\"cpu_ms\":%.3f,\"parallel_efficiency\":%.3f,"
             "\"peak_rss_mb\":%.1f,"
             "\"identical_to_serial\":%s,"
             "\"underprovisioned\":%s}\n",
@@ -251,6 +283,9 @@ main(int argc, char** argv)
             serial_ms > 0.0 && t.total_ms > 0.0
                 ? serial_ms / t.total_ms
                 : 1.0,
+            cpu_ms,
+            parallel_efficiency(cpu_ms, t.total_ms,
+                                support::resolve_threads(threads)),
             obs::peak_rss_mb(), identical ? "true" : "false",
             underprovisioned ? "true" : "false");
         if (json)
@@ -281,10 +316,12 @@ main(int argc, char** argv)
             config.threads = 1;
             config.cache = store;
             std::uint64_t hits_before = store->stats().hits;
+            const double cpu_before = process_cpu_ms();
             t0 = clock::now();
             core::ReconstructionResult result =
                 core::reconstruct(compiled.image, config);
             double run_ms = ms_since(t0);
+            const double cpu_ms = process_cpu_ms() - cpu_before;
             std::uint64_t run_hits = store->stats().hits - hits_before;
             const core::StageTiming& t = result.timing;
 
@@ -327,6 +364,7 @@ main(int argc, char** argv)
                 "\"train_ms\":%.3f,"
                 "\"distances_ms\":%.3f,\"arborescence_ms\":%.3f,"
                 "\"total_ms\":%.3f,\"warm_speedup\":%.3f,"
+                "\"cpu_ms\":%.3f,\"parallel_efficiency\":%.3f,"
                 "\"peak_rss_mb\":%.1f,"
                 "\"cache_hits\":%llu,\"identical_to_cold\":%s,"
                 "\"underprovisioned\":%s}\n",
@@ -339,6 +377,7 @@ main(int argc, char** argv)
                 warm && cold_ms > 0.0 && t.total_ms > 0.0
                     ? cold_ms / t.total_ms
                     : 1.0,
+                cpu_ms, parallel_efficiency(cpu_ms, t.total_ms, 1),
                 obs::peak_rss_mb(), static_cast<unsigned long long>(run_hits),
                 identical ? "true" : "false",
                 underprovisioned ? "true" : "false");

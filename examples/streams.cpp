@@ -82,7 +82,7 @@ main()
     core::ReconstructionResult result =
         core::reconstruct(compiled.image);
     std::printf("\n=== DKL ranking and hierarchy (Figs. 6a/4) ===\n");
-    for (const auto& [edge, dist] : result.sorted_distances()) {
+    for (const auto& [edge, dist] : result.distances) {
         std::printf("  w( %-18s -> %-18s ) = %.4f\n",
                     gt.names
                         .at(result.structural.types

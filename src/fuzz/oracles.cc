@@ -73,8 +73,9 @@ check_structure(const OracleContext& ctx)
 
         int p = h.parent(v);
         if (p >= 0) {
-            if (!sr.possible_parents[static_cast<std::size_t>(v)]
-                     .count(p))
+            const auto& feasible =
+                sr.possible_parents[static_cast<std::size_t>(v)];
+            if (!std::binary_search(feasible.begin(), feasible.end(), p))
                 return fail(support::format(
                     "infeasible parent %d chosen for node %d", p, v));
             if (sr.family[static_cast<std::size_t>(v)] !=
@@ -110,9 +111,10 @@ check_structure(const OracleContext& ctx)
                 int parent = alt[m];
                 if (parent < 0)
                     continue;
-                if (!sr.possible_parents[static_cast<std::size_t>(
-                                             child)]
-                         .count(parent))
+                const auto& feasible =
+                    sr.possible_parents[static_cast<std::size_t>(child)];
+                if (!std::binary_search(feasible.begin(), feasible.end(),
+                                        parent))
                     return fail(support::format(
                         "family %d: infeasible alternative edge "
                         "%d -> %d",
@@ -186,8 +188,9 @@ check_sound_elimination(const OracleContext& ctx)
             return fail(support::format(
                 "true parent %d of %d landed in another family", p,
                 c));
-        if (!sr.possible_parents[static_cast<std::size_t>(c)].count(
-                p))
+        const auto& feasible =
+            sr.possible_parents[static_cast<std::size_t>(c)];
+        if (!std::binary_search(feasible.begin(), feasible.end(), p))
             return fail(support::format(
                 "structural rules eliminated the true parent "
                 "%d -> %d",

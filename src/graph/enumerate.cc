@@ -9,6 +9,9 @@ namespace rock::graph {
 
 namespace {
 
+/** Cut searches on this thread (thread_enumerate_cuts()). */
+thread_local EnumerateCuts tls_cuts;
+
 /** In-edge candidate for one node during enumeration. */
 struct Candidate {
     int src = -1; ///< -1 encodes "become a root" (super-root edge)
@@ -80,6 +83,13 @@ class Enumerator {
                              return cost_of(a) < cost_of(b);
                          });
         return std::move(results_);
+    }
+
+    /** Did the last run() go past the step budget? */
+    bool
+    ran_out_of_steps() const
+    {
+        return steps_ > config_.max_steps;
     }
 
   private:
@@ -178,7 +188,16 @@ enumerate_min_forests(const Digraph& graph,
     auto results = e.run();
     ROCK_ASSERT(!results.empty(),
                 "enumeration must find at least the optimum");
+    tls_cuts.steps += e.ran_out_of_steps() ? 1 : 0;
+    tls_cuts.results +=
+        static_cast<int>(results.size()) >= config.max_results ? 1 : 0;
     return results;
+}
+
+EnumerateCuts
+thread_enumerate_cuts()
+{
+    return tls_cuts;
 }
 
 } // namespace rock::graph

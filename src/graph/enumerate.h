@@ -18,6 +18,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -51,5 +52,24 @@ struct EnumerateConfig {
 std::vector<Arborescence>
 enumerate_min_forests(const Digraph& graph,
                       const EnumerateConfig& config = {});
+
+/** Searches cut short, by the budget that cut them. */
+struct EnumerateCuts {
+    /** Searches that ran past EnumerateConfig::max_steps. */
+    std::uint64_t steps = 0;
+    /** Searches that stopped at EnumerateConfig::max_results. */
+    std::uint64_t results = 0;
+};
+
+/**
+ * Monotone per-thread totals of enumerate_min_forests() calls on the
+ * calling thread whose search a budget cut, so that the returned set
+ * may lack co-optimal forests. reconstruct() reads the deltas around
+ * each family's solve, stores them in the family's "famsolve"
+ * artifact and adds them to the `budget.enumerate_steps` and
+ * `budget.max_alternatives` counters once per family, like
+ * thread_contraction_tally().
+ */
+EnumerateCuts thread_enumerate_cuts();
 
 } // namespace rock::graph

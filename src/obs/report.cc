@@ -420,13 +420,15 @@ diff_bench_lines(const std::string& baseline_jsonl,
         }
         for (const auto& [field, bval] : b.value.object) {
             // Ratio columns are derived from the *_ms fields (which
-            // are gated with the time tolerance themselves);
+            // are gated with the time tolerance themselves), and
+            // parallel_efficiency moves with CPU placement;
             // hw_threads and underprovisioned describe the capture
             // host, not the code under test; cache_hits depends on
             // the store's eviction history -- all of them vary freely
             // across machines.
             bool is_ratio =
                 field == "speedup_vs_serial" ||
+                field == "parallel_efficiency" ||
                 (field.size() > 8 &&
                  field.compare(field.size() - 8, 8, "_speedup") == 0);
             if (is_ratio || field == "hw_threads" ||

@@ -106,11 +106,12 @@ distance_fingerprint(const RockConfig& config, int alphabet_size,
 }
 
 /** Generation of solve_family()'s algorithm. A famsolve blob replays
- *  the Edmonds contractions of the solve that wrote it, so a solver
- *  that contracts differently for the same inputs bumps this rather
- *  than kSchemaVersion (2: the ambiguity probe stopped running
- *  Edmonds on the zero-weight skeleton). */
-constexpr std::uint64_t kSolverGeneration = 2;
+ *  the Edmonds contractions and budget cuts of the solve that wrote
+ *  it, so a solver that counts differently for the same inputs bumps
+ *  this rather than kSchemaVersion (2: the ambiguity probe stopped
+ *  running Edmonds on the zero-weight skeleton; 3: the blob carries
+ *  the enumerator's budget cuts). */
+constexpr std::uint64_t kSolverGeneration = 3;
 
 std::uint64_t
 solve_fingerprint(const RockConfig& config)
@@ -174,6 +175,8 @@ encode_family_solution(const FamilySolveBlob& blob,
     out.u64(blob.cooptimal);
     out.u64(blob.resolved);
     out.u64(blob.contractions);
+    out.u64(blob.step_cuts);
+    out.u64(blob.alternative_cuts);
     out.u32(static_cast<std::uint32_t>(blob.alternatives.size()));
     for (const auto& parents : blob.alternatives) {
         for (int p : parents)
@@ -189,6 +192,8 @@ decode_family_solution(cache::ByteReader& in, FamilySolveBlob* blob)
     blob->cooptimal = in.u64();
     blob->resolved = in.u64();
     blob->contractions = in.u64();
+    blob->step_cuts = in.u64();
+    blob->alternative_cuts = in.u64();
     const std::uint32_t n_alt = in.u32();
     if (!in.ok() || m == 0 || n_alt == 0 || ambiguous > 1)
         return false;

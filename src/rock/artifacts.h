@@ -16,7 +16,7 @@
  *   "famsolve"  one blob per multi-member family: the co-optimal
  *               parent assignments (local member indices) plus the
  *               arborescence stage's counts, Edmonds contractions
- *               included
+ *               and the enumerator's budget cuts included
  *   "manifest"  one entry per (image digest, config fingerprint)
  *               marking a completed reconstruction; a hit opens the
  *               "pipeline.warm" span
@@ -123,6 +123,10 @@ struct FamilySolveBlob {
     std::uint64_t resolved = 0;
     /** graph.edmonds.contractions tally. */
     std::uint64_t contractions = 0;
+    /** budget.enumerate_steps / budget.max_alternatives tallies
+     *  (graph::thread_enumerate_cuts()). */
+    std::uint64_t step_cuts = 0;
+    std::uint64_t alternative_cuts = 0;
     /** Surviving parent assignments, member position -> local member
      *  index of the parent (-1 = root); alternatives[0] is selected. */
     std::vector<std::vector<int>> alternatives;

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <bit>
 #include <initializer_list>
+#include <map>
+#include <stdexcept>
 #include <utility>
 
 #include "cache/artifact_cache.h"
@@ -72,7 +74,7 @@ namespace {
 /** How the solve treats one feasible candidate edge; the values are
  *  the edge codes folded into the "famsolve" content key. */
 enum class EdgeKind : std::uint8_t {
-    Weighed = 0, ///< distance in a slot of the run's edge arrays
+    Weighed = 0, ///< distance in a slot of result.distances
     Forced = 1,  ///< rule-3 constructor evidence: costs nothing
     Pruned = 2,  ///< contradicts a solved subtype fact
 };
@@ -82,7 +84,7 @@ struct CandidateEdge {
     int parent = 0;
     int child = 0;
     EdgeKind kind = EdgeKind::Weighed;
-    /** Index into RunContext::edges / edge_weights (Weighed only). */
+    /** Index into result.distances (Weighed only). */
     std::size_t slot = 0;
 };
 
@@ -91,7 +93,8 @@ struct FamilyPlan {
     /** Every feasible edge of a multi-member family in (member,
      *  possible-parent) order, the order ties are enumerated in. */
     std::vector<CandidateEdge> candidates;
-    /** The family's weighed slots, [edge_begin, edge_end). */
+    /** The family's slots of result.distances, [edge_begin,
+     *  edge_end). */
     std::size_t edge_begin = 0;
     std::size_t edge_end = 0;
     /** "famdist" key; loaded when its probe pre-filled the weights. */
@@ -142,11 +145,8 @@ struct RunContext {
 
     /** Candidate tables, indexed like result.families. */
     std::vector<FamilyPlan> families;
-    // Weighed edges, family-contiguous: (parent, child) type indices,
-    // solved-subtype agreement and final weights.
-    std::vector<std::pair<int, int>> edges;
+    /** Per slot of result.distances: a solved subtype fact agrees. */
     std::vector<char> edge_discounted;
-    std::vector<double> edge_weights;
 };
 
 /**
@@ -281,6 +281,7 @@ void
 plan_candidates(RunContext& ctx)
 {
     ReconstructionResult& result = ctx.result;
+    DistanceTable& table = result.distances;
     const structural::StructuralResult& st = result.structural;
     const auto& types = st.types;
     const auto num_families = static_cast<std::size_t>(st.num_families());
@@ -303,7 +304,7 @@ plan_candidates(RunContext& ctx)
         FamilyPlan& fam = ctx.families[f];
         const auto& members = result.families[f].members;
         result.families[f].family_id = static_cast<int>(f);
-        fam.edge_begin = fam.edge_end = ctx.edges.size();
+        fam.edge_begin = fam.edge_end = table.size();
         if (members.size() < 2)
             continue;
         for (std::size_t i = 0; i < members.size(); ++i) {
@@ -314,7 +315,7 @@ plan_candidates(RunContext& ctx)
                 ROCK_ASSERT(st.family[p] == static_cast<int>(f),
                             "type outside its family");
                 CandidateEdge edge{pos[p], static_cast<int>(i),
-                                   EdgeKind::Weighed, ctx.edges.size()};
+                                   EdgeKind::Weighed, table.size()};
                 if (forced != st.forced_parents.end() &&
                     forced->second == parent) {
                     edge.kind = EdgeKind::Forced;
@@ -327,23 +328,21 @@ plan_candidates(RunContext& ctx)
                     const bool agrees =
                         fuse && result.typeinf.subtype(types[c], types[p]);
                     discounted += agrees ? 1 : 0;
-                    ctx.edges.emplace_back(parent, members[i]);
+                    table.append(parent, members[i]);
                     ctx.edge_discounted.push_back(agrees ? 1 : 0);
                 }
                 fam.candidates.push_back(edge);
             }
         }
-        fam.edge_end = ctx.edges.size();
+        fam.edge_end = table.size();
     }
     // DKL pairs actually scheduled vs. pruned away by structural
     // certainty or by a contradicting solved subtype fact.
     obs::Registry& reg = obs::Registry::global();
-    reg.counter("divergence.pairs_scheduled").add(ctx.edges.size());
+    reg.counter("divergence.pairs_scheduled").add(table.size());
     reg.counter("divergence.pairs_pruned_forced").add(forced_count);
     reg.counter("typeinf.edges_pruned").add(pruned_count);
     reg.counter("typeinf.edges_discounted").add(discounted);
-
-    ctx.edge_weights.assign(ctx.edges.size(), 0.0);
 
     // A "famdist" hit pre-fills the family's weights and the work
     // tallies of the evaluation it skips.
@@ -353,7 +352,7 @@ plan_candidates(RunContext& ctx)
         std::uint64_t h =
             cache::mix(cache::kFnvSeed, fam.edge_end - fam.edge_begin);
         for (std::size_t e = fam.edge_begin; e < fam.edge_end; ++e) {
-            const auto [p, c] = ctx.edges[e];
+            const auto [p, c] = table[e].first;
             h = cache::mix(h, static_cast<std::uint32_t>(p));
             h = cache::mix(h, static_cast<std::uint32_t>(c));
             h = cache::mix(h, ctx.type_seq_hash[static_cast<std::size_t>(p)]);
@@ -369,9 +368,8 @@ plan_candidates(RunContext& ctx)
         if (!decode_family_distances(in, &dist) ||
             dist.weights.size() != fam.edge_end - fam.edge_begin)
             continue;
-        std::copy(dist.weights.begin(), dist.weights.end(),
-                  ctx.edge_weights.begin() +
-                      static_cast<std::ptrdiff_t>(fam.edge_begin));
+        for (std::size_t i = 0; i < dist.weights.size(); ++i)
+            table[fam.edge_begin + i].second = dist.weights[i];
         fam.famdist_loaded = true;
         fam.pairs = dist.pairs;
         fam.words = dist.words;
@@ -426,7 +424,7 @@ intern_family(RunContext& ctx, std::size_t f)
     std::vector<std::pair<int, int>> edges;
     edges.reserve(fam.edge_end - fam.edge_begin);
     for (std::size_t e = fam.edge_begin; e < fam.edge_end; ++e) {
-        const auto [p, c] = ctx.edges[e];
+        const auto [p, c] = ctx.result.distances[e].first;
         edges.emplace_back(ctx.member_pos[static_cast<std::size_t>(p)],
                            ctx.member_pos[static_cast<std::size_t>(c)]);
     }
@@ -467,8 +465,9 @@ edge_weight(const RunContext& ctx, const FamilyPlan& fam, std::size_t e,
             divergence::FamilyWords::Scratch& scratch)
 {
     const ReconstructionResult& result = ctx.result;
-    const auto p = static_cast<std::size_t>(ctx.edges[e].first);
-    const auto c = static_cast<std::size_t>(ctx.edges[e].second);
+    const auto [parent, child] = result.distances[e].first;
+    const auto p = static_cast<std::size_t>(parent);
+    const auto c = static_cast<std::size_t>(child);
     double weight = 0.0;
     if (ctx.observed_union) {
         weight = fam.memo.distance(
@@ -507,7 +506,7 @@ weigh_chunk(RunContext& ctx, std::size_t f, support::Chunk chunk)
     divergence::FamilyWords::Scratch scratch;
     for (std::size_t e = fam.edge_begin + chunk.begin;
          e < fam.edge_begin + chunk.end; ++e)
-        ctx.edge_weights[e] = edge_weight(ctx, fam, e, scratch);
+        ctx.result.distances[e].second = edge_weight(ctx, fam, e, scratch);
     const auto after = divergence::thread_pair_tally();
     fam.pairs += after.pairs - before.pairs;
     fam.words += after.words - before.words;
@@ -527,7 +526,7 @@ famsolve_content(const RunContext& ctx, const FamilyPlan& fam, int m)
         h = cache::mix(h, static_cast<std::uint64_t>(edge.child));
         h = cache::mix(h, static_cast<std::uint64_t>(edge.kind));
         if (edge.kind == EdgeKind::Weighed)
-            h = cache::mix_double(h, ctx.edge_weights[edge.slot]);
+            h = cache::mix_double(h, ctx.result.distances[edge.slot].second);
     }
     return h;
 }
@@ -539,6 +538,7 @@ FamilySolveBlob
 solve_family(const RunContext& ctx, const FamilyPlan& fam, int m)
 {
     const auto contractions_before = graph::thread_contraction_tally();
+    const graph::EnumerateCuts cuts_before = graph::thread_enumerate_cuts();
     FamilySolveBlob sol;
     sol.m = m;
     // Structural ambiguity: is there more than one zero-weight spanning
@@ -562,7 +562,7 @@ solve_family(const RunContext& ctx, const FamilyPlan& fam, int m)
             weighted.add_edge(edge.parent, edge.child,
                               edge.kind == EdgeKind::Forced
                                   ? 0.0
-                                  : ctx.edge_weights[edge.slot]);
+                                  : ctx.result.distances[edge.slot].second);
         }
     }
     graph::EnumerateConfig ties;
@@ -584,6 +584,9 @@ solve_family(const RunContext& ctx, const FamilyPlan& fam, int m)
         sol.alternatives.push_back(std::move(forest.parent));
     sol.contractions =
         graph::thread_contraction_tally() - contractions_before;
+    const graph::EnumerateCuts cuts = graph::thread_enumerate_cuts();
+    sol.step_cuts = cuts.steps - cuts_before.steps;
+    sol.alternative_cuts = cuts.results - cuts_before.results;
     return sol;
 }
 
@@ -605,11 +608,10 @@ solve_stage(RunContext& ctx, std::size_t f)
     obs::Span span("pipeline.arborescence");
     if (ctx.store && fam.edge_end > fam.edge_begin &&
         !fam.famdist_loaded) {
-        const auto first = ctx.edge_weights.begin();
-        const FamilyDistanceBlob dist{
-            {first + static_cast<std::ptrdiff_t>(fam.edge_begin),
-             first + static_cast<std::ptrdiff_t>(fam.edge_end)},
-            fam.pairs, fam.words, fam.escapes};
+        FamilyDistanceBlob dist{{}, fam.pairs, fam.words, fam.escapes};
+        dist.weights.reserve(fam.edge_end - fam.edge_begin);
+        for (std::size_t e = fam.edge_begin; e < fam.edge_end; ++e)
+            dist.weights.push_back(ctx.result.distances[e].second);
         cache::ByteWriter w;
         encode_family_distances(dist, w);
         ctx.store->put(
@@ -647,9 +649,9 @@ solve_stage(RunContext& ctx, std::size_t f)
         if (sol.structurally_ambiguous)
             reg.counter("arborescence.structurally_ambiguous").add();
     }
-    // The family's per-thread work tallies, just measured or decoded
-    // from its cache hits. A counter appears with the first work it
-    // counts.
+    // The family's per-thread work tallies and budget cuts, just
+    // measured or decoded from its cache hits. A counter appears with
+    // the first event it counts.
     auto add_work = [&reg](const char* name, std::uint64_t n) {
         if (n > 0)
             reg.counter(name).add(n);
@@ -658,6 +660,8 @@ solve_stage(RunContext& ctx, std::size_t f)
     add_work("divergence.words", fam.words);
     add_work("slm.escapes", fam.escapes);
     add_work("graph.edmonds.contractions", sol.contractions);
+    add_work("budget.enumerate_steps", sol.step_cuts);
+    add_work("budget.max_alternatives", sol.alternative_cuts);
 
     out.structurally_ambiguous = sol.structurally_ambiguous;
     for (auto& parents : sol.alternatives) {
@@ -699,7 +703,8 @@ run_family_chains(RunContext& ctx)
         // with the two types' sequence volume.
         std::vector<std::uint64_t> edge_costs(num_edges);
         for (std::size_t i = 0; i < num_edges; ++i) {
-            const auto [p, c] = ctx.edges[fam.edge_begin + i];
+            const auto [p, c] =
+                ctx.result.distances[fam.edge_begin + i].first;
             edge_costs[i] = ctx.type_costs[static_cast<std::size_t>(p)] +
                             ctx.type_costs[static_cast<std::size_t>(c)];
         }
@@ -730,18 +735,12 @@ run_family_chains(RunContext& ctx)
     ctx.pool.run_tasks(tasks);
 }
 
-/** Serial merges (deterministic order), the selected hierarchy and the
+/** Serial merge (deterministic order), the selected hierarchy and the
  *  manifest that vouches for every artifact this run stored. */
 void
 merge_results(RunContext& ctx)
 {
     ReconstructionResult& result = ctx.result;
-    {
-        obs::Span span("pipeline.distances");
-        result.distances.reserve(ctx.edges.size());
-        for (std::size_t e = 0; e < ctx.edges.size(); ++e)
-            result.distances.emplace(ctx.edges[e], ctx.edge_weights[e]);
-    }
     {
         obs::Span span("pipeline.arborescence");
         for (const FamilyResult& fam : result.families)
@@ -785,6 +784,47 @@ stage_timing(const obs::Span& call)
 }
 
 } // namespace
+
+void
+DistanceTable::append(int parent, int child)
+{
+    const auto c = static_cast<std::size_t>(child);
+    if (c >= blocks_.size())
+        blocks_.resize(c + 1, {0, 0});
+    auto& [first, last] = blocks_[c];
+    if (first == last)
+        first = last = entries_.size();
+    ROCK_ASSERT(last == entries_.size() &&
+                    (first == last || entries_.back().first.first < parent),
+                "a child's edges must be appended together, parents "
+                "ascending");
+    entries_.push_back({{parent, child}, 0.0});
+    last = entries_.size();
+}
+
+DistanceTable::const_iterator
+DistanceTable::find(const key_type& key) const
+{
+    const auto c = static_cast<std::size_t>(key.second);
+    if (key.second < 0 || c >= blocks_.size())
+        return end();
+    const auto last =
+        begin() + static_cast<std::ptrdiff_t>(blocks_[c].second);
+    const auto it = std::partition_point(
+        begin() + static_cast<std::ptrdiff_t>(blocks_[c].first), last,
+        [&key](const value_type& e) { return e.first.first < key.first; });
+    return it != last && it->first == key ? it : end();
+}
+
+double
+DistanceTable::at(const key_type& key) const
+{
+    const auto it = find(key);
+    if (it == end())
+        throw std::out_of_range(support::format(
+            "no distance for edge %d -> %d", key.first, key.second));
+    return it->second;
+}
 
 Hierarchy
 ReconstructionResult::hierarchy_with(const std::vector<int>& pick) const
@@ -861,16 +901,18 @@ first_difference(const ReconstructionResult& a,
     if (a.ambiguous_families != b.ambiguous_families)
         return "ambiguous_families";
 
-    // Keys in (parent, child) order; weights compared as bit patterns,
-    // so -0.0 vs 0.0 or two NaN payloads count as different.
-    const auto da = a.sorted_distances();
-    const auto db = b.sorted_distances();
+    // Entries in table order; weights compared as bit patterns, so
+    // -0.0 vs 0.0 or two NaN payloads count as different. Where the
+    // keys part, the first one only one side holds is named.
+    const DistanceTable& da = a.distances;
+    const DistanceTable& db = b.distances;
     for (std::size_t i = 0; i < std::max(da.size(), db.size()); ++i) {
         std::pair<int, int> key;
         if (i == da.size() || i == db.size())
             key = (i == da.size() ? db : da)[i].first;
         else if (da[i].first != db[i].first)
-            key = std::min(da[i].first, db[i].first);
+            key = db.find(da[i].first) == db.end() ? da[i].first
+                                                    : db[i].first;
         else if (std::bit_cast<std::uint64_t>(da[i].second) !=
                  std::bit_cast<std::uint64_t>(db[i].second))
             key = da[i].first;

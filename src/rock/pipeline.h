@@ -15,12 +15,9 @@
  */
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
-#include <map>
+#include <cstddef>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -118,10 +115,11 @@ struct RockConfig {
  * "pipeline.<stage>" span under the call's own "pipeline.reconstruct"
  * span, read in one pass over that subtree once the call ends: a
  * front-end field is its one span, train/distances/arborescence add up
- * preludes, per-family pool tasks and merges. Pool tasks' spans nest
- * under the call that submitted them, so a concurrent call's spans
- * never leak in, while at threads > 1 overlapping task spans can sum
- * past total_ms. tests/obs_test.cc pins these properties.
+ * preludes, per-family pool tasks and the arborescence merge. Pool
+ * tasks' spans nest under the call that submitted them, so a
+ * concurrent call's spans never leak in, while at threads > 1
+ * overlapping task spans can sum past total_ms. tests/obs_test.cc
+ * pins these properties.
  */
 struct StageTiming {
     /** Shared per-image CFG recovery (cfg::CfgCache::build_all). */
@@ -163,27 +161,47 @@ struct FamilyResult {
     bool operator==(const FamilyResult&) const = default;
 };
 
-/** Hash for (parent index, child index) edge keys. */
-struct EdgeKeyHash {
-    std::size_t operator()(const std::pair<int, int>& e) const noexcept
-    {
-        std::uint64_t packed =
-            (static_cast<std::uint64_t>(
-                 static_cast<std::uint32_t>(e.first))
-             << 32) |
-            static_cast<std::uint32_t>(e.second);
-        return std::hash<std::uint64_t>{}(packed);
-    }
-};
-
 /**
- * Flat (parent idx, child idx) -> distance map. O(1) lookup on the
- * arborescence hot path; iteration order is unspecified -- use
- * ReconstructionResult::sorted_distances() when printing or
- * comparing.
+ * The weighed-edge table of one reconstruction: ((parent idx, child
+ * idx), distance) for every feasible edge the DKL stage weighed, and
+ * nothing else (forced and pruned candidates are never weighed). The
+ * entries sit in the order the family chains weigh them -- family,
+ * then child ascending, then parent ascending -- so each child's
+ * edges form one block, and a per-child [begin, end) index lets
+ * find() and at() binary-search that block. Iteration is in this one
+ * order, so it is deterministic.
  */
-using DistanceMap =
-    std::unordered_map<std::pair<int, int>, double, EdgeKeyHash>;
+class DistanceTable {
+  public:
+    using key_type = std::pair<int, int>;
+    using value_type = std::pair<key_type, double>;
+    using iterator = std::vector<value_type>::iterator;
+    using const_iterator = std::vector<value_type>::const_iterator;
+
+    /** Append edge (@p parent, @p child) with weight 0. A child's
+     *  edges are appended one after another, parents ascending. */
+    void append(int parent, int child);
+
+    /** The entry of @p key, or end(). */
+    const_iterator find(const key_type& key) const;
+    /** The distance of @p key; throws std::out_of_range when @p key
+     *  was not weighed. */
+    double at(const key_type& key) const;
+
+    value_type& operator[](std::size_t i) { return entries_[i]; }
+    const value_type& operator[](std::size_t i) const { return entries_[i]; }
+    iterator begin() { return entries_.begin(); }
+    iterator end() { return entries_.end(); }
+    const_iterator begin() const { return entries_.begin(); }
+    const_iterator end() const { return entries_.end(); }
+    std::size_t size() const { return entries_.size(); }
+    bool empty() const { return entries_.empty(); }
+
+  private:
+    std::vector<value_type> entries_;
+    /** Per child index: its block [first, second) of entries_. */
+    std::vector<std::pair<std::size_t, std::size_t>> blocks_;
+};
 
 /** Everything a reconstruction produces. */
 struct ReconstructionResult {
@@ -202,12 +220,10 @@ struct ReconstructionResult {
      *  when RockConfig::verify is off). Well-formed images -- all of
      *  toyc's output -- produce none; see cfg/verify.h. */
     std::vector<cfg::Diagnostic> diagnostics;
-    /** Pairwise edge weights actually computed:
-     *  (parent idx, child idx) -> distance. Same keys as the old
-     *  std::map-based field (find / at / size / range-for all still
-     *  work), but hashed; for ordered traversal see
-     *  sorted_distances(). */
-    DistanceMap distances;
+    /** Pairwise edge weights actually computed: the run's own
+     *  weighed-edge table, (parent idx, child idx) -> distance in
+     *  family, child, parent order (see DistanceTable). */
+    DistanceTable distances;
     /** Families that needed the behavioral ranking. */
     int ambiguous_families = 0;
     /** Per-stage wall-clock profile of this reconstruction. */
@@ -227,16 +243,11 @@ struct ReconstructionResult {
      *  family f (used by worst-case evaluation). */
     Hierarchy hierarchy_with(const std::vector<int>& pick) const;
 
-    /** distances as a vector sorted by (parent, child) key --
-     *  deterministic iteration for reports and tests. */
-    std::vector<std::pair<std::pair<int, int>, double>>
-    sorted_distances() const
-    {
-        std::vector<std::pair<std::pair<int, int>, double>> out(
-            distances.begin(), distances.end());
-        std::sort(out.begin(), out.end());
-        return out;
-    }
+    /** distances itself, whose one order (family, then child
+     *  ascending, then parent ascending) is already deterministic.
+     *  Kept for perfbench, written against the old hash map; iterate
+     *  distances directly. */
+    const DistanceTable& sorted_distances() const { return distances; }
 };
 
 /**
@@ -248,9 +259,10 @@ struct ReconstructionResult {
  * Compared in this order: the hierarchy's primary and extra parents
  * per type; each family's family_id, members, alternatives (in
  * order) and structurally_ambiguous; ambiguous_families; distances
- * (keys and exact bits); every field of structural, typeinf and
- * analysis; diagnostics; the alphabet (every event in id order);
- * type_sequences; models (by their slm::snapshot_model bytes).
+ * (keys and exact bits, in table order); every field of structural,
+ * typeinf and analysis; diagnostics; the alphabet (every event in id
+ * order); type_sequences; models (by their slm::snapshot_model
+ * bytes).
  *
  * Left out: `timing` (wall clock), and hierarchy node names
  * (reconstruct() never sets them; callers label nodes for display).

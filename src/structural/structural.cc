@@ -159,13 +159,14 @@ structural_analysis(const std::vector<VTableInfo>& vtables,
     result.family = graph::connected_components(n, family_edges);
 
     // ---- Phase II: impossible parents ----------------------------------
+    // p runs upward, so every row comes out strictly ascending.
     result.possible_parents.assign(static_cast<std::size_t>(n), {});
     for (int c = 0; c < n; ++c) {
         // A forced parent is the whole candidate set.
         auto forced = result.forced_parents.find(c);
         if (forced != result.forced_parents.end()) {
             result.possible_parents[static_cast<std::size_t>(c)]
-                .insert(forced->second);
+                .push_back(forced->second);
             continue;
         }
         for (int p = 0; p < n; ++p) {
@@ -177,7 +178,7 @@ structural_analysis(const std::vector<VTableInfo>& vtables,
                                      *info[static_cast<std::size_t>(p)]))
                 continue;
             result.possible_parents[static_cast<std::size_t>(c)]
-                .insert(p);
+                .push_back(p);
         }
     }
 

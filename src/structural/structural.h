@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "analysis/symexec.h"
@@ -40,8 +39,9 @@ struct StructuralResult {
     std::vector<std::uint32_t> types;
     /** Family label per type (dense ids). */
     std::vector<int> family;
-    /** possible_parents[c] = indices that may be c's parent. */
-    std::vector<std::set<int>> possible_parents;
+    /** possible_parents[c] = indices that may be c's parent,
+     *  strictly ascending (search a row with std::binary_search). */
+    std::vector<std::vector<int>> possible_parents;
     /** Rule-3 evidence: child -> structurally determined parent. */
     std::map<int, int> forced_parents;
     /** Types observed with multiple vptr offsets: primary type index

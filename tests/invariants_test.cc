@@ -9,10 +9,14 @@
  *  - parent edges never cross family boundaries;
  *  - every discovered binary type appears in the hierarchy;
  *  - Heuristic 4.1: a type with feasible parents is never a root
- *    unless every feasible choice would close a cycle.
+ *    unless every feasible choice would close a cycle;
+ *  - every feasible-parent row is strictly ascending, the order its
+ *    binary-search readers rely on.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 
 #include "corpus/benchmarks.h"
@@ -39,6 +43,14 @@ TEST_P(Invariants, HoldOnBenchmark)
     // Coverage: hierarchy nodes == discovered binary types.
     ASSERT_EQ(static_cast<std::size_t>(h.size()), sr.types.size());
 
+    for (std::size_t c = 0; c < sr.possible_parents.size(); ++c) {
+        const auto& row = sr.possible_parents[c];
+        EXPECT_EQ(std::adjacent_find(row.begin(), row.end(),
+                                     std::greater_equal<int>()),
+                  row.end())
+            << "feasible parents of " << c << " not strictly ascending";
+    }
+
     for (int v = 0; v < h.size(); ++v) {
         // Acyclicity: walking up parents terminates.
         std::set<int> seen;
@@ -52,9 +64,10 @@ TEST_P(Invariants, HoldOnBenchmark)
         int p = h.parent(v);
         if (p >= 0) {
             // Feasibility and family discipline.
+            const auto& feasible =
+                sr.possible_parents[static_cast<std::size_t>(v)];
             EXPECT_TRUE(
-                sr.possible_parents[static_cast<std::size_t>(v)]
-                    .count(p))
+                std::binary_search(feasible.begin(), feasible.end(), p))
                 << "infeasible parent for node " << v;
             EXPECT_EQ(sr.family[static_cast<std::size_t>(v)],
                       sr.family[static_cast<std::size_t>(p)])
@@ -93,9 +106,10 @@ TEST_P(Invariants, HoldOnBenchmark)
                 int parent = alt[m];
                 if (parent < 0)
                     continue;
-                EXPECT_TRUE(sr.possible_parents[static_cast<
-                                std::size_t>(child)]
-                                .count(parent));
+                const auto& feasible =
+                    sr.possible_parents[static_cast<std::size_t>(child)];
+                EXPECT_TRUE(std::binary_search(feasible.begin(),
+                                               feasible.end(), parent));
             }
         }
     }

@@ -4,13 +4,18 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "cache/artifact_cache.h"
 #include "corpus/benchmarks.h"
 #include "corpus/examples.h"
 #include "corpus/generator.h"
@@ -19,6 +24,7 @@
 #include "eval/application_distance.h"
 #include "eval/ground_truth.h"
 #include "fuzz/fuzzer.h"
+#include "obs/metrics.h"
 #include "rock/pipeline.h"
 #include "slm/model.h"
 #include "toyc/compiler.h"
@@ -287,7 +293,7 @@ expect_per_pair_weights(const ReconstructionResult& result,
 {
     const auto& types = result.structural.types;
     const bool fuse = config.typeinf && !result.typeinf.types.empty();
-    for (const auto& [edge, got] : result.sorted_distances()) {
+    for (const auto& [edge, got] : result.distances) {
         const auto p = static_cast<std::size_t>(edge.first);
         const auto c = static_cast<std::size_t>(edge.second);
         const divergence::WordSet words = divergence::merge_word_sets(
@@ -335,6 +341,95 @@ TEST(Pipeline, MemoizedDistancesEqualPerPairPath)
     EXPECT_GT(weighed, 0u);
 }
 
+// ---- the weighed-edge table ---------------------------------------------
+
+TEST(DistanceTable, HoldsExactlyTheWeighedEdgesInChainOrder)
+{
+    obs::Counter& scheduled =
+        obs::Registry::global().counter("divergence.pairs_scheduled");
+    for (const corpus::BenchmarkSpec& spec : corpus::table2_benchmarks()) {
+        SCOPED_TRACE(spec.name);
+        const toyc::CompileResult compiled =
+            toyc::compile(spec.program.program, spec.program.options);
+        const std::uint64_t before = scheduled.value();
+        const ReconstructionResult result = reconstruct(compiled.image);
+        const DistanceTable& table = result.distances;
+        EXPECT_EQ(table.size(), scheduled.value() - before);
+
+        // Every key: found exactly when the edge is feasible and
+        // neither forced nor pruned by a solved subtype fact.
+        const structural::StructuralResult& st = result.structural;
+        const bool fuse = !result.typeinf.types.empty();
+        const int n = static_cast<int>(st.types.size());
+        for (int c = 0; c < n; ++c) {
+            const auto& feasible =
+                st.possible_parents[static_cast<std::size_t>(c)];
+            const auto forced = st.forced_parents.find(c);
+            for (int p = 0; p < n; ++p) {
+                const bool weighed =
+                    std::binary_search(feasible.begin(), feasible.end(),
+                                       p) &&
+                    !(forced != st.forced_parents.end() &&
+                      forced->second == p) &&
+                    !(fuse &&
+                      result.typeinf.subtype(
+                          st.types[static_cast<std::size_t>(p)],
+                          st.types[static_cast<std::size_t>(c)]));
+                const auto it = table.find({p, c});
+                ASSERT_EQ(it != table.end(), weighed) << p << " -> " << c;
+                if (weighed) {
+                    EXPECT_EQ(it->first, std::make_pair(p, c));
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(table.at({p, c})),
+                              std::bit_cast<std::uint64_t>(it->second));
+                } else {
+                    EXPECT_THROW((void)table.at({p, c}), std::out_of_range)
+                        << p << " -> " << c;
+                }
+            }
+        }
+        EXPECT_THROW((void)table.at({0, n}), std::out_of_range);
+        EXPECT_THROW((void)table.at({0, -1}), std::out_of_range);
+
+        // Iteration: family, then child ascending, then parent
+        // ascending.
+        std::tuple<int, int, int> last{-1, -1, -1};
+        for (const auto& [edge, d] : table) {
+            const std::tuple<int, int, int> key{
+                st.family[static_cast<std::size_t>(edge.second)],
+                edge.second, edge.first};
+            EXPECT_LT(last, key) << edge.first << " -> " << edge.second;
+            last = key;
+        }
+    }
+}
+
+TEST(Pipeline, WarmRunReplaysEnumeratorBudgetCuts)
+{
+    // Smoothing's two 10-member families run the tie enumerator past
+    // its step budget. A warm run solves nothing and must count the
+    // same cuts from its famsolve hits.
+    const corpus::CorpusProgram smoothing =
+        corpus::benchmark_by_name("Smoothing").program;
+    const bir::BinaryImage image =
+        toyc::compile(smoothing.program, smoothing.options).image;
+    RockConfig config;
+    config.cache =
+        std::make_shared<cache::ArtifactCache>(cache::CacheOptions{});
+    obs::Counter& cuts =
+        obs::Registry::global().counter("budget.enumerate_steps");
+
+    std::uint64_t before = cuts.value();
+    const ReconstructionResult cold = reconstruct(image, config);
+    EXPECT_EQ(cuts.value() - before, 2u);
+
+    const std::uint64_t hits = config.cache->stats().hits;
+    before = cuts.value();
+    const ReconstructionResult warm = reconstruct(image, config);
+    EXPECT_GT(config.cache->stats().hits, hits);
+    EXPECT_EQ(cuts.value() - before, 2u);
+    EXPECT_EQ(first_difference(cold, warm), "");
+}
+
 // ---- the determinism contract: first_difference ------------------------
 
 /** first_difference() between two reconstructions of the streams
@@ -362,7 +457,7 @@ TEST(FirstDifference, NamesThePerturbedField)
          [](auto& r) { r.families[0].structurally_ambiguous ^= true; }},
         {"ambiguous_families", [](auto& r) { ++r.ambiguous_families; }},
         {"structural.possible_parents",
-         [](auto& r) { r.structural.possible_parents[0].insert(99); }},
+         [](auto& r) { r.structural.possible_parents[0].push_back(99); }},
         {"typeinf.direct_edges",
          [](auto& r) { r.typeinf.direct_edges.pop_back(); }},
         {"typeinf.constraints",
@@ -411,6 +506,33 @@ TEST(FirstDifference, NamesTheParentAndTheDistance)
     });
     EXPECT_EQ(diff, "distances(" + std::to_string(edge.first) + "," +
                         std::to_string(edge.second) + ")");
+}
+
+TEST(FirstDifference, NamesADroppedDistanceOnEitherSide)
+{
+    // The streams family weighs three edges; drop the middle one.
+    auto drop_middle = [](DistanceTable& table) {
+        const std::pair<int, int> dropped = table[1].first;
+        DistanceTable kept;
+        for (const auto& [edge, d] : table) {
+            if (edge == dropped)
+                continue;
+            kept.append(edge.first, edge.second);
+            kept[kept.size() - 1].second = d;
+        }
+        table = std::move(kept);
+        return dropped;
+    };
+    for (bool from_a : {false, true}) {
+        SCOPED_TRACE(from_a ? "dropped from a" : "dropped from b");
+        std::pair<int, int> edge;
+        const std::string diff = difference_after([&](auto& a, auto& b) {
+            ASSERT_EQ(b.distances.size(), 3u);
+            edge = drop_middle(from_a ? a.distances : b.distances);
+        });
+        EXPECT_EQ(diff, "distances(" + std::to_string(edge.first) + "," +
+                            std::to_string(edge.second) + ")");
+    }
 }
 
 TEST(FirstDifference, AlternativesCompareInOrder)
