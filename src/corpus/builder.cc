@@ -171,10 +171,11 @@ ProgramBuilder::add_scenario(const std::string& cls,
                              const std::string& suffix)
 {
     UsageFunc fn;
-    fn.name = "use_" + cls + suffix +
-              (suffix.empty()
-                   ? "_" + std::to_string(scenario_count_++)
-                   : "");
+    fn.name = "use_" + cls + suffix;
+    if (suffix.empty()) {
+        fn.name += '_';
+        fn.name += std::to_string(scenario_count_++);
+    }
     fn.body.push_back(Stmt::new_object("obj", cls));
     for (const auto& method : full_behavior(cls))
         fn.body.push_back(Stmt::virt_call("obj", method));

@@ -1,7 +1,6 @@
 #include "eval/application_distance.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "support/error.h"
 
@@ -9,27 +8,32 @@ namespace rock::eval {
 
 namespace {
 
-/** Successor set of @p type in the hierarchy, restricted to GT types. */
-std::set<std::uint32_t>
-hierarchy_successors(const core::Hierarchy& hierarchy,
-                     const GroundTruth& gt, std::uint32_t type)
+/** Per-type application distance: |expected \ actual| missing and
+ *  |actual \ expected| added. */
+struct TypeDistance {
+    long missing = 0;
+    long added = 0;
+};
+
+/** Compare @p type's successors in the ground-truth forest @p truth
+ *  with those in @p hierarchy. */
+TypeDistance
+type_distance(const GroundTruth& gt, const core::Hierarchy& truth,
+              const core::Hierarchy& hierarchy, std::uint32_t type)
 {
-    std::set<std::uint32_t> out;
-    int node = hierarchy.index_of(type);
-    if (node < 0)
-        return out;
-    for (int succ : hierarchy.successors(node)) {
-        std::uint32_t addr = hierarchy.type_at(succ);
-        if (std::binary_search(gt.types.begin(), gt.types.end(), addr))
-            out.insert(addr);
-    }
-    return out;
+    const std::set<std::uint32_t> expected = gt.successors_in(truth, type);
+    const std::set<std::uint32_t> actual = gt.successors_in(hierarchy, type);
+    TypeDistance d;
+    for (std::uint32_t e : expected)
+        d.missing += actual.count(e) ? 0 : 1;
+    for (std::uint32_t a : actual)
+        d.added += expected.count(a) ? 0 : 1;
+    return d;
 }
 
 AppDistance
-score(const GroundTruth& gt,
-      const std::function<std::set<std::uint32_t>(std::uint32_t)>&
-          successors_of)
+score(const GroundTruth& gt, const core::Hierarchy& truth,
+      const core::Hierarchy& hierarchy)
 {
     AppDistance result;
     result.num_types = static_cast<int>(gt.types.size());
@@ -38,23 +42,12 @@ score(const GroundTruth& gt,
     long missing_total = 0;
     long added_total = 0;
     for (std::uint32_t t : gt.types) {
-        std::set<std::uint32_t> expected = gt.successors(t);
-        std::set<std::uint32_t> actual = successors_of(t);
-        long missing = 0;
-        long added = 0;
-        for (std::uint32_t e : expected) {
-            if (!actual.count(e))
-                ++missing;
-        }
-        for (std::uint32_t a : actual) {
-            if (!expected.count(a))
-                ++added;
-        }
-        missing_total += missing;
-        added_total += added;
-        if (missing > 0)
+        const TypeDistance d = type_distance(gt, truth, hierarchy, t);
+        missing_total += d.missing;
+        added_total += d.added;
+        if (d.missing > 0)
             ++result.types_with_missing;
-        if (added > 0)
+        if (d.added > 0)
             ++result.types_with_added;
     }
     result.avg_missing = static_cast<double>(missing_total) /
@@ -70,53 +63,22 @@ AppDistance
 application_distance(const core::Hierarchy& hierarchy,
                      const GroundTruth& gt)
 {
-    return score(gt, [&](std::uint32_t t) {
-        return hierarchy_successors(hierarchy, gt, t);
-    });
+    return score(gt, gt.forest(), hierarchy);
 }
 
 AppDistance
 application_distance_structural(const structural::StructuralResult& sr,
                                 const GroundTruth& gt)
 {
-    // Reverse reachability over the possible-parent relation:
-    // successors(t) = { t' | t is reachable from t' via
-    // possible-parent steps }.
-    const int n = static_cast<int>(sr.types.size());
-    // children_of[p] = types that may have p as a parent.
-    std::vector<std::vector<int>> children_of(
-        static_cast<std::size_t>(n));
-    for (int c = 0; c < n; ++c) {
+    // successors(t) = { t' | t is reachable from t' via possible-parent
+    // steps }: the successors of t in the graph that links every type
+    // to each of its possible parents.
+    core::Hierarchy possible(sr.types);
+    for (int c = 0; c < possible.size(); ++c) {
         for (int p : sr.possible_parents[static_cast<std::size_t>(c)])
-            children_of[static_cast<std::size_t>(p)].push_back(c);
+            possible.add_extra_parent(c, p);
     }
-    return score(gt, [&](std::uint32_t t) {
-        std::set<std::uint32_t> out;
-        int start = sr.index_of(t);
-        if (start < 0)
-            return out;
-        std::set<int> seen;
-        std::vector<int> stack{start};
-        while (!stack.empty()) {
-            int cur = stack.back();
-            stack.pop_back();
-            for (int child :
-                 children_of[static_cast<std::size_t>(cur)]) {
-                if (seen.insert(child).second)
-                    stack.push_back(child);
-            }
-        }
-        seen.erase(start);
-        for (int idx : seen) {
-            std::uint32_t addr =
-                sr.types[static_cast<std::size_t>(idx)];
-            if (std::binary_search(gt.types.begin(), gt.types.end(),
-                                   addr)) {
-                out.insert(addr);
-            }
-        }
-        return out;
-    });
+    return score(gt, gt.forest(), possible);
 }
 
 AppDistance
@@ -127,38 +89,27 @@ application_distance_worst(const core::ReconstructionResult& result,
     // successor sets are confined to its family), so the least
     // precise combination picks the worst alternative per family
     // independently.
+    const core::Hierarchy truth = gt.forest();
     std::vector<int> picks(result.families.size(), 0);
     for (std::size_t f = 0; f < result.families.size(); ++f) {
         const auto& fam = result.families[f];
         if (fam.alternatives.size() <= 1)
             continue;
-        // GT types belonging to this family.
-        std::vector<std::uint32_t> members;
-        for (int idx : fam.members)
-            members.push_back(
-                result.structural.types[static_cast<std::size_t>(idx)]);
-        double worst_score = -1.0;
+        long worst_score = -1;
         int worst_pick = 0;
         for (std::size_t a = 0; a < fam.alternatives.size(); ++a) {
             picks[f] = static_cast<int>(a);
-            core::Hierarchy h = result.hierarchy_with(picks);
-            double partial = 0.0;
-            for (std::uint32_t t : members) {
+            const core::Hierarchy h = result.hierarchy_with(picks);
+            long partial = 0;
+            for (int idx : fam.members) {
+                const std::uint32_t t =
+                    result.structural.types[static_cast<std::size_t>(idx)];
                 if (!std::binary_search(gt.types.begin(),
                                         gt.types.end(), t)) {
                     continue;
                 }
-                std::set<std::uint32_t> expected = gt.successors(t);
-                std::set<std::uint32_t> actual =
-                    hierarchy_successors(h, gt, t);
-                for (std::uint32_t e : expected) {
-                    if (!actual.count(e))
-                        partial += 1.0;
-                }
-                for (std::uint32_t x : actual) {
-                    if (!expected.count(x))
-                        partial += 1.0;
-                }
+                const TypeDistance d = type_distance(gt, truth, h, t);
+                partial += d.missing + d.added;
             }
             if (partial > worst_score) {
                 worst_score = partial;
@@ -167,7 +118,7 @@ application_distance_worst(const core::ReconstructionResult& result,
         }
         picks[f] = worst_pick;
     }
-    return application_distance(result.hierarchy_with(picks), gt);
+    return score(gt, truth, result.hierarchy_with(picks));
 }
 
 } // namespace rock::eval

@@ -6,26 +6,42 @@
 
 namespace rock::eval {
 
+core::Hierarchy
+GroundTruth::forest() const
+{
+    std::vector<std::uint32_t> nodes = types;
+    for (const auto& [child, par] : parent) {
+        nodes.push_back(child);
+        nodes.push_back(par);
+    }
+    std::sort(nodes.begin(), nodes.end());
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    core::Hierarchy h(std::move(nodes));
+    for (const auto& [child, par] : parent)
+        h.set_parent(h.index_of(child), h.index_of(par));
+    return h;
+}
+
+std::set<std::uint32_t>
+GroundTruth::successors_in(const core::Hierarchy& hierarchy,
+                           std::uint32_t type) const
+{
+    std::set<std::uint32_t> out;
+    const int node = hierarchy.index_of(type);
+    if (node < 0)
+        return out;
+    for (int succ : hierarchy.successors(node)) {
+        const std::uint32_t addr = hierarchy.type_at(succ);
+        if (std::binary_search(types.begin(), types.end(), addr))
+            out.insert(addr);
+    }
+    return out;
+}
+
 std::set<std::uint32_t>
 GroundTruth::successors(std::uint32_t type) const
 {
-    // t' is a successor of t when t appears on t's ancestor chain.
-    std::set<std::uint32_t> out;
-    for (std::uint32_t t : types) {
-        std::uint32_t cur = t;
-        while (true) {
-            auto it = parent.find(cur);
-            if (it == parent.end())
-                break;
-            cur = it->second;
-            if (cur == type) {
-                out.insert(t);
-                break;
-            }
-        }
-    }
-    out.erase(type);
-    return out;
+    return successors_in(forest(), type);
 }
 
 GroundTruth

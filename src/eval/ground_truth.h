@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bir/image.h"
+#include "rock/hierarchy.h"
 #include "toyc/compiler.h"
 
 namespace rock::eval {
@@ -39,7 +40,22 @@ struct GroundTruth {
     /** Synthetic vtables (excluded from types). */
     std::set<std::uint32_t> synthetic;
 
-    /** Transitive ground-truth successors of @p type. */
+    /**
+     * The ground truth as one forest: a core::Hierarchy over types and
+     * every vtable `parent` names, linked by `parent`. Build it once
+     * per evaluation and query it with successors_in().
+     */
+    core::Hierarchy forest() const;
+
+    /**
+     * Successors of @p type in @p hierarchy that are evaluated types,
+     * as vtable addresses. Empty when @p type is not a node of it.
+     */
+    std::set<std::uint32_t> successors_in(const core::Hierarchy& hierarchy,
+                                          std::uint32_t type) const;
+
+    /** Transitive ground-truth successors of @p type: every type with
+     *  @p type on its parent chain. Builds forest() for the query. */
     std::set<std::uint32_t> successors(std::uint32_t type) const;
 };
 

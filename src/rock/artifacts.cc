@@ -99,7 +99,6 @@ distance_fingerprint(const RockConfig& config, int alphabet_size,
     h = mix_model(h, config.slm);
     h = mix(h, static_cast<std::uint64_t>(config.metric));
     h = mix_words(h, config.words);
-    h = mix_double(h, config.typeinf_discount);
     h = mix(h, static_cast<std::uint64_t>(alphabet_size));
     h = mix(h, alphabet_digest);
     return h;
@@ -119,7 +118,6 @@ solve_fingerprint(const RockConfig& config)
     std::uint64_t h = mix(kFnvSeed, kSchemaVersion);
     h = mix(h, kSolverGeneration);
     h = mix_double(h, config.tie_epsilon);
-    h = mix(h, static_cast<std::uint64_t>(config.max_alternatives));
     return h;
 }
 
@@ -132,10 +130,7 @@ config_fingerprint(const RockConfig& config)
     h = mix(h, static_cast<std::uint64_t>(config.metric));
     h = mix_words(h, config.words);
     h = mix_double(h, config.tie_epsilon);
-    h = mix(h, static_cast<std::uint64_t>(config.max_alternatives));
-    h = mix(h, config.verify ? 1 : 0);
     h = mix(h, config.typeinf ? 1 : 0);
-    h = mix_double(h, config.typeinf_discount);
     return h; // threads and the cache pointer deliberately excluded
 }
 

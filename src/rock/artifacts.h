@@ -75,22 +75,21 @@ std::uint64_t slm_fingerprint(const slm::ModelConfig& config,
                               std::uint64_t alphabet_digest);
 
 /** Fingerprint shared by every "famdist" artifact of a run: schema,
- *  distance-stage generation, alphabet, model/metric/word-set knobs
- *  and the typeinf discount. */
+ *  distance-stage generation, alphabet and model/metric/word-set
+ *  knobs. */
 std::uint64_t distance_fingerprint(const RockConfig& config,
                                    int alphabet_size,
                                    std::uint64_t alphabet_digest);
 
 /** Fingerprint shared by every "famsolve" artifact of a run: schema,
- *  solver generation and the enumeration knobs (tie epsilon,
- *  alternatives cap). */
+ *  solver generation and the tie epsilon. */
 std::uint64_t solve_fingerprint(const RockConfig& config);
 
 /**
  * Fingerprint of the whole configuration -- every field that can
  * change any reconstruction output, which is every field except
- * `threads` and `cache` itself. The "manifest" artifact is keyed
- * (image digest, this).
+ * `threads` and `cache` itself (the static constants never change).
+ * The "manifest" artifact is keyed (image digest, this).
  */
 std::uint64_t config_fingerprint(const RockConfig& config);
 

@@ -8,6 +8,19 @@
 
 namespace rock::core {
 
+namespace {
+
+/** Insert @p v into the ascending @p list unless it is there. */
+void
+insert_sorted(std::vector<int>& list, int v)
+{
+    const auto it = std::lower_bound(list.begin(), list.end(), v);
+    if (it == list.end() || *it != v)
+        list.insert(it, v);
+}
+
+} // namespace
+
 Hierarchy::Hierarchy(std::vector<std::uint32_t> types)
     : types_(std::move(types))
 {
@@ -15,6 +28,7 @@ Hierarchy::Hierarchy(std::vector<std::uint32_t> types)
                 "hierarchy types must be sorted");
     parent_.assign(types_.size(), -1);
     extra_parents_.assign(types_.size(), {});
+    children_.assign(types_.size(), {});
     names_.assign(types_.size(), "");
 }
 
@@ -41,7 +55,19 @@ Hierarchy::set_parent(int child, int parent)
     ROCK_ASSERT(child >= 0 && child < size(), "child out of range");
     ROCK_ASSERT(parent >= -1 && parent < size(), "parent out of range");
     ROCK_ASSERT(parent != child, "self-parenting");
-    parent_[static_cast<std::size_t>(child)] = parent;
+    const auto c = static_cast<std::size_t>(child);
+    const int old = parent_[c];
+    parent_[c] = parent;
+    // The old parent keeps child in its list while it is still an
+    // extra parent of child.
+    const auto& extras = extra_parents_[c];
+    if (old >= 0 && old != parent &&
+        std::find(extras.begin(), extras.end(), old) == extras.end()) {
+        auto& list = children_[static_cast<std::size_t>(old)];
+        list.erase(std::lower_bound(list.begin(), list.end(), child));
+    }
+    if (parent >= 0)
+        insert_sorted(children_[static_cast<std::size_t>(parent)], child);
 }
 
 int
@@ -58,6 +84,7 @@ Hierarchy::add_extra_parent(int child, int parent)
     ROCK_ASSERT(parent >= 0 && parent < size(), "parent out of range");
     ROCK_ASSERT(parent != child, "self-parenting");
     extra_parents_[static_cast<std::size_t>(child)].push_back(parent);
+    insert_sorted(children_[static_cast<std::size_t>(parent)], child);
 }
 
 std::vector<int>
@@ -72,33 +99,34 @@ Hierarchy::parents(int child) const
     return out;
 }
 
-std::vector<int>
+const std::vector<int>&
 Hierarchy::children(int node) const
 {
-    std::vector<int> out;
-    for (int c = 0; c < size(); ++c) {
-        auto ps = parents(c);
-        if (std::find(ps.begin(), ps.end(), node) != ps.end())
-            out.push_back(c);
-    }
-    return out;
+    ROCK_ASSERT(node >= 0 && node < size(), "node out of range");
+    return children_[static_cast<std::size_t>(node)];
 }
 
 std::set<int>
 Hierarchy::successors(int node) const
 {
-    std::set<int> seen;
+    // A bit per node keeps the test for an already-seen child O(1) in
+    // graphs where many parents share children.
+    std::vector<bool> seen(types_.size());
+    std::set<int> out;
     std::vector<int> stack{node};
     while (!stack.empty()) {
-        int cur = stack.back();
+        const int cur = stack.back();
         stack.pop_back();
         for (int child : children(cur)) {
-            if (seen.insert(child).second)
+            if (!seen[static_cast<std::size_t>(child)]) {
+                seen[static_cast<std::size_t>(child)] = true;
+                out.insert(child);
                 stack.push_back(child);
+            }
         }
     }
-    seen.erase(node);
-    return seen;
+    out.erase(node);
+    return out;
 }
 
 std::vector<int>
@@ -147,7 +175,7 @@ Hierarchy::to_string() const
         for (int i = 0; i < depth; ++i)
             out << "  ";
         out << (depth == 0 ? "" : "+- ") << name(node);
-        auto extras = extra_parents_[static_cast<std::size_t>(node)];
+        const auto& extras = extra_parents_[static_cast<std::size_t>(node)];
         if (!extras.empty()) {
             out << " (also derives from";
             for (int ep : extras)
@@ -157,7 +185,7 @@ Hierarchy::to_string() const
         out << "\n";
         // Recurse over primary-parent children only, so each node is
         // printed exactly once.
-        for (int c = 0; c < size(); ++c) {
+        for (int c : children(node)) {
             if (parent(c) == node)
                 self(self, c, depth + 1);
         }

@@ -13,7 +13,12 @@
 
 namespace rock::core {
 
-/** A forest over binary types, with optional extra (MI) parents. */
+/**
+ * A forest over binary types, with optional extra (MI) parents. Each
+ * node keeps its child list, updated by set_parent() and
+ * add_extra_parent(): children() returns it, and successors() and
+ * to_string() walk it instead of scanning every node.
+ */
 class Hierarchy {
   public:
     Hierarchy() = default;
@@ -44,12 +49,14 @@ class Hierarchy {
     /** All parents: primary first, then extras. */
     std::vector<int> parents(int child) const;
 
-    /** Direct children (via any parent link), ascending. */
-    std::vector<int> children(int node) const;
+    /** Direct children (via any parent link), ascending; valid until
+     *  the next set_parent() or add_extra_parent(). */
+    const std::vector<int>& children(int node) const;
 
     /**
      * Transitive successors of @p node: every node with @p node on
-     * some parent chain. Never includes @p node itself.
+     * some parent chain. Never includes @p node itself. A walk of the
+     * child lists below @p node; it terminates on cyclic input.
      */
     std::set<int> successors(int node) const;
 
@@ -80,6 +87,8 @@ class Hierarchy {
     std::vector<std::uint32_t> types_;
     std::vector<int> parent_;
     std::vector<std::vector<int>> extra_parents_;
+    /** children_[v]: every node with v among its parents, ascending. */
+    std::vector<std::vector<int>> children_;
     std::vector<std::string> names_;
 };
 

@@ -188,17 +188,14 @@ run_front_end(RunContext& ctx)
         cfgs.build_all(ctx.pool);
     }
 
-    if (ctx.config.verify) {
-        {
-            obs::Span span("pipeline.verify");
-            result.diagnostics =
-                cfg::verify_image(ctx.image, ctx.pool, cfgs);
-        }
-        if (!result.diagnostics.empty()) {
-            ROCK_LOG_WARN << "rockcheck: " << result.diagnostics.size()
-                          << " diagnostic(s) on the input image, e.g. "
-                          << cfg::to_string(result.diagnostics.front());
-        }
+    {
+        obs::Span span("pipeline.verify");
+        result.diagnostics = cfg::verify_image(ctx.image, ctx.pool, cfgs);
+    }
+    if (!result.diagnostics.empty()) {
+        ROCK_LOG_WARN << "rockcheck: " << result.diagnostics.size()
+                      << " diagnostic(s) on the input image, e.g. "
+                      << cfg::to_string(result.diagnostics.front());
     }
 
     {

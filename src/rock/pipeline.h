@@ -54,15 +54,14 @@ struct RockConfig {
     /** Slack under which two forests count as equally minimal. */
     double tie_epsilon = 1e-6;
     /** Cap on enumerated co-optimal forests per family. */
-    int max_alternatives = 64;
+    static constexpr int max_alternatives = 64;
     /**
-     * Run the rockcheck verifier (cfg/verify.h) over the image before
-     * analyzing it and surface its findings in
+     * The rockcheck verifier (cfg/verify.h) always runs over the image
+     * before it is analyzed, and its findings surface in
      * ReconstructionResult::diagnostics. A lint, not a gate: the
-     * pipeline reconstructs whatever it can either way. On by
-     * default; turn off to shave the (cheap, parallel) pre-pass.
+     * pipeline reconstructs whatever it can either way.
      */
-    bool verify = true;
+    static constexpr bool verify = true;
     /**
      * Run the structural-subtyping constraint pass (typeinf/) and
      * fuse its solved derives-from facts into the arborescence
@@ -75,10 +74,9 @@ struct RockConfig {
     /**
      * Weight multiplier for candidate edges a solved subtype fact
      * agrees with (applied to positive distances only, preserving
-     * zero-cost forced edges). 1.0 disables discounting while keeping
-     * the hard prunes.
+     * zero-cost forced edges).
      */
-    double typeinf_discount = 0.25;
+    static constexpr double typeinf_discount = 0.25;
     /**
      * Size of the one support::ThreadPool that reconstruct(image,
      * config) builds and runs every parallel stage on (CFG recovery,
@@ -124,8 +122,7 @@ struct RockConfig {
 struct StageTiming {
     /** Shared per-image CFG recovery (cfg::CfgCache::build_all). */
     double cfg_ms = 0.0;
-    /** rockcheck image verification over the cached CFGs (0 when
-     *  RockConfig::verify off). */
+    /** rockcheck image verification over the cached CFGs. */
     double verify_ms = 0.0;
     /** Vtable scan + two-phase per-function symbolic execution. */
     double analyze_ms = 0.0;
@@ -216,9 +213,9 @@ struct ReconstructionResult {
     typeinf::TypeInfResult typeinf;
     /** Raw behavioral analysis output. */
     analysis::AnalysisResult analysis;
-    /** rockcheck findings on the input image (empty when clean or
-     *  when RockConfig::verify is off). Well-formed images -- all of
-     *  toyc's output -- produce none; see cfg/verify.h. */
+    /** rockcheck findings on the input image (empty when clean).
+     *  Well-formed images -- all of toyc's output -- produce none;
+     *  see cfg/verify.h. */
     std::vector<cfg::Diagnostic> diagnostics;
     /** Pairwise edge weights actually computed: the run's own
      *  weighed-edge table, (parent idx, child idx) -> distance in

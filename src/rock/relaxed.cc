@@ -1,6 +1,7 @@
 #include "rock/relaxed.h"
 
 #include <algorithm>
+#include <set>
 
 #include "support/error.h"
 
@@ -36,13 +37,16 @@ relaxed_hierarchy(const ReconstructionResult& result, int k)
         std::sort(ranked.begin(), ranked.end());
 
         int budget = k - static_cast<int>(attached.size());
+        // Avoid creating parent cycles: p must not already be a
+        // successor of child. Attaching p to child adds no successor
+        // of child unless p is one already, which this check rejects,
+        // so one walk serves every candidate.
+        const std::set<int> below = h.successors(child);
         for (const auto& [weight, p] : ranked) {
             (void)weight;
             if (budget <= 0)
                 break;
-            // Avoid creating parent cycles: p must not already be a
-            // successor of child.
-            if (h.successors(child).count(p))
+            if (below.count(p))
                 continue;
             h.add_extra_parent(child, p);
             --budget;

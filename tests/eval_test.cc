@@ -36,6 +36,61 @@ TEST(GroundTruth, SuccessorsFollowParentChains)
     EXPECT_TRUE(gt.successors(4).empty());
 }
 
+/** The ancestor-chain definition of ground-truth successors: every
+ *  type with @p type on its parent chain. */
+std::set<std::uint32_t>
+successors_by_chain(const GroundTruth& gt, std::uint32_t type)
+{
+    std::set<std::uint32_t> out;
+    for (std::uint32_t t : gt.types) {
+        for (auto it = gt.parent.find(t); it != gt.parent.end();
+             it = gt.parent.find(it->second)) {
+            if (it->second == type) {
+                out.insert(t);
+                break;
+            }
+        }
+    }
+    return out;
+}
+
+TEST(GroundTruth, SuccessorsMatchAncestorChainsOnTable2)
+{
+    for (const auto& spec : corpus::table2_benchmarks()) {
+        toyc::CompileResult compiled =
+            toyc::compile(spec.program.program, spec.program.options);
+        const GroundTruth gt = ground_truth_from_debug(compiled.debug);
+        // Every type, every vtable the parent map names and every
+        // synthetic vtable; the last two may lie outside types.
+        std::set<std::uint32_t> queries(gt.types.begin(), gt.types.end());
+        for (const auto& [child, parent] : gt.parent)
+            queries.insert(parent);
+        queries.insert(gt.synthetic.begin(), gt.synthetic.end());
+        for (std::uint32_t q : queries) {
+            EXPECT_EQ(gt.successors(q), successors_by_chain(gt, q))
+                << spec.name << " " << q;
+        }
+    }
+}
+
+TEST(GroundTruth, SuccessorsPassThroughVtablesOutsideTypes)
+{
+    // 10 and 40 are named only by the parent map: 40 <- 50, 10 <- 20
+    // <- 30 and 10 <- 40.
+    GroundTruth gt;
+    gt.types = {20, 30, 50};
+    gt.parent[20] = 10;
+    gt.parent[30] = 20;
+    gt.parent[40] = 10;
+    gt.parent[50] = 40;
+    EXPECT_EQ(gt.successors(10), (std::set<std::uint32_t>{20, 30, 50}));
+    EXPECT_EQ(gt.successors(40), (std::set<std::uint32_t>{50}));
+    EXPECT_EQ(gt.successors(20), (std::set<std::uint32_t>{30}));
+    EXPECT_TRUE(gt.successors(99).empty());
+    for (std::uint32_t q : {10u, 20u, 30u, 40u, 50u, 99u})
+        EXPECT_EQ(gt.successors(q), successors_by_chain(gt, q)) << q;
+}
+
 TEST(GroundTruth, FromDebugSkipsSynthetic)
 {
     corpus::CorpusProgram example =

@@ -517,8 +517,9 @@ TEST(EndToEnd, ReconstructEmitsMetricsAcrossEveryStage)
           "slm.trie_nodes", "slm.escapes", "divergence.pairs",
           "arborescence.families_solved", "threadpool.items"}) {
         EXPECT_TRUE(report.counters.count(name)) << name;
-        if (std::string(name) != "verify.diagnostics")
+        if (std::string(name) != "verify.diagnostics") {
             EXPECT_GT(report.counters[name], 0u) << name;
+        }
     }
     // One span per pipeline stage, rooted at pipeline.reconstruct.
     auto totals = report.span_totals();

@@ -60,12 +60,6 @@ TEST(Pipeline, VerifyStageRunsByDefault)
     // Compiled images are rockcheck clean, and the stage is timed.
     EXPECT_TRUE(result.diagnostics.empty());
     EXPECT_GT(result.timing.verify_ms, 0.0);
-
-    RockConfig off;
-    off.verify = false;
-    ReconstructionResult skipped = run(corpus::streams_program(), off);
-    EXPECT_TRUE(skipped.diagnostics.empty());
-    EXPECT_EQ(skipped.timing.verify_ms, 0.0);
 }
 
 TEST(Pipeline, AmbiguousFamiliesCounted)

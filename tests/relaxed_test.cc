@@ -5,8 +5,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+
 #include "corpus/benchmarks.h"
 #include "corpus/examples.h"
+#include "corpus/generator.h"
 #include "eval/application_distance.h"
 #include "eval/ground_truth.h"
 #include "rock/pipeline.h"
@@ -93,6 +98,90 @@ TEST(Relaxed, MonotoneTradeoff)
         prev_missing = d.avg_missing;
         prev_added = d.avg_added;
     }
+}
+
+/**
+ * relaxed_hierarchy() as first written, kept as the reference: its
+ * cycle guard walks the child's successors again for every ranked
+ * candidate.
+ */
+core::Hierarchy
+relaxed_per_candidate(const core::ReconstructionResult& result, int k)
+{
+    core::Hierarchy h = result.hierarchy;
+    for (int child = 0; child < h.size(); ++child) {
+        std::vector<int> attached = h.parents(child);
+        std::vector<std::pair<double, int>> ranked;
+        for (int p : result.structural.possible_parents
+                         [static_cast<std::size_t>(child)]) {
+            if (std::find(attached.begin(), attached.end(), p) !=
+                attached.end()) {
+                continue;
+            }
+            auto dist = result.distances.find({p, child});
+            ranked.emplace_back(
+                dist == result.distances.end() ? 0.0 : dist->second, p);
+        }
+        std::sort(ranked.begin(), ranked.end());
+        int budget = k - static_cast<int>(attached.size());
+        for (const auto& [weight, p] : ranked) {
+            (void)weight;
+            if (budget <= 0)
+                break;
+            if (h.successors(child).count(p))
+                continue;
+            h.add_extra_parent(child, p);
+            --budget;
+        }
+    }
+    return h;
+}
+
+/** At k = 2, 3 and 4 relaxed_hierarchy() gives every node the
+ *  reference's parents, and no parent of a node is its successor
+ *  (the one shape a parent cycle takes). */
+void
+expect_matches_reference(const core::ReconstructionResult& result,
+                         const std::string& name)
+{
+    for (int k = 2; k <= 4; ++k) {
+        const core::Hierarchy got = core::relaxed_hierarchy(result, k);
+        const core::Hierarchy want = relaxed_per_candidate(result, k);
+        ASSERT_EQ(got.size(), want.size()) << name;
+        for (int v = 0; v < got.size(); ++v) {
+            EXPECT_EQ(got.parents(v), want.parents(v))
+                << name << " k=" << k << " node " << v;
+            const std::set<int> below = got.successors(v);
+            for (int p : got.parents(v)) {
+                EXPECT_EQ(below.count(p), 0u)
+                    << name << " k=" << k << " cycle " << p << " -> " << v;
+            }
+        }
+    }
+}
+
+TEST(Relaxed, MatchesPerCandidateReferenceOnTable2)
+{
+    for (const auto& spec : corpus::table2_benchmarks())
+        expect_matches_reference(run(spec.program).result, spec.name);
+}
+
+TEST(Relaxed, MatchesPerCandidateReferenceOnGeneratedImage)
+{
+    // skype_scale's generator spec at 300 classes.
+    corpus::GeneratorSpec spec;
+    spec.num_classes = 300;
+    spec.num_trees = 7;
+    spec.max_depth = 6;
+    spec.max_children = 5;
+    spec.scenarios_per_class = 2;
+    spec.fold_noise_pairs = 3;
+    spec.mi_prob = 0.05;
+    spec.seed = 2018;
+    toyc::CompileResult compiled =
+        toyc::compile(corpus::generate_program(spec));
+    expect_matches_reference(core::reconstruct(compiled.image),
+                             "generated-300");
 }
 
 TEST(Dot, ContainsNodesAndEdges)

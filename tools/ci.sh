@@ -29,8 +29,9 @@
 #     cache hits -- hardware-independent, never skipped; and a
 #     memory gate (`skype_scale --classes 5000 --threads 4` +
 #     `rockstat --check --max-peak-rss-mb 1024`): the default
-#     5000-class image must peak below 1 GB; and the benchmark
-#     self-test (`perfbench/run.py --selftest`), whose traced replays
+#     5000-class image must peak below 1 GB; a k-parent relaxation
+#     gate (`rockhier --k 2` on `rockc --synthetic 2000` under
+#     `timeout 60`); and the benchmark self-test (`perfbench/run.py --selftest`), whose traced replays
 #     must equal reconstruct() bit for bit. The warm
 #     JSONL is kept as an artifact (ROCK_CI_ARTIFACTS dir);
 #  5. serve: boots rockd on a unix socket, replays a duplicate-heavy
@@ -187,6 +188,13 @@ leg_perf() {
         --json "$perf_dir/skype-5000.jsonl"
     ./build/tools/rockstat --check "$perf_dir/skype-5000.jsonl" \
         --max-peak-rss-mb 1024
+    # k-parent relaxation gate: the CFI relaxation of a 2000-class
+    # image must exit 0 within 60 s (under 1 s when each type's
+    # successors are walked once; a walk per ranked candidate took
+    # about two minutes).
+    ./build/tools/rockc --synthetic 2000 -o "$perf_dir/synthetic-2000.vmi"
+    timeout 60 ./build/tools/rockhier "$perf_dir/synthetic-2000.vmi" \
+        --k 2 > /dev/null
     # Benchmark self-test: its traced replays recompute every layer of
     # reconstruct() through the per-layer APIs -- every DKL weight
     # through pair_distance() over merge_word_sets() -- and must match
