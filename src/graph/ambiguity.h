@@ -35,8 +35,8 @@ namespace rock::graph {
 /**
  * True when the digraph on @p n nodes with edges (src, dst) in
  * @p edges has more than one minimum-root spanning forest, i.e. when
- * graph::enumerate_min_forests() of its zero-weight version would
- * return two or more forests given an unbounded budget.
+ * graph::enumerate_min_forests() of its zero-weight version, at
+ * epsilon 0, returns two or more forests.
  */
 bool has_multiple_min_forests(int n,
                               const std::vector<std::pair<int, int>>& edges);

@@ -37,6 +37,14 @@ struct Level {
     int num_cycles = 0;
 };
 
+/** What a certified solve records besides its picks. */
+struct Duals {
+    /** Per input edge: its reduced weight (ForestCertificate). */
+    std::vector<double> reduced;
+    /** Contraction levels the solve went through. */
+    int levels = 0;
+};
+
 /**
  * Chu-Liu/Edmonds as a loop over one working edge array, compacted in
  * place at every contraction level. Returns the input indices of the
@@ -49,9 +57,16 @@ struct Level {
  * one subtraction each. The chosen list holds the deepest level's
  * in-edges by node, then each shallower level's non-entry cycle
  * edges, deepest first; callers sum weights in that order.
+ *
+ * With @p duals, each input edge's reduced weight is its weight at the
+ * level that drops it as internal to a cycle, or at the last level,
+ * minus its head's cheapest in-edge weight there. Recording it reads
+ * what the solve computes anyway and changes no pick. @p count adds
+ * the contractions to thread_contraction_tally().
  */
 std::optional<std::vector<int>>
-solve(int n, int root, std::vector<WorkEdge>& work)
+solve(int n, int root, std::vector<WorkEdge>& work, Duals* duals,
+      bool count)
 {
     constexpr double kInf = std::numeric_limits<double>::infinity();
     const auto idx = [](int i) { return static_cast<std::size_t>(i); };
@@ -115,6 +130,13 @@ solve(int n, int root, std::vector<WorkEdge>& work)
         }
 
         if (level.num_cycles == 0) {
+            if (duals) {
+                for (const WorkEdge& e : work) {
+                    duals->reduced[idx(e.input)] =
+                        e.dst == root ? kInf : e.weight - in_w[idx(e.dst)];
+                }
+                duals->levels = static_cast<int>(levels.size());
+            }
             chosen.reserve(idx(n) - 1);
             for (int v = 0; v < n; ++v) {
                 if (v != root) {
@@ -127,8 +149,10 @@ solve(int n, int root, std::vector<WorkEdge>& work)
 
         // Each detected cycle becomes one supernode contraction; the
         // count is a pure function of the input graph (deterministic).
-        tls_contraction_tally +=
-            static_cast<std::uint64_t>(level.num_cycles);
+        if (count) {
+            tls_contraction_tally +=
+                static_cast<std::uint64_t>(level.num_cycles);
+        }
 
         // Contract every cycle into a supernode.
         comp.assign(idx(n), -1);
@@ -152,8 +176,11 @@ solve(int n, int root, std::vector<WorkEdge>& work)
         for (const WorkEdge& e : work) {
             const int cu = comp[idx(e.src)];
             const int cv = comp[idx(e.dst)];
-            if (cu == cv)
+            if (cu == cv) {
+                if (duals)
+                    duals->reduced[idx(e.input)] = e.weight - in_w[idx(e.dst)];
                 continue;
+            }
             double w = e.weight;
             if (level.cycle_id[idx(e.dst)] >= 0)
                 w -= in_w[idx(e.dst)];
@@ -212,46 +239,28 @@ work_edges(const Digraph& graph, std::size_t extra)
     return work;
 }
 
-} // namespace
-
-std::optional<Arborescence>
-min_arborescence(const Digraph& graph, int root)
-{
-    ROCK_ASSERT(root >= 0 && root < graph.num_nodes(),
-                "root out of range");
-    std::vector<WorkEdge> work = work_edges(graph, 0);
-    auto chosen = solve(graph.num_nodes(), root, work);
-    if (!chosen)
-        return std::nullopt;
-
-    Arborescence result;
-    result.parent.assign(
-        static_cast<std::size_t>(graph.num_nodes()), -1);
-    for (int i : *chosen) {
-        const Edge& e = graph.edges()[static_cast<std::size_t>(i)];
-        result.parent[static_cast<std::size_t>(e.dst)] = e.src;
-        result.weight += e.weight;
-    }
-    result.num_roots = 1;
-    return result;
-}
-
+/**
+ * min_forest() on @p graph; with @p cert, also its certificate. The
+ * super-root n has a penalty edge to every node; its edges follow the
+ * real ones in input order.
+ */
 Arborescence
-min_forest(const Digraph& graph)
+solve_forest(const Digraph& graph, ForestCertificate* cert)
 {
     const int n = graph.num_nodes();
     if (n == 0)
         return Arborescence{};
     const double penalty = graph.total_abs_weight() + 1.0;
 
-    // Super-root n with a penalty edge to every node; its edges follow
-    // the real ones in input order.
     const int num_real = static_cast<int>(graph.edges().size());
     std::vector<WorkEdge> work =
         work_edges(graph, static_cast<std::size_t>(n));
     for (int v = 0; v < n; ++v)
         work.push_back(WorkEdge{n, v, penalty, num_real + v, v});
-    auto chosen = solve(n + 1, n, work);
+    Duals duals;
+    if (cert)
+        duals.reduced.resize(work.size());
+    auto chosen = solve(n + 1, n, work, cert ? &duals : nullptr, true);
     ROCK_ASSERT(chosen.has_value(),
                 "augmented graph must always be solvable");
 
@@ -271,7 +280,56 @@ min_forest(const Digraph& graph)
     // Real-edge weight = total minus the root penalties.
     result.weight =
         total - penalty * static_cast<double>(result.num_roots);
+    if (cert) {
+        cert->in_edge.assign(static_cast<std::size_t>(n), -1);
+        for (int i : *chosen) {
+            if (i < num_real)
+                cert->in_edge[static_cast<std::size_t>(
+                    graph.edges()[static_cast<std::size_t>(i)].dst)] = i;
+        }
+        cert->reduced = std::move(duals.reduced);
+        cert->penalty = penalty;
+        cert->levels = duals.levels;
+    }
     return result;
+}
+
+} // namespace
+
+std::optional<Arborescence>
+min_arborescence(const Digraph& graph, int root)
+{
+    ROCK_ASSERT(root >= 0 && root < graph.num_nodes(),
+                "root out of range");
+    std::vector<WorkEdge> work = work_edges(graph, 0);
+    auto chosen = solve(graph.num_nodes(), root, work, nullptr, false);
+    if (!chosen)
+        return std::nullopt;
+
+    Arborescence result;
+    result.parent.assign(
+        static_cast<std::size_t>(graph.num_nodes()), -1);
+    for (int i : *chosen) {
+        const Edge& e = graph.edges()[static_cast<std::size_t>(i)];
+        result.parent[static_cast<std::size_t>(e.dst)] = e.src;
+        result.weight += e.weight;
+    }
+    result.num_roots = 1;
+    return result;
+}
+
+Arborescence
+min_forest(const Digraph& graph)
+{
+    return solve_forest(graph, nullptr);
+}
+
+ForestCertificate
+certify_min_forest(const Digraph& graph)
+{
+    ForestCertificate cert;
+    cert.forest = solve_forest(graph, &cert);
+    return cert;
 }
 
 std::uint64_t

@@ -109,8 +109,9 @@ distance_fingerprint(const RockConfig& config, int alphabet_size,
  *  it, so a solver that counts differently for the same inputs bumps
  *  this rather than kSchemaVersion (2: the ambiguity probe stopped
  *  running Edmonds on the zero-weight skeleton; 3: the blob carries
- *  the enumerator's budget cuts). */
-constexpr std::uint64_t kSolverGeneration = 3;
+ *  the enumerator's budget cuts; 4: the enumeration is exact, with no
+ *  step budget, and a capped set keeps only its optimum). */
+constexpr std::uint64_t kSolverGeneration = 4;
 
 std::uint64_t
 solve_fingerprint(const RockConfig& config)
@@ -170,7 +171,6 @@ encode_family_solution(const FamilySolveBlob& blob,
     out.u64(blob.cooptimal);
     out.u64(blob.resolved);
     out.u64(blob.contractions);
-    out.u64(blob.step_cuts);
     out.u64(blob.alternative_cuts);
     out.u32(static_cast<std::uint32_t>(blob.alternatives.size()));
     for (const auto& parents : blob.alternatives) {
@@ -187,7 +187,6 @@ decode_family_solution(cache::ByteReader& in, FamilySolveBlob* blob)
     blob->cooptimal = in.u64();
     blob->resolved = in.u64();
     blob->contractions = in.u64();
-    blob->step_cuts = in.u64();
     blob->alternative_cuts = in.u64();
     const std::uint32_t n_alt = in.u32();
     if (!in.ok() || m == 0 || n_alt == 0 || ambiguous > 1)

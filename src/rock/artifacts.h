@@ -122,9 +122,8 @@ struct FamilySolveBlob {
     std::uint64_t resolved = 0;
     /** graph.edmonds.contractions tally. */
     std::uint64_t contractions = 0;
-    /** budget.enumerate_steps / budget.max_alternatives tallies
+    /** budget.max_alternatives tally
      *  (graph::thread_enumerate_cuts()). */
-    std::uint64_t step_cuts = 0;
     std::uint64_t alternative_cuts = 0;
     /** Surviving parent assignments, member position -> local member
      *  index of the parent (-1 = root); alternatives[0] is selected. */

@@ -31,6 +31,13 @@ majority_filter(std::vector<graph::Arborescence>& forests)
 {
     if (forests.size() <= 1)
         return;
+    // A capped set is a sample picked by member order, not the
+    // co-optimal set: a vote over it would pick by that order too.
+    if (forests.size() >=
+        static_cast<std::size_t>(RockConfig::max_alternatives)) {
+        forests.resize(1);
+        return;
+    }
     bool changed = true;
     while (changed && forests.size() > 1) {
         changed = false;
@@ -535,7 +542,7 @@ FamilySolveBlob
 solve_family(const RunContext& ctx, const FamilyPlan& fam, int m)
 {
     const auto contractions_before = graph::thread_contraction_tally();
-    const graph::EnumerateCuts cuts_before = graph::thread_enumerate_cuts();
+    const auto cuts_before = graph::thread_enumerate_cuts().results;
     FamilySolveBlob sol;
     sol.m = m;
     // Structural ambiguity: is there more than one zero-weight spanning
@@ -576,14 +583,15 @@ solve_family(const RunContext& ctx, const FamilyPlan& fam, int m)
         detail::majority_filter(forests);
     }
     ROCK_ASSERT(!forests.empty(), "no forest survived filtering");
-    sol.resolved = sol.cooptimal - forests.size();
+    sol.alternative_cuts =
+        graph::thread_enumerate_cuts().results - cuts_before;
+    // A capped set keeps only its optimum, by the cut, not by a vote.
+    sol.resolved =
+        sol.alternative_cuts ? 0 : sol.cooptimal - forests.size();
     for (auto& forest : forests)
         sol.alternatives.push_back(std::move(forest.parent));
     sol.contractions =
         graph::thread_contraction_tally() - contractions_before;
-    const graph::EnumerateCuts cuts = graph::thread_enumerate_cuts();
-    sol.step_cuts = cuts.steps - cuts_before.steps;
-    sol.alternative_cuts = cuts.results - cuts_before.results;
     return sol;
 }
 
@@ -657,7 +665,6 @@ solve_stage(RunContext& ctx, std::size_t f)
     add_work("divergence.words", fam.words);
     add_work("slm.escapes", fam.escapes);
     add_work("graph.edmonds.contractions", sol.contractions);
-    add_work("budget.enumerate_steps", sol.step_cuts);
     add_work("budget.max_alternatives", sol.alternative_cuts);
 
     out.structurally_ambiguous = sol.structurally_ambiguous;

@@ -273,8 +273,10 @@ namespace detail {
  * Iterative majority-vote filtering over co-optimal forests (paper
  * Section 4.2.2, "Handling Multiple Arborescences"): while more than
  * one forest survives, find a member position where a strict majority
- * of forests agrees on the parent and drop the dissenters. Exposed
- * for unit testing.
+ * of forests agrees on the parent and drop the dissenters. A set of
+ * RockConfig::max_alternatives or more forests reached the
+ * enumeration's cap, so it is no vote's electorate: only its first
+ * forest, the optimum, is kept. Exposed for unit testing.
  */
 void majority_filter(std::vector<graph::Arborescence>& forests);
 

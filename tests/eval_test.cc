@@ -215,12 +215,19 @@ TEST(AppDistance, WorstCasePicksLeastPreciseAlternative)
     corpus::CorpusProgram example = corpus::echoparams_program();
     toyc::CompileResult compiled =
         toyc::compile(example.program, example.options);
-    core::RockConfig config;
-    // A huge tie tolerance makes many co-optimal forests survive, so
-    // worst >= best.
-    config.tie_epsilon = 100.0;
-    core::ReconstructionResult result =
-        core::reconstruct(compiled.image, config);
+    core::ReconstructionResult result = core::reconstruct(compiled.image);
+    // A second alternative per family, under the enumeration's cap (a
+    // set that reaches it keeps only its optimum): the members chained
+    // in member order. The worst case must pick it wherever it is less
+    // precise, so worst >= best.
+    for (core::FamilyResult& fam : result.families) {
+        if (fam.members.size() < 2)
+            continue;
+        std::vector<int> chain(fam.members.size(), -1);
+        for (std::size_t i = 1; i < chain.size(); ++i)
+            chain[i] = fam.members[i - 1];
+        fam.alternatives.push_back(std::move(chain));
+    }
     GroundTruth gt = ground_truth_from_debug(compiled.debug);
     AppDistance best =
         application_distance(result.hierarchy, gt);

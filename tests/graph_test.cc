@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "support/error.h"
@@ -518,6 +519,364 @@ TEST(Enumerate, EpsilonAdmitsNearOptimal)
     EnumerateConfig loose;
     loose.epsilon = 1.0;
     EXPECT_EQ(enumerate_min_forests(g, loose).size(), 2u);
+}
+
+// ---------------------------------------------------------------------
+// Exact enumeration against the search it replaced
+// ---------------------------------------------------------------------
+
+/** What the search enumerate_min_forests() replaced finds. */
+struct Reference {
+    /** The candidate graph it solves: edges by node, cheapest first. */
+    Digraph original{0};
+    /** The Edmonds optimum, then the other forests in the order found
+     *  (capped), unsorted. */
+    std::vector<Arborescence> forests;
+    /** Per forest after the optimum: each node's edge in original, -1
+     *  at a root. */
+    std::vector<std::vector<int>> edges;
+    long steps = 0;
+};
+
+/**
+ * The branch-and-bound depth-first search enumerate_min_forests() ran
+ * before it became exact, kept as the reference, with its step budget
+ * optional: nodes in index order, each node's candidates cheapest
+ * first (stably, "root" listed first), a branch pruned once its
+ * node-order cost plus every later node's cheapest candidate exceeds
+ * the optimum plus epsilon. It stops past @p max_steps when that is
+ * positive.
+ */
+Reference
+reference_search(const Digraph& graph, double epsilon, int max_results,
+                 long max_steps = 0)
+{
+    struct Cand {
+        int src;
+        double weight;
+        int edge; // index in original, -1 for the root
+    };
+    const int n = graph.num_nodes();
+    const auto at = [](int i) { return static_cast<std::size_t>(i); };
+    const double penalty = graph.total_abs_weight() + 1.0;
+    std::vector<std::vector<Cand>> cands(at(n));
+    for (int v = 0; v < n; ++v)
+        cands[at(v)].push_back({-1, penalty, -1});
+    for (const Edge& e : graph.edges())
+        cands[at(e.dst)].push_back({e.src, e.weight, -1});
+    for (auto& list : cands) {
+        std::stable_sort(list.begin(), list.end(),
+                         [](const Cand& a, const Cand& b) {
+                             return a.weight < b.weight;
+                         });
+    }
+    std::vector<double> suffix_min(at(n) + 1, 0.0);
+    for (int v = n - 1; v >= 0; --v) {
+        suffix_min[at(v)] =
+            suffix_min[at(v) + 1] + cands[at(v)].front().weight;
+    }
+
+    Reference ref;
+    ref.original = Digraph(n);
+    for (int v = 0; v < n; ++v) {
+        for (Cand& c : cands[at(v)]) {
+            if (c.src >= 0) {
+                c.edge = static_cast<int>(ref.original.edges().size());
+                ref.original.add_edge(c.src, v, c.weight);
+            }
+        }
+    }
+    ref.forests.push_back(min_forest(ref.original));
+    const std::vector<int> seed = ref.forests.front().parent;
+    const double best_cost =
+        ref.forests.front().weight +
+        penalty * static_cast<double>(ref.forests.front().num_roots);
+    std::vector<const Cand*> chosen(at(n), nullptr);
+    auto parent = [&](int u) {
+        return chosen[at(u)] ? chosen[at(u)]->src : -2; // -2: unassigned
+    };
+    auto dfs = [&](auto&& self, int v, double cost) -> void {
+        if (static_cast<int>(ref.forests.size()) >= max_results ||
+            (++ref.steps > max_steps && max_steps > 0))
+            return;
+        if (v == n) {
+            Arborescence arb;
+            arb.parent.assign(at(n), -1);
+            std::vector<int> edges(at(n), -1);
+            for (int u = 0; u < n; ++u) {
+                arb.parent[at(u)] = parent(u);
+                edges[at(u)] = chosen[at(u)]->edge;
+                arb.num_roots += parent(u) < 0 ? 1 : 0;
+            }
+            if (arb.parent == seed)
+                return;
+            arb.weight = cost - penalty * static_cast<double>(arb.num_roots);
+            ref.forests.push_back(std::move(arb));
+            ref.edges.push_back(std::move(edges));
+            return;
+        }
+        const double bound = suffix_min[at(v) + 1];
+        for (const Cand& c : cands[at(v)]) {
+            const double next = cost + c.weight;
+            if (next + bound > best_cost + epsilon + 1e-12)
+                break;
+            bool cycle = false;
+            for (int u = c.src; u >= 0 && !cycle; u = parent(u))
+                cycle = u == v;
+            if (cycle)
+                continue;
+            chosen[at(v)] = &c;
+            self(self, v + 1, next);
+            chosen[at(v)] = nullptr;
+        }
+    };
+    dfs(dfs, 0, 0.0);
+    return ref;
+}
+
+/** Root-penalized cost, as both searches sort by it. */
+double
+sort_cost(const Digraph& graph, const Arborescence& arb)
+{
+    return arb.weight + (graph.total_abs_weight() + 1.0) *
+                            static_cast<double>(arb.num_roots);
+}
+
+/** @p found in enumerate_min_forests()'s order: the optimum, then the
+ *  rest stably by cost. */
+std::vector<Arborescence>
+optimum_first(const Digraph& graph, std::vector<Arborescence> found)
+{
+    std::stable_sort(found.begin() + 1, found.end(),
+                     [&](const Arborescence& a, const Arborescence& b) {
+                         return sort_cost(graph, a) < sort_cost(graph, b);
+                     });
+    return found;
+}
+
+std::uint64_t
+weight_bits(double w)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &w, sizeof(bits));
+    return bits;
+}
+
+void
+expect_same_forests(const std::vector<Arborescence>& got,
+                    const std::vector<Arborescence>& want,
+                    const std::string& what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].parent, want[i].parent) << what << " #" << i;
+        EXPECT_EQ(got[i].num_roots, want[i].num_roots) << what << " #" << i;
+        EXPECT_EQ(weight_bits(got[i].weight), weight_bits(want[i].weight))
+            << what << " #" << i;
+    }
+}
+
+/**
+ * Seeded digraph on 2-8 nodes with many exact ties: weights from a
+ * few values (integers, or decimal fractions whose sums round), zero
+ * weights, and parallel edges.
+ */
+Digraph
+tied_digraph(std::uint64_t seed)
+{
+    static constexpr double kIntegers[] = {0.0, 1.0, 1.0, 2.0};
+    static constexpr double kDecimals[] = {0.0, 0.1, 0.2, 0.3};
+    SplitMix rng{seed};
+    const double* weights = seed % 2 ? kDecimals : kIntegers;
+    const int n = 2 + rng.below(7);
+    const int density = 2 + rng.below(5); // tenths
+    Digraph g(n);
+    for (int u = 0; u < n; ++u) {
+        for (int v = 0; v < n; ++v) {
+            if (u == v || rng.below(10) >= density)
+                continue;
+            g.add_edge(u, v, weights[rng.below(4)]);
+            if (rng.below(5) == 0) // parallel edge
+                g.add_edge(u, v, weights[rng.below(4)]);
+        }
+    }
+    return g;
+}
+
+TEST(ExactEnumerate, MatchesTheUnbudgetedSearchOnTiedDigraphs)
+{
+    for (std::uint64_t seed = 1; seed <= 1500; ++seed) {
+        const Digraph g = tied_digraph(seed);
+        for (const double epsilon : {0.0, 1e-9, 0.15}) {
+            for (const int cap : {1, 2, 64}) {
+                EnumerateConfig config;
+                config.epsilon = epsilon;
+                config.max_results = cap;
+                expect_same_forests(
+                    enumerate_min_forests(g, config),
+                    optimum_first(
+                        g, reference_search(g, epsilon, cap).forests),
+                    "seed " + std::to_string(seed) + " epsilon " +
+                        std::to_string(epsilon) + " cap " +
+                        std::to_string(cap));
+                if (HasFailure())
+                    return;
+            }
+        }
+    }
+}
+
+/** tied_digraph(@p seed) plus a ballast edge of weight 1e6, which
+ *  lifts the root penalty so that node-order sums round at about
+ *  1e-10. */
+Digraph
+ballasted_digraph(std::uint64_t seed)
+{
+    Digraph g = tied_digraph(seed);
+    g.add_edge(g.num_nodes() - 1, 0, 1e6);
+    return g;
+}
+
+TEST(ExactEnumerate, MatchesTheSearchUnderALargePenalty)
+{
+    for (std::uint64_t seed = 1; seed <= 1500; ++seed) {
+        const Digraph g = ballasted_digraph(seed);
+        for (const int cap : {2, 64}) {
+            EnumerateConfig config;
+            config.epsilon = 1e-6;
+            config.max_results = cap;
+            expect_same_forests(
+                enumerate_min_forests(g, config),
+                optimum_first(g,
+                              reference_search(g, 1e-6, cap).forests),
+                "seed " + std::to_string(seed) + " cap " +
+                    std::to_string(cap));
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+TEST(ExactEnumerate, TightBoundCoversEveryForestTheSearchAdmits)
+{
+    // At epsilon 0 under a large penalty, exact ties sit on the limit
+    // and rounding decides which the search admits, so their edges'
+    // reduced weights are rounding noise above epsilon: tight_bound()'s
+    // rounding term must cover them.
+    double worst = 0.0;
+    for (std::uint64_t seed = 1; seed <= 1500; ++seed) {
+        const Reference ref =
+            reference_search(ballasted_digraph(seed), 0.0, 1000);
+        const ForestCertificate cert = certify_min_forest(ref.original);
+        const double bound = tight_bound(ref.original, cert, 0.0);
+        const std::size_t num_real = ref.original.edges().size();
+        for (const auto& edges : ref.edges) {
+            for (std::size_t v = 0; v < edges.size(); ++v) {
+                const double rc =
+                    edges[v] < 0 ? cert.reduced[num_real + v]
+                                 : cert.reduced[static_cast<std::size_t>(
+                                       edges[v])];
+                worst = std::max(worst, rc);
+                ASSERT_LE(rc, bound) << "seed " << seed << " node " << v;
+            }
+        }
+    }
+    // The case is real: some admitted edge lies above epsilon plus the
+    // search's own 1e-12.
+    EXPECT_GT(worst, 1e-12);
+}
+
+TEST(ExactEnumerate, StepBudgetHasNoEffect)
+{
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        const Digraph g = tied_digraph(seed);
+        EnumerateConfig config;
+        config.max_results = 64;
+        const auto want = enumerate_min_forests(g, config);
+        for (const long steps : {1L, 20L, 2000000L}) {
+            config.max_steps = steps;
+            expect_same_forests(enumerate_min_forests(g, config), want,
+                                "seed " + std::to_string(seed) +
+                                    " max_steps " + std::to_string(steps));
+        }
+    }
+}
+
+TEST(ExactEnumerate, OptimumStaysFirstWhenATieRoundsLower)
+{
+    // A 3-cycle at 0.1 per edge: three co-optimal forests, one root
+    // each. Edmonds roots node 0 and sums P + 0.1 + 0.1, which rounds
+    // up to 1.5000000000000002; the forest rooted at node 2 sums
+    // 0.1 + 0.1 + P in node order, which rounds to 1.5.
+    Digraph g(3);
+    g.add_edge(0, 1, 0.1);
+    g.add_edge(1, 2, 0.1);
+    g.add_edge(2, 0, 0.1);
+    const Arborescence best = min_forest(g);
+    ASSERT_EQ(best.parent, (std::vector<int>{-1, 0, 1}));
+
+    // The search's own cost order would put that forest first.
+    auto old_order = reference_search(g, 1e-9, 64).forests;
+    ASSERT_EQ(old_order.size(), 3u);
+    std::stable_sort(old_order.begin(), old_order.end(),
+                     [&](const Arborescence& a, const Arborescence& b) {
+                         return sort_cost(g, a) < sort_cost(g, b);
+                     });
+    ASSERT_EQ(old_order.front().parent, (std::vector<int>{2, 0, -1}));
+
+    const auto forests = enumerate_min_forests(g);
+    ASSERT_EQ(forests.size(), 3u);
+    EXPECT_EQ(forests[0].parent, best.parent);
+    EXPECT_EQ(weight_bits(forests[0].weight), weight_bits(best.weight));
+    EXPECT_EQ(forests[1].parent, (std::vector<int>{2, 0, -1}));
+    EXPECT_LT(sort_cost(g, forests[1]), sort_cost(g, forests[0]));
+}
+
+/**
+ * A hub (node 0) over @p pairs twin pairs: the hub reaches each twin
+ * at 1.0, twins reach each other at 0.5, so every pair has two
+ * co-optimal shapes (2^pairs forests). The last twin reaches the hub
+ * at 3.0, an edge no co-optimal forest can use: it needs a second
+ * root. Node 0 takes it first, and the search's bound, which leaves
+ * out the root penalty, cannot see that its subtree holds no forest.
+ */
+Digraph
+twin_family(int pairs)
+{
+    Digraph g(1 + 2 * pairs);
+    for (int i = 0; i < pairs; ++i) {
+        const int a = 1 + 2 * i;
+        const int b = a + 1;
+        g.add_edge(0, a, 1.0);
+        g.add_edge(0, b, 1.0);
+        g.add_edge(a, b, 0.5);
+        g.add_edge(b, a, 0.5);
+    }
+    g.add_edge(2 * pairs, 0, 3.0);
+    return g;
+}
+
+TEST(ExactEnumerate, LargeTwinFamilyFinishes)
+{
+    const Digraph g = twin_family(600);
+    EnumerateConfig config;
+    config.epsilon = 1e-6;
+    config.max_results = 64;
+    // The old search spends its 2M steps under node 0's first
+    // candidate and finds nothing but the optimum.
+    const Reference cut = reference_search(g, config.epsilon, 64, 2000000);
+    EXPECT_EQ(cut.forests.size(), 1u);
+    EXPECT_GT(cut.steps, 2000000);
+
+    const auto forests = enumerate_min_forests(g, config);
+    ASSERT_EQ(forests.size(), 64u);
+    const Arborescence best = min_forest(g);
+    EXPECT_EQ(forests[0].parent, best.parent);
+    for (const Arborescence& f : forests) {
+        EXPECT_EQ(f.num_roots, 1);
+        EXPECT_EQ(f.parent[0], -1);
+        EXPECT_NEAR(f.weight, 1.5 * 600, 1e-6);
+    }
 }
 
 TEST(Digraph, RejectsBadEdges)

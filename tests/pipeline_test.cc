@@ -88,20 +88,36 @@ TEST(Pipeline, FamiliesCoverAllTypes)
     EXPECT_EQ(covered.size(), result.structural.types.size());
 }
 
+/** Give every multi-member family of @p result one more alternative,
+ *  its members chained in member order. */
+void
+add_chain_alternatives(ReconstructionResult& result)
+{
+    for (FamilyResult& fam : result.families) {
+        if (fam.members.size() < 2)
+            continue;
+        std::vector<int> chain(fam.members.size(), -1);
+        for (std::size_t i = 1; i < chain.size(); ++i)
+            chain[i] = fam.members[i - 1];
+        fam.alternatives.push_back(std::move(chain));
+    }
+}
+
 TEST(Pipeline, HierarchyWithRebuildsAlternatives)
 {
+    // Alternatives under the enumeration's cap: a set that reaches it
+    // keeps only its optimum, so they are built by hand.
     corpus::CorpusProgram example = corpus::echoparams_program();
-    RockConfig config;
-    config.tie_epsilon = 100.0; // keep many alternatives alive
-    ReconstructionResult result = run(example, config);
+    ReconstructionResult result = run(example);
+    add_chain_alternatives(result);
 
     std::vector<int> first(result.families.size(), 0);
     Hierarchy h0 = result.hierarchy_with(first);
     for (int v = 0; v < h0.size(); ++v)
         EXPECT_EQ(h0.parent(v), result.hierarchy.parent(v));
 
-    // Some family has >1 surviving alternative under the huge
-    // epsilon; a different pick changes the forest.
+    // Some family has >1 alternative; a different pick changes the
+    // forest.
     bool found_different = false;
     for (std::size_t f = 0; f < result.families.size(); ++f) {
         if (result.families[f].alternatives.size() > 1) {
@@ -258,6 +274,32 @@ TEST(MajorityFilter, CascadesUntilFixpoint)
     EXPECT_EQ(forests[1].parent, (std::vector<int>{-1, 0, 1}));
 }
 
+TEST(MajorityFilter, CappedSetKeepsOnlyItsFirstForest)
+{
+    // 63 of the forests give member 1 parent 2, against the first
+    // forest's 0. Below the cap that majority drops the first forest;
+    // a set that reached RockConfig::max_alternatives is no vote's
+    // electorate and keeps its first forest, the optimum, alone.
+    auto make = [](std::size_t size) {
+        std::vector<graph::Arborescence> forests(size);
+        for (std::size_t i = 0; i < size; ++i)
+            forests[i].parent = {-1, i == 0 ? 0 : 2, i % 2 ? 0 : 1};
+        return forests;
+    };
+    const auto cap =
+        static_cast<std::size_t>(RockConfig::max_alternatives);
+    std::vector<graph::Arborescence> capped = make(cap);
+    detail::majority_filter(capped);
+    ASSERT_EQ(capped.size(), 1u);
+    EXPECT_EQ(capped[0].parent, (std::vector<int>{-1, 0, 1}));
+
+    std::vector<graph::Arborescence> voted = make(cap - 1);
+    detail::majority_filter(voted);
+    ASSERT_FALSE(voted.empty());
+    for (const auto& forest : voted)
+        EXPECT_EQ(forest.parent[1], 2);
+}
+
 TEST(Pipeline, WordSetStrategiesAgreeOnStreams)
 {
     corpus::CorpusProgram example = corpus::streams_program();
@@ -397,30 +439,29 @@ TEST(DistanceTable, HoldsExactlyTheWeighedEdgesInChainOrder)
     }
 }
 
-TEST(Pipeline, WarmRunReplaysEnumeratorBudgetCuts)
+TEST(Pipeline, WarmRunReplaysAlternativeCapCuts)
 {
-    // Smoothing's two 10-member families run the tie enumerator past
-    // its step budget. A warm run solves nothing and must count the
-    // same cuts from its famsolve hits.
-    const corpus::CorpusProgram smoothing =
-        corpus::benchmark_by_name("Smoothing").program;
+    // Fuzz sample 10 has a family with 64 or more co-optimal forests,
+    // so its enumeration stops at the cap. A warm run solves nothing
+    // and must count the same cut from its famsolve hit.
     const bir::BinaryImage image =
-        toyc::compile(smoothing.program, smoothing.options).image;
+        toyc::compile(corpus::generate_program(fuzz::sample_spec(10)), {})
+            .image;
     RockConfig config;
     config.cache =
         std::make_shared<cache::ArtifactCache>(cache::CacheOptions{});
     obs::Counter& cuts =
-        obs::Registry::global().counter("budget.enumerate_steps");
+        obs::Registry::global().counter("budget.max_alternatives");
 
     std::uint64_t before = cuts.value();
     const ReconstructionResult cold = reconstruct(image, config);
-    EXPECT_EQ(cuts.value() - before, 2u);
+    EXPECT_EQ(cuts.value() - before, 1u);
 
     const std::uint64_t hits = config.cache->stats().hits;
     before = cuts.value();
     const ReconstructionResult warm = reconstruct(image, config);
     EXPECT_GT(config.cache->stats().hits, hits);
-    EXPECT_EQ(cuts.value() - before, 2u);
+    EXPECT_EQ(cuts.value() - before, 1u);
     EXPECT_EQ(first_difference(cold, warm), "");
 }
 

@@ -195,6 +195,13 @@ leg_perf() {
     ./build/tools/rockc --synthetic 2000 -o "$perf_dir/synthetic-2000.vmi"
     timeout 60 ./build/tools/rockhier "$perf_dir/synthetic-2000.vmi" \
         --k 2 > /dev/null
+    # Tie-enumeration gate: the image whose 1362-member family cost the
+    # budgeted search about 15 s must reconstruct within 10 s on one
+    # thread (under 1 s with the exact enumeration).
+    ./build/tools/rockc --synthetic 1000 --gen-seed 1 \
+        -o "$perf_dir/synthetic-1000-seed1.vmi"
+    timeout 10 ./build/tools/rockhier "$perf_dir/synthetic-1000-seed1.vmi" \
+        --threads 1 > /dev/null
     # Benchmark self-test: its traced replays recompute every layer of
     # reconstruct() through the per-layer APIs -- every DKL weight
     # through pair_distance() over merge_word_sets() -- and must match
