@@ -6,10 +6,13 @@
 #include <benchmark/benchmark.h>
 
 #include "analysis/analyze.h"
+#include "cfg/cfg_cache.h"
+#include "cfg/verify.h"
 #include "corpus/examples.h"
 #include "corpus/generator.h"
 #include "rock/pipeline.h"
 #include "structural/structural.h"
+#include "support/parallel.h"
 #include "toyc/compiler.h"
 
 namespace {
@@ -37,6 +40,33 @@ BM_Compile(benchmark::State& state)
         benchmark::DoNotOptimize(toyc::compile(prog));
 }
 BENCHMARK(BM_Compile)->Arg(10)->Arg(40);
+
+void
+BM_CfgBuild(benchmark::State& state)
+{
+    bir::BinaryImage image =
+        generated_image(static_cast<int>(state.range(0)));
+    support::ThreadPool pool(1);
+    for (auto _ : state) {
+        cfg::CfgCache cache(image);
+        cache.build_all(pool);
+        benchmark::DoNotOptimize(cache.costs().data());
+    }
+}
+BENCHMARK(BM_CfgBuild)->Arg(10)->Arg(40);
+
+void
+BM_Verify(benchmark::State& state)
+{
+    bir::BinaryImage image =
+        generated_image(static_cast<int>(state.range(0)));
+    support::ThreadPool pool(1);
+    cfg::CfgCache cache(image);
+    cache.build_all(pool);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(cfg::verify_image(image, pool, cache));
+}
+BENCHMARK(BM_Verify)->Arg(10)->Arg(40);
 
 void
 BM_Analyze(benchmark::State& state)

@@ -78,9 +78,10 @@ main(int argc, char** argv)
                 toyc::compile(corpus::generate_program(spec));
             std::vector<analysis::VTableInfo> vtables =
                 analysis::scan_vtables(compiled.image);
-            std::set<std::uint32_t> callees;
+            std::vector<std::uint32_t> callees;
             for (const auto& vt : vtables)
-                callees.insert(vt.slots.begin(), vt.slots.end());
+                callees.insert(callees.end(), vt.slots.begin(),
+                               vt.slots.end());
             vm::Interpreter interp(compiled.image, vtables, callees,
                                    vm::VmConfig{});
             vm::VmResult run = interp.run_image(1);

@@ -1,5 +1,9 @@
 #include "analysis/analyze.h"
 
+#include <algorithm>
+#include <array>
+#include <optional>
+
 #include "cache/artifact_cache.h"
 #include "obs/metrics.h"
 #include "support/log.h"
@@ -148,10 +152,10 @@ symexec_fingerprint(const bir::BinaryImage& image,
     return mix_symexec_config(fp, config);
 }
 
-/** Fold a phase's `this`-callee set into @p fp (sets are sorted, so
- *  this is deterministic). */
+/** Fold phase B's `this`-callee set into @p fp (sorted, so this is
+ *  deterministic). */
 std::uint64_t
-mix_callees(std::uint64_t fp, const std::set<std::uint32_t>& callees)
+mix_callees(std::uint64_t fp, const std::vector<std::uint32_t>& callees)
 {
     fp = cache::mix(fp, callees.size());
     for (std::uint32_t fn : callees)
@@ -159,35 +163,73 @@ mix_callees(std::uint64_t fp, const std::set<std::uint32_t>& callees)
     return fp;
 }
 
-/**
- * Serve one function's phase result from @p artifacts or compute it
- * with @p run and record it. The key's content hash covers the body
- * bytes AND the entry address: symbolic results depend on the
- * function's own address (vtable membership, relative jump decoding),
- * so byte-identical bodies at different addresses get distinct
- * entries.
- */
-FunctionAnalysis
-cached_run(cache::ArtifactCache* artifacts, std::uint64_t body_hash,
-           std::uint32_t addr, int phase, std::uint64_t fp,
-           const std::function<FunctionAnalysis()>& run)
+/** Generation of the ctor probe's "symexec" entries. A probe entry
+ *  holds only the probe's answer, so its fingerprint folds this in and
+ *  a store filled by an earlier generation serves it nothing (1: the
+ *  whole phase-A FunctionAnalysis, keyed by the seed callee set; 2:
+ *  the answer alone). */
+constexpr std::uint64_t kCtorProbeGeneration = 2;
+
+/** Content key of one function's "symexec" entry. It covers the body
+ *  bytes AND the entry address: symbolic results depend on the
+ *  function's own address (vtable membership, relative jump
+ *  decoding), so byte-identical bodies at different addresses get
+ *  distinct entries. */
+cache::ArtifactKey
+symexec_key(std::uint64_t body_hash, std::uint32_t addr, int phase,
+            std::uint64_t fp)
 {
-    if (artifacts == nullptr)
-        return run();
     std::uint64_t content = cache::mix(cache::kFnvSeed, body_hash);
     content = cache::mix(content, addr);
     content = cache::mix(content, static_cast<std::uint64_t>(phase));
-    cache::ArtifactKey key{"symexec", content, fp};
+    return cache::ArtifactKey{"symexec", content, fp};
+}
+
+/**
+ * Serve a value from @p artifacts under @p key or compute it with
+ * @p run and record it: @p decode reads a blob into its argument,
+ * @p encode writes the value. Without a store, just @p run.
+ */
+template <class T, class Run, class Decode, class Encode>
+T
+cached(cache::ArtifactCache* artifacts, const cache::ArtifactKey& key,
+       Run&& run, Decode&& decode, Encode&& encode)
+{
+    if (artifacts == nullptr)
+        return run();
     std::vector<std::uint8_t> blob;
-    FunctionAnalysis fa;
-    if (artifacts->get(key, blob) &&
-        decode_function_analysis(blob, fa))
-        return fa;
-    fa = run();
+    T value;
+    if (artifacts->get(key, blob) && decode(blob, value))
+        return value;
+    value = run();
     cache::ByteWriter w;
-    encode_function_analysis(fa, w);
+    encode(value, w);
     artifacts->put(key, w.take());
-    return fa;
+    return value;
+}
+
+/** A probe entry: one byte, 1 when a vtable follows. */
+void
+encode_probe(const std::optional<std::uint32_t>& vtable,
+             cache::ByteWriter& w)
+{
+    w.u8(vtable ? 1 : 0);
+    if (vtable)
+        w.u32(*vtable);
+}
+
+bool
+decode_probe(const std::vector<std::uint8_t>& blob,
+             std::optional<std::uint32_t>& vtable)
+{
+    cache::ByteReader r(blob);
+    std::uint8_t tag = r.u8();
+    if (tag > 1)
+        return false;
+    vtable.reset();
+    if (tag == 1)
+        vtable = r.u32();
+    return r.at_end();
 }
 
 /** Stable metric-name suffix per event kind (docs/OBSERVABILITY.md
@@ -224,19 +266,23 @@ record_metrics(const AnalysisResult& result, std::size_t functions)
         .add(static_cast<std::uint64_t>(result.total_paths));
 
     std::uint64_t tracelets = 0;
-    std::map<EventKind, std::uint64_t> events;
+    constexpr std::size_t kKinds =
+        static_cast<std::size_t>(EventKind::CallDirect) + 1;
+    std::array<std::uint64_t, kKinds> events{};
     for (const auto& [type, list] : result.type_tracelets) {
         tracelets += list.size();
         for (const Tracelet& tracelet : list) {
             for (const Event& event : tracelet)
-                ++events[event.kind];
+                ++events[static_cast<std::size_t>(event.kind)];
         }
     }
     reg.counter("analysis.tracelets").add(tracelets);
-    for (const auto& [kind, count] : events) {
+    for (std::size_t kind = 0; kind < kKinds; ++kind) {
+        if (events[kind] == 0)
+            continue;
         reg.counter(std::string("analysis.events.") +
-                    event_kind_metric(kind))
-            .add(count);
+                    event_kind_metric(static_cast<EventKind>(kind)))
+            .add(events[kind]);
     }
 }
 
@@ -254,16 +300,17 @@ mix_symexec_config(std::uint64_t h, const SymExecConfig& config)
     return h; // config.threads deliberately excluded
 }
 
-std::set<std::uint32_t>
+std::vector<std::uint32_t>
 this_callee_set(const AnalysisResult& result)
 {
-    std::set<std::uint32_t> callees;
-    for (const auto& vt : result.vtables) {
-        for (std::uint32_t fn : vt.slots)
-            callees.insert(fn);
-    }
+    std::vector<std::uint32_t> callees;
+    for (const auto& vt : result.vtables)
+        callees.insert(callees.end(), vt.slots.begin(), vt.slots.end());
     for (const auto& [fn, vt] : result.ctor_types)
-        callees.insert(fn);
+        callees.push_back(fn);
+    std::sort(callees.begin(), callees.end());
+    callees.erase(std::unique(callees.begin(), callees.end()),
+                  callees.end());
     return callees;
 }
 
@@ -290,94 +337,86 @@ analyze(const bir::BinaryImage& image, const SymExecConfig& config,
         support::ThreadPool& pool)
 {
     AnalysisResult result;
-    result.vtables = scan_vtables(image);
+    const std::size_t num_functions = image.functions.size();
+
+    // One decode per function, served from the shared CFG cache (the
+    // verify stage already paid for the recovery when the pipeline
+    // runs with verification on): the vtable scan and both phases
+    // read these bodies. Copied in table order, so a corrupt body
+    // fails in BinaryImage::decode_function at the first one.
+    cache.build_all(pool);
+    std::vector<std::vector<bir::Instr>> bodies(num_functions);
+    for (std::size_t i = 0; i < num_functions; ++i)
+        bodies[i] = cache.body(i);
+    result.vtables = scan_vtables(image, bodies);
 
     SymbolicExecutor exec(image, result.vtables, config);
-
-    // `this`-callee seed: every function referenced from a vtable.
-    std::set<std::uint32_t> this_callees;
-    for (const auto& vt : result.vtables) {
-        for (std::uint32_t fn : vt.slots)
-            this_callees.insert(fn);
-    }
-
-    const std::size_t num_functions = image.functions.size();
 
     // Each function writes only its own output slot; slots are merged
     // in function order below, so the result is identical for any
     // thread count (paper Section 3.2: the analysis is strictly
-    // intra-procedural, hence embarrassingly parallel).
-    //
-    // One decode per function for both phases, served from the shared
-    // CFG cache (the verify stage already paid for the recovery when
-    // the pipeline runs with verification on). Sweeps are chunked by
-    // instruction count so uneven corpora still balance.
-    cache.build_all(pool);
+    // intra-procedural, hence embarrassingly parallel). Sweeps are
+    // chunked by instruction count so uneven corpora still balance.
     support::ChunkPlan plan;
     plan.costs = cache.costs().data();
-    std::vector<std::vector<bir::Instr>> bodies(num_functions);
-    pool.parallel_for(num_functions, plan, [&](std::size_t i) {
-        bodies[i] = cache.body(i);
-    });
 
-    // Memoization context: one fingerprint for the whole sweep, one
-    // callee-set digest per phase (phase B's set additionally depends
-    // on phase A's ctor discoveries).
+    // Memoization context: one fingerprint for the whole sweep; the
+    // probe's carries its generation, phase B's its callee set (which
+    // depends on the probe's ctor discoveries).
     cache::ArtifactCache* store = artifacts.get();
     const std::uint64_t fp_base =
         store ? symexec_fingerprint(image, config) : 0;
-    const std::uint64_t fp_a =
-        store ? mix_callees(fp_base, this_callees) : 0;
 
-    // ---- Phase A: find ctor/dtor-like functions ------------------------
+    // ---- Phase A: the ctor probe ---------------------------------------
     // A function is ctor-like when, executed with its first argument
     // modeled as an object, that object ends up with a vtable address
-    // stored at offset 0.
-    std::vector<FunctionAnalysis> phase_a(num_functions);
+    // stored at offset 0 (SymbolicExecutor::probe_ctor).
+    const std::uint64_t fp_a =
+        store ? cache::mix(fp_base, kCtorProbeGeneration) : 0;
+    std::vector<std::optional<std::uint32_t>> ctor_vtable(num_functions);
     pool.parallel_for(num_functions, plan, [&](std::size_t i) {
-        phase_a[i] = cached_run(
-            store, cache.content_hash(i), image.functions[i].addr,
-            /*phase=*/0, fp_a, [&] {
-                return exec.run(image.functions[i], this_callees,
-                                true, bodies[i]);
-            });
+        const bir::FunctionEntry& fn = image.functions[i];
+        ctor_vtable[i] = cached<std::optional<std::uint32_t>>(
+            store,
+            symexec_key(cache.content_hash(i), fn.addr, /*phase=*/0,
+                        fp_a),
+            [&] { return exec.probe_ctor(fn, bodies[i]); }, decode_probe,
+            encode_probe);
     });
     for (std::size_t i = 0; i < num_functions; ++i) {
-        for (const auto& ev : phase_a[i].evidence) {
-            if (!ev.from_this_param)
-                continue;
-            auto primary = ev.vptr_stores.find(0);
-            if (primary != ev.vptr_stores.end()) {
-                result.ctor_types[image.functions[i].addr] =
-                    primary->second;
-                break;
-            }
-        }
+        if (ctor_vtable[i])
+            result.ctor_types[image.functions[i].addr] = *ctor_vtable[i];
     }
-    phase_a.clear();
 
     // ---- Phase B: final tracelets + evidence ---------------------------
-    std::set<std::uint32_t> full_callees = this_callee_set(result);
+    const std::vector<std::uint32_t> full_callees =
+        this_callee_set(result);
 
     const std::uint64_t fp_b =
         store ? mix_callees(fp_base, full_callees) : 0;
     std::vector<FunctionAnalysis> phase_b(num_functions);
     pool.parallel_for(num_functions, plan, [&](std::size_t i) {
-        bool arg0_is_object =
-            full_callees.count(image.functions[i].addr) != 0;
-        phase_b[i] = cached_run(
-            store, cache.content_hash(i), image.functions[i].addr,
-            /*phase=*/1, fp_b, [&] {
-                return exec.run(image.functions[i], full_callees,
-                                arg0_is_object, bodies[i]);
-            });
+        const bir::FunctionEntry& fn = image.functions[i];
+        bool arg0_is_object = std::binary_search(
+            full_callees.begin(), full_callees.end(), fn.addr);
+        phase_b[i] = cached<FunctionAnalysis>(
+            store,
+            symexec_key(cache.content_hash(i), fn.addr, /*phase=*/1,
+                        fp_b),
+            [&] {
+                return exec.run(fn, full_callees, arg0_is_object,
+                                bodies[i]);
+            },
+            decode_function_analysis, encode_function_analysis);
     });
     for (std::size_t i = 0; i < num_functions; ++i) {
         FunctionAnalysis& fa = phase_b[i];
         result.total_paths += fa.paths;
         for (auto& [type, tracelets] : fa.tracelets) {
             auto& out = result.type_tracelets[type];
-            out.insert(out.end(), tracelets.begin(), tracelets.end());
+            out.insert(out.end(),
+                       std::make_move_iterator(tracelets.begin()),
+                       std::make_move_iterator(tracelets.end()));
         }
         for (auto& ev : fa.evidence)
             result.evidence.push_back(std::move(ev));

@@ -4,9 +4,10 @@
  *
  * Runs the two-phase pipeline over every function of a stripped image:
  *
- *  Phase A discovers constructor/destructor-like functions (functions
- *  that store a vtable address into their first argument) by executing
- *  every function with arg0 modeled as an object.
+ *  Phase A, the ctor probe, discovers constructor/destructor-like
+ *  functions (functions that store a vtable address into their first
+ *  argument) by executing every function with arg0 modeled as an
+ *  object until a path answers; it builds no tracelets.
  *
  *  Phase B re-executes with the full `this`-callee set (vtable members
  *  + ctor-like functions) to classify argument-passing events
@@ -21,7 +22,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "analysis/event.h"
@@ -60,12 +60,12 @@ struct AnalysisResult {
 };
 
 /**
- * The phase-B `this`-callee set of @p result: every function
- * referenced from a discovered vtable plus every ctor-like function.
- * This is the set both phase B and any mirror of it (rockvm's
- * dynamic side) must treat as taking `this` first.
+ * The phase-B `this`-callee set of @p result, sorted ascending: every
+ * function referenced from a discovered vtable plus every ctor-like
+ * function. This is the set both phase B and any mirror of it
+ * (rockvm's dynamic side) must treat as taking `this` first.
  */
-std::set<std::uint32_t> this_callee_set(const AnalysisResult& result);
+std::vector<std::uint32_t> this_callee_set(const AnalysisResult& result);
 
 /**
  * Fold every knob of @p config except `threads` into the cache hash
@@ -94,12 +94,13 @@ AnalysisResult analyze(const bir::BinaryImage& image,
  * instruction count (config.threads is not read). The pipeline passes
  * the same cache the verify stage built and its own pool.
  *
- * When @p artifacts is non-null, each function's per-phase symbolic
- * execution result is memoized in it under kind "symexec", keyed by
- * the function's body hash + entry address and fingerprinted by the
- * image digest and every SymExecConfig knob except `threads` (warm
- * hits are bit-identical across thread counts). A warm re-analysis
- * of the same image then skips the executor entirely.
+ * When @p artifacts is non-null, each function's per-phase result --
+ * the ctor probe's answer, phase B's FunctionAnalysis -- is memoized
+ * in it under kind "symexec", keyed by the function's body hash +
+ * entry address + phase and fingerprinted by the image digest and
+ * every SymExecConfig knob except `threads` (warm hits are
+ * bit-identical across thread counts). A warm re-analysis of the same
+ * image then skips the executor entirely.
  */
 AnalysisResult analyze(const bir::BinaryImage& image,
                        const SymExecConfig& config,

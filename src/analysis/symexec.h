@@ -25,7 +25,7 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
+#include <optional>
 #include <vector>
 
 #include "analysis/event.h"
@@ -123,12 +123,13 @@ class SymbolicExecutor {
      * Execute @p fn.
      *
      * @param this_callees    functions whose first argument is treated
-     *                        as `this` (vtable members + known ctors)
+     *                        as `this` (vtable members + known ctors),
+     *                        sorted ascending
      * @param arg0_is_object  model the function's own first argument
      *                        as an abstract object
      */
     FunctionAnalysis run(const bir::FunctionEntry& fn,
-                         const std::set<std::uint32_t>& this_callees,
+                         const std::vector<std::uint32_t>& this_callees,
                          bool arg0_is_object) const;
 
     /**
@@ -137,11 +138,25 @@ class SymbolicExecutor {
      * per function instead of three).
      */
     FunctionAnalysis run(const bir::FunctionEntry& fn,
-                         const std::set<std::uint32_t>& this_callees,
+                         const std::vector<std::uint32_t>& this_callees,
                          bool arg0_is_object,
                          const std::vector<bir::Instr>& body) const;
 
+    /**
+     * The ctor probe: execute @p body with its first argument modeled
+     * as an object, exploring paths in run()'s order under the same
+     * budget, and return the vtable that the first path whose `this`
+     * object ends with an offset-0 vtable store left there -- or
+     * nullopt when no path does. A function with an answer is
+     * ctor/dtor-like. Builds no tracelets and records no events, and
+     * stops at the first answering path.
+     */
+    std::optional<std::uint32_t>
+    probe_ctor(const bir::FunctionEntry& fn,
+               const std::vector<bir::Instr>& body) const;
+
   private:
+
     const bir::BinaryImage& image_;
     const SymExecConfig config_;
     const VTableIndex vtables_;

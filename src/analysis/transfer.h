@@ -16,12 +16,12 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <limits>
 #include <optional>
-#include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -74,29 +74,92 @@ struct AbsValue {
     }
 };
 
-/** One abstract object along one path. */
+/**
+ * One abstract object along one path. What the path did to it -- its
+ * events, vptr stores and `this` calls -- sits in the owning
+ * AbsState's flat arrays, tagged with the object's index.
+ */
 struct AbsObject {
-    /** Vtable stored at each object offset (last store wins). */
-    std::map<std::int32_t, std::uint32_t> vptr_stores;
-    /** Direct calls that received the object (+offset) as `this`. */
-    std::vector<std::pair<std::int32_t, std::uint32_t>> this_calls;
-    /** Events in emission order. */
-    std::vector<Event> events;
     /** The object is the executed function's own first argument. */
     bool is_this_param = false;
+    /** Events the object has received. */
+    std::uint32_t num_events = 0;
 };
 
-/** The abstract state of one path through one function. */
+/** A vtable stored into an object (last store per offset wins). */
+struct VptrStore {
+    int obj = -1;
+    std::int32_t off = 0;
+    std::uint32_t vtable = 0;
+};
+
+/** A direct call that received an object (+offset) as `this`. */
+struct ThisCall {
+    int obj = -1;
+    std::int32_t off = 0;
+    std::uint32_t callee = 0;
+};
+
+/** One event on one object. */
+struct ObjectEvent {
+    int obj = -1;
+    Event event;
+};
+
+/** A memory cell of an object, at an absolute offset. */
+struct MemCell {
+    int obj = -1;
+    std::int32_t off = 0;
+    AbsValue value;
+};
+
+/** An outgoing argument slot. */
+struct OutArg {
+    int slot = 0;
+    AbsValue value;
+};
+
+/**
+ * The abstract state of one path through one function. Every member
+ * is an array of plain values, so copying a state into one whose
+ * buffers are large enough (a fork into a reused path-stack slot)
+ * allocates nothing. The keyed arrays are sorted by their key and
+ * small: a handful of cells per object along one path.
+ */
 struct AbsState {
     std::array<AbsValue, bir::kNumRegs> regs;
-    /** Outgoing argument slots set since the last call. */
-    std::map<int, AbsValue> out_args;
+    /** Outgoing argument slots set since the last call, by slot. */
+    std::vector<OutArg> out_args;
     /** What GetRet reads: the last call's return value. */
     AbsValue last_ret;
     /** Objects in creation order; AbsValue::obj indexes this. */
     std::vector<AbsObject> objects;
-    /** Memory cells keyed by (object, absolute offset). */
-    std::map<std::pair<int, std::int32_t>, AbsValue> mem;
+    /** Memory cells, by (object, absolute offset). */
+    std::vector<MemCell> mem;
+    /** Vtable stores, by (object, offset). */
+    std::vector<VptrStore> vptr_stores;
+    /** `this` calls, in emission order. */
+    std::vector<ThisCall> this_calls;
+    /** Events, in emission order. */
+    std::vector<ObjectEvent> events;
+
+    /** Back to the entry state, keeping the buffers. */
+    void clear();
+
+    /** The vtable stored at @p off of object @p obj, or nullptr. */
+    const std::uint32_t* vptr_at(int obj, std::int32_t off) const;
+
+    /** Object @p obj's vtable stores, ascending by offset. */
+    std::span<const VptrStore> vptr_stores_of(int obj) const;
+
+    /** The value in cell (@p obj, @p off), or nullptr. */
+    const AbsValue* cell(int obj, std::int32_t off) const;
+
+    /** The outgoing argument in @p slot, or nullptr. */
+    const AbsValue* out_arg(int slot) const;
+
+    /** The function's own `this` object, or -1. */
+    int this_object() const;
 };
 
 /** Discovered vtables indexed by address. */
@@ -115,25 +178,38 @@ class VTableIndex {
 
     /** Vtables (by address, in scan order) whose slots contain
      *  @p func. */
-    const std::vector<std::uint32_t>& owners(std::uint32_t func) const;
+    std::span<const std::uint32_t> owners(std::uint32_t func) const;
 
   private:
+    /** Ascending by address. */
     std::vector<VTableInfo> vtables_;
-    /** vtable start address -> index into vtables_. */
-    std::map<std::uint32_t, std::size_t> by_addr_;
-    /** function address -> vtable addresses containing it. */
-    std::map<std::uint32_t, std::vector<std::uint32_t>> owners_;
-    std::vector<std::uint32_t> none_;
+    /** Function addresses of the slot owner table, ascending, and
+     *  parallel to them the vtables holding each (scan order). */
+    std::vector<std::uint32_t> owner_funcs_;
+    std::vector<std::uint32_t> owner_vtables_;
 };
 
 /**
- * Receives one object's tracelets at a path end: the vtable they are
- * attributed to, or nullopt for the function's own `this` object
- * when no type covers it.
+ * One object's events at a path end, ready to be cut into tracelets
+ * wherever the caller keeps them.
  */
-using TraceletSink =
-    std::function<void(std::optional<std::uint32_t> type,
-                       const std::vector<Tracelet>& windows)>;
+class ObjectEvents {
+  public:
+    ObjectEvents(const AbsState& st, int obj, const SymExecConfig& config);
+
+    /**
+     * Append the object's tracelets to @p out: disjoint chunks of
+     * tracelet_len, or sliding windows when configured and the
+     * sequence is longer than one window. Each tracelet is built once,
+     * in place.
+     */
+    void cut_into(std::vector<Tracelet>& out) const;
+
+  private:
+    const AbsState& st_;
+    int obj_;
+    const SymExecConfig& config_;
+};
 
 /** The abstract semantics of one function body. */
 class Transfer {
@@ -142,15 +218,20 @@ class Transfer {
      * @param image           the image the function belongs to
      * @param vtables         its discovered vtables
      * @param config          tracelet shape and attribution knobs
-     * @param this_callees    callees whose first argument is `this`
+     * @param this_callees    callees whose first argument is `this`,
+     *                        sorted ascending
      * @param fn_addr         entry address of the function
      * @param arg0_is_object  model the function's own first argument
      *                        as an abstract object
+     * @param record_events   emit events and `this` calls; off for a
+     *                        run that only reads vptr stores (the
+     *                        ctor probe), where nothing else matters
      */
     Transfer(const bir::BinaryImage& image, const VTableIndex& vtables,
              const SymExecConfig& config,
-             const std::set<std::uint32_t>& this_callees,
-             std::uint32_t fn_addr, bool arg0_is_object);
+             const std::vector<std::uint32_t>& this_callees,
+             std::uint32_t fn_addr, bool arg0_is_object,
+             bool record_events = true);
 
     /**
      * Apply @p in to @p st, emitting its Table-1 events. Control ops
@@ -161,15 +242,15 @@ class Transfer {
 
     /**
      * End a path: for every object of @p st with events, in creation
-     * order, cut its events into tracelets (disjoint chunks of
-     * tracelet_len, or sliding windows) and hand them to @p sink once
-     * per attributed type -- the vtable stored at offset 0, else, for
-     * the function's own `this`, every vtable owning the function (or
-     * only the first under !attribute_shared_methods_to_all) -- or
-     * once with nullopt for a `this` object no type covers.
+     * order, call @p sink(type, events) once per attributed type --
+     * the vtable stored at offset 0, else, for the function's own
+     * `this`, every vtable owning the function (or only the first
+     * under !attribute_shared_methods_to_all) -- or once with nullopt
+     * for a `this` object no type covers. The sink cuts the
+     * ObjectEvents into its own tracelet list.
      */
-    void finish_path(const AbsState& st,
-                     const TraceletSink& sink) const;
+    template <class Sink>
+    void finish_path(const AbsState& st, Sink&& sink) const;
 
     /**
      * The vtable whose start @p base holds, when the path itself
@@ -179,10 +260,13 @@ class Transfer {
     const VTableInfo* known_vtable(const AbsValue& base) const;
 
   private:
-    static void
-    emit(AbsState& st, int obj, Event e)
+    void
+    emit(AbsState& st, int obj, Event e) const
     {
-        st.objects[static_cast<std::size_t>(obj)].events.push_back(e);
+        if (!record_events_)
+            return;
+        st.events.push_back({obj, e});
+        ++st.objects[static_cast<std::size_t>(obj)].num_events;
     }
 
     void call_effects(AbsState& st, std::uint32_t callee,
@@ -191,10 +275,140 @@ class Transfer {
     const bir::BinaryImage& image_;
     const VTableIndex& vtables_;
     const SymExecConfig& config_;
-    const std::set<std::uint32_t>& this_callees_;
-    const std::vector<std::uint32_t>& owners_;
+    const std::vector<std::uint32_t>& this_callees_;
+    const std::span<const std::uint32_t> owners_;
+    /** config.attribute_shared_methods_to_all. */
+    const bool attribute_to_all_owners_;
     const bool arg0_is_object_;
+    const bool record_events_;
 };
+
+namespace detail {
+
+/** First cell of the (obj, off)-sorted range [@p first, @p last) not
+ *  below (@p obj, @p off). */
+template <class It>
+It
+lower_bound_cell(It first, It last, int obj, std::int32_t off)
+{
+    return std::lower_bound(
+        first, last, std::pair{obj, off},
+        [](const auto& cell, const std::pair<int, std::int32_t>& key) {
+            return std::pair{cell.obj, cell.off} < key;
+        });
+}
+
+/** The cell (@p obj, @p off) of the sorted @p cells, or nullptr. */
+template <class Cell>
+const Cell*
+find_cell(const std::vector<Cell>& cells, int obj, std::int32_t off)
+{
+    auto it = lower_bound_cell(cells.begin(), cells.end(), obj, off);
+    return it != cells.end() && it->obj == obj && it->off == off ? &*it
+                                                                 : nullptr;
+}
+
+/** Set cell (@p obj, @p off) of the sorted @p cells to @p cell,
+ *  inserting it in key order when absent. */
+template <class Cell>
+void
+put_cell(std::vector<Cell>& cells, const Cell& cell)
+{
+    auto it = lower_bound_cell(cells.begin(), cells.end(), cell.obj,
+                               cell.off);
+    if (it != cells.end() && it->obj == cell.obj && it->off == cell.off)
+        *it = cell;
+    else
+        cells.insert(it, cell);
+}
+
+} // namespace detail
+
+inline void
+AbsState::clear()
+{
+    regs.fill(AbsValue{});
+    out_args.clear();
+    last_ret = AbsValue{};
+    objects.clear();
+    mem.clear();
+    vptr_stores.clear();
+    this_calls.clear();
+    events.clear();
+}
+
+inline const std::uint32_t*
+AbsState::vptr_at(int obj, std::int32_t off) const
+{
+    const VptrStore* s = detail::find_cell(vptr_stores, obj, off);
+    return s ? &s->vtable : nullptr;
+}
+
+inline std::span<const VptrStore>
+AbsState::vptr_stores_of(int obj) const
+{
+    auto lo = detail::lower_bound_cell(
+        vptr_stores.begin(), vptr_stores.end(), obj,
+        std::numeric_limits<std::int32_t>::min());
+    auto hi = lo;
+    while (hi != vptr_stores.end() && hi->obj == obj)
+        ++hi;
+    return {lo, hi};
+}
+
+inline const AbsValue*
+AbsState::cell(int obj, std::int32_t off) const
+{
+    const MemCell* c = detail::find_cell(mem, obj, off);
+    return c ? &c->value : nullptr;
+}
+
+inline const AbsValue*
+AbsState::out_arg(int slot) const
+{
+    for (const OutArg& arg : out_args) {
+        if (arg.slot == slot)
+            return &arg.value;
+    }
+    return nullptr;
+}
+
+inline int
+AbsState::this_object() const
+{
+    int found = -1;
+    for (std::size_t i = 0; i < objects.size(); ++i) {
+        if (objects[i].is_this_param)
+            found = static_cast<int>(i);
+    }
+    return found;
+}
+
+template <class Sink>
+void
+Transfer::finish_path(const AbsState& st, Sink&& sink) const
+{
+    for (std::size_t i = 0; i < st.objects.size(); ++i) {
+        const AbsObject& obj = st.objects[i];
+        if (obj.num_events == 0)
+            continue;
+        const int o = static_cast<int>(i);
+        const ObjectEvents events(st, o, config_);
+        if (const std::uint32_t* primary = st.vptr_at(o, 0)) {
+            sink(std::optional<std::uint32_t>(*primary), events);
+        } else if (obj.is_this_param) {
+            if (owners_.empty()) {
+                sink(std::optional<std::uint32_t>(), events);
+            } else if (attribute_to_all_owners_) {
+                for (std::uint32_t type : owners_)
+                    sink(std::optional<std::uint32_t>(type), events);
+            } else {
+                sink(std::optional<std::uint32_t>(owners_.front()),
+                     events);
+            }
+        }
+    }
+}
 
 // Defined here so both interpreters inline the per-instruction path.
 
@@ -205,10 +419,12 @@ Transfer::call_effects(AbsState& st, std::uint32_t callee,
     for (const auto& [slot, val] : st.out_args) {
         if (val.kind != AbsValue::Kind::Obj)
             continue;
-        if (slot == 0 && callee_known && this_callees_.count(callee)) {
+        if (slot == 0 && callee_known &&
+            std::binary_search(this_callees_.begin(),
+                               this_callees_.end(), callee)) {
             emit(st, val.obj, Event{EventKind::PassedThis, 0, 0});
-            st.objects[static_cast<std::size_t>(val.obj)]
-                .this_calls.emplace_back(val.off, callee);
+            if (record_events_)
+                st.this_calls.push_back({val.obj, val.off, callee});
         } else {
             emit(st, val.obj,
                  Event{EventKind::PassedArg,
@@ -263,24 +479,25 @@ Transfer::step(AbsState& st, const bir::Instr& in) const
         AbsValue out = AbsValue::unknown();
         if (base.kind == Kind::Obj) {
             std::int32_t abs = base.off + disp;
-            auto& obj = st.objects[static_cast<std::size_t>(base.obj)];
-            bool vptr_slot = obj.vptr_stores.count(abs) != 0 ||
-                             (obj.is_this_param && abs == 0);
+            const std::uint32_t* stored = st.vptr_at(base.obj, abs);
+            bool vptr_slot =
+                stored != nullptr ||
+                (st.objects[static_cast<std::size_t>(base.obj)]
+                     .is_this_param &&
+                 abs == 0);
             if (vptr_slot) {
                 // Reading the object's vptr: no field event.
                 out.kind = Kind::Vptr;
                 out.obj = base.obj;
                 out.off = abs;
-                auto stored = obj.vptr_stores.find(abs);
-                if (stored != obj.vptr_stores.end())
-                    out.imm = stored->second;
+                if (stored != nullptr)
+                    out.imm = *stored;
             } else {
                 emit(st, base.obj,
                      Event{EventKind::ReadField,
                            static_cast<std::uint32_t>(abs), 0});
-                auto cell = st.mem.find({base.obj, abs});
-                if (cell != st.mem.end())
-                    out = cell->second;
+                if (const AbsValue* cell = st.cell(base.obj, abs))
+                    out = *cell;
             }
         } else if (base.kind == Kind::Vptr) {
             // Loading a function pointer out of a vtable.
@@ -312,37 +529,39 @@ Transfer::step(AbsState& st, const bir::Instr& in) const
         const AbsValue& base = st.regs[in.a];
         const AbsValue& val = st.regs[in.b];
         if (base.kind == Kind::Obj) {
+            const int obj = base.obj;
             std::int32_t abs = base.off + static_cast<std::int32_t>(in.imm);
-            auto& obj = st.objects[static_cast<std::size_t>(base.obj)];
             if (val.kind == Kind::Const &&
                 vtables_.starting_at(val.imm) != nullptr) {
                 // vptr assignment: types the object.
-                obj.vptr_stores[abs] = val.imm;
+                detail::put_cell(st.vptr_stores,
+                                 VptrStore{obj, abs, val.imm});
             } else {
-                emit(st, base.obj,
+                emit(st, obj,
                      Event{EventKind::WriteField,
                            static_cast<std::uint32_t>(abs), 0});
             }
-            st.mem[{base.obj, abs}] = val;
+            detail::put_cell(st.mem, MemCell{obj, abs, val});
         }
         break;
       }
-      case Op::SetArg:
-        st.out_args[in.a] = st.regs[in.b];
+      case Op::SetArg: {
+        auto it = std::lower_bound(
+            st.out_args.begin(), st.out_args.end(), int{in.a},
+            [](const OutArg& arg, int slot) { return arg.slot < slot; });
+        if (it != st.out_args.end() && it->slot == in.a)
+            it->value = st.regs[in.b];
+        else
+            st.out_args.insert(it, {in.a, st.regs[in.b]});
         break;
+      }
       case Op::GetArg: {
         AbsValue v = AbsValue::unknown();
         if (in.b == 0 && arg0_is_object_) {
             // Locate or create the `this` object.
-            int found = -1;
-            for (std::size_t i = 0; i < st.objects.size(); ++i) {
-                if (st.objects[i].is_this_param)
-                    found = static_cast<int>(i);
-            }
+            int found = st.this_object();
             if (found < 0) {
-                AbsObject obj;
-                obj.is_this_param = true;
-                st.objects.push_back(std::move(obj));
+                st.objects.push_back(AbsObject{true, 0});
                 found = static_cast<int>(st.objects.size()) - 1;
             }
             v = AbsValue::object(found, 0);
@@ -372,11 +591,11 @@ Transfer::step(AbsState& st, const bir::Instr& in) const
             // Virtual dispatch: C(slot) on the receiver.
             int receiver = target.obj;
             std::uint32_t aux = target.slot_aux;
-            auto arg0 = st.out_args.find(0);
-            if (receiver < 0 && arg0 != st.out_args.end() &&
-                arg0->second.kind == Kind::Obj) {
-                receiver = arg0->second.obj;
-                aux = static_cast<std::uint32_t>(arg0->second.off);
+            const AbsValue* arg0 = st.out_arg(0);
+            if (receiver < 0 && arg0 != nullptr &&
+                arg0->kind == Kind::Obj) {
+                receiver = arg0->obj;
+                aux = static_cast<std::uint32_t>(arg0->off);
             }
             if (receiver >= 0) {
                 emit(st, receiver,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <set>
 
 #include "bir/isa.h"
 
@@ -12,19 +11,20 @@ using bir::Instr;
 using bir::Op;
 
 std::vector<VTableInfo>
-scan_vtables(const bir::BinaryImage& image)
+scan_vtables(const bir::BinaryImage& image,
+             const std::vector<std::vector<bir::Instr>>& bodies)
 {
     // Step 1: collect data-section addresses that some function both
     // materializes (MovImm) and stores through a pointer. A linear,
     // flow-insensitive pass per function is sufficient and
     // conservative: it may propose false candidates, which step 2
     // filters.
-    std::set<std::uint32_t> candidates;
-    for (const auto& fn : image.functions) {
+    std::vector<std::uint32_t> candidates;
+    for (const auto& body : bodies) {
         std::array<std::uint32_t, bir::kNumRegs> reg_const{};
         std::array<bool, bir::kNumRegs> reg_is_data{};
         reg_is_data.fill(false);
-        for (const auto& instr : image.decode_function(fn)) {
+        for (const auto& instr : body) {
             switch (instr.op) {
               case Op::MovImm:
                 reg_is_data[instr.a] = image.in_data(instr.imm);
@@ -36,7 +36,7 @@ scan_vtables(const bir::BinaryImage& image)
                 break;
               case Op::Store:
                 if (reg_is_data[instr.b])
-                    candidates.insert(reg_const[instr.b]);
+                    candidates.push_back(reg_const[instr.b]);
                 break;
               case Op::Load:
               case Op::GetArg:
@@ -50,6 +50,10 @@ scan_vtables(const bir::BinaryImage& image)
             }
         }
     }
+
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
 
     // Step 2: keep candidates whose words form a run of function
     // entry points. The run stops at the first word that is not a
@@ -70,11 +74,17 @@ scan_vtables(const bir::BinaryImage& image)
         if (!info.slots.empty())
             tables.push_back(std::move(info));
     }
-    std::sort(tables.begin(), tables.end(),
-              [](const VTableInfo& x, const VTableInfo& y) {
-                  return x.addr < y.addr;
-              });
-    return tables;
+    return tables; // candidates ascend, so tables do
+}
+
+std::vector<VTableInfo>
+scan_vtables(const bir::BinaryImage& image)
+{
+    std::vector<std::vector<bir::Instr>> bodies;
+    bodies.reserve(image.functions.size());
+    for (const auto& fn : image.functions)
+        bodies.push_back(image.decode_function(fn));
+    return scan_vtables(image, bodies);
 }
 
 } // namespace rock::analysis

@@ -29,10 +29,17 @@ struct VTableInfo {
 };
 
 /**
- * Scan @p image for vtables.
+ * Scan @p image for vtables, reading each function's already-decoded
+ * body: @p bodies[i] is the body of image.functions[i].
  *
  * @return discovered tables sorted by address.
  */
+std::vector<VTableInfo>
+scan_vtables(const bir::BinaryImage& image,
+             const std::vector<std::vector<bir::Instr>>& bodies);
+
+/** As above, decoding every function body first (fatal on a corrupt
+ *  one, like BinaryImage::decode_function). */
 std::vector<VTableInfo> scan_vtables(const bir::BinaryImage& image);
 
 } // namespace rock::analysis

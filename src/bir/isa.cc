@@ -44,7 +44,7 @@ decode(const std::vector<std::uint8_t>& bytes, std::size_t offset)
     return instr;
 }
 
-std::vector<int>
+RegUses
 reg_uses(const Instr& instr)
 {
     switch (instr.op) {

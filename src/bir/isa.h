@@ -20,6 +20,8 @@
  */
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -100,11 +102,32 @@ std::optional<Instr> decode(const std::vector<std::uint8_t>& bytes,
                             std::size_t offset);
 
 /**
+ * The registers one instruction reads: at most two, held inline so
+ * decoding and the verifier classify operands without the heap.
+ * Iterates in operand order (Store: `a`, then `b`).
+ */
+class RegUses {
+  public:
+    RegUses() = default;
+    RegUses(int r) : regs_{r, 0}, size_(1) {}
+    RegUses(int r0, int r1) : regs_{r0, r1}, size_(2) {}
+
+    const int* begin() const { return regs_.data(); }
+    const int* end() const { return regs_.data() + size_; }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+  private:
+    std::array<int, 2> regs_{};
+    std::size_t size_ = 0;
+};
+
+/**
  * Register numbers @p instr reads (the `this`/source operands).
  * Non-register small operands -- SetArg's slot index `a`, GetArg's
  * slot index `b` -- are never included.
  */
-std::vector<int> reg_uses(const Instr& instr);
+RegUses reg_uses(const Instr& instr);
 
 /** Register @p instr writes, or -1 when it writes none. */
 int reg_def(const Instr& instr);

@@ -145,4 +145,11 @@ constant_propagation(const Cfg& cfg)
     return ConstProp{solve(cfg, problem)};
 }
 
+void
+constant_propagation(const Cfg& cfg, const BlockOrder& order,
+                     ConstProp& out)
+{
+    solve(cfg, ConstPropProblem{}, order.order(), out.facts);
+}
+
 } // namespace rock::cfg

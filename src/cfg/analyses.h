@@ -99,4 +99,9 @@ struct ConstProp {
  */
 ConstProp constant_propagation(const Cfg& cfg);
 
+/** As above, sweeping @p order (computed for @p cfg) into @p out,
+ *  whose buffer is reused. */
+void constant_propagation(const Cfg& cfg, const BlockOrder& order,
+                          ConstProp& out);
+
 } // namespace rock::cfg

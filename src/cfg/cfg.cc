@@ -1,7 +1,7 @@
 #include "cfg/cfg.h"
 
 #include <algorithm>
-#include <set>
+#include <array>
 #include <sstream>
 
 #include "support/str.h"
@@ -31,11 +31,11 @@ in_materialized(const bir::FunctionEntry& fn, std::uint32_t slots_end,
 int
 Cfg::block_at(std::uint32_t addr) const
 {
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-        if (addr >= blocks[b].start && addr < blocks[b].end)
-            return static_cast<int>(b);
-    }
-    return -1;
+    // Blocks tile the slots, so the slot's block is the answer.
+    if (addr < func.addr)
+        return -1;
+    std::size_t slot = (addr - func.addr) / bir::kInstrSize;
+    return slot < slot_block.size() ? slot_block[slot] : -1;
 }
 
 bool
@@ -113,8 +113,15 @@ build_cfg(const bir::BinaryImage& image, const bir::FunctionEntry& fn)
     if (n == 0)
         return cfg;
 
-    // Leaders.
-    std::set<std::uint32_t> leaders{fn.addr};
+    // Leaders, marked in slot_block (1 = leader) until the block pass
+    // below overwrites every entry with its block id.
+    cfg.slot_block.assign(n, 0);
+    cfg.slot_block[0] = 1;
+    std::size_t num_blocks = 1;
+    auto mark_leader = [&](std::size_t s) {
+        num_blocks += cfg.slot_block[s] == 0;
+        cfg.slot_block[s] = 1;
+    };
     for (std::size_t i = 0; i < n; ++i) {
         const auto& slot = cfg.slots[i];
         if (!slot.instr)
@@ -122,56 +129,64 @@ build_cfg(const bir::BinaryImage& image, const bir::FunctionEntry& fn)
         bir::Op op = slot.instr->op;
         if (bir::is_jump(op) &&
             in_materialized(fn, slots_end, slot.instr->imm))
-            leaders.insert(slot.instr->imm);
+            mark_leader((slot.instr->imm - fn.addr) / bir::kInstrSize);
         if ((bir::is_jump(op) || bir::is_block_end(op)) && i + 1 < n)
-            leaders.insert(cfg.slots[i + 1].addr);
+            mark_leader(i + 1);
     }
 
-    // Blocks in address order.
-    cfg.slot_block.assign(n, -1);
-    for (auto it = leaders.begin(); it != leaders.end(); ++it) {
-        auto next = std::next(it);
-        BasicBlock block;
-        block.start = *it;
-        block.end = next == leaders.end() ? slots_end : *next;
-        block.first =
-            static_cast<int>((block.start - fn.addr) / bir::kInstrSize);
-        block.last =
-            static_cast<int>((block.end - fn.addr) / bir::kInstrSize);
-        int id = static_cast<int>(cfg.blocks.size());
-        for (int s = block.first; s < block.last; ++s)
-            cfg.slot_block[static_cast<std::size_t>(s)] = id;
-        cfg.blocks.push_back(std::move(block));
+    // Blocks in address order: each leader opens one, which runs to
+    // the next leader or the end of the materialized slots.
+    cfg.blocks.reserve(num_blocks);
+    for (std::size_t s = 0; s < n; ++s) {
+        if (cfg.slot_block[s] != 0) {
+            if (!cfg.blocks.empty()) {
+                cfg.blocks.back().end = cfg.slots[s].addr;
+                cfg.blocks.back().last = static_cast<int>(s);
+            }
+            BasicBlock block;
+            block.start = cfg.slots[s].addr;
+            block.first = static_cast<int>(s);
+            cfg.blocks.push_back(std::move(block));
+        }
+        cfg.slot_block[s] = static_cast<int>(cfg.blocks.size()) - 1;
     }
+    cfg.blocks.back().end = slots_end;
+    cfg.blocks.back().last = static_cast<int>(n);
 
-    // Edges.
+    // Edges: a block has at most two successors, its jump target and
+    // its fallthrough, kept sorted and distinct.
     for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
         BasicBlock& block = cfg.blocks[b];
-        std::set<int> succs;
+        std::array<int, 2> succs{};
+        std::size_t num_succs = 0;
         const Slot& tail =
             cfg.slots[static_cast<std::size_t>(block.last - 1)];
         bool falls_through = true;
         if (tail.instr) {
             bir::Op op = tail.instr->op;
             if (bir::is_jump(op) &&
-                in_materialized(fn, slots_end, tail.instr->imm)) {
-                int target = cfg.block_at(tail.instr->imm);
-                if (target >= 0) // leaders make this total; stay safe
-                    succs.insert(target);
-            }
+                in_materialized(fn, slots_end, tail.instr->imm))
+                succs[num_succs++] = cfg.block_at(tail.instr->imm);
             if (bir::is_block_end(op))
                 falls_through = false;
             // A jump out of the function transfers control away; a
             // *conditional* one still falls through on the other arm.
         }
-        if (falls_through && b + 1 < cfg.blocks.size())
-            succs.insert(static_cast<int>(b + 1));
-        block.succs.assign(succs.begin(), succs.end());
+        int next = static_cast<int>(b + 1);
+        if (falls_through && b + 1 < cfg.blocks.size() &&
+            (num_succs == 0 || succs[0] != next))
+            succs[num_succs++] = next;
+        if (num_succs == 2 && succs[0] > succs[1])
+            std::swap(succs[0], succs[1]);
+        block.succs.assign(succs.begin(), succs.begin() + num_succs);
     }
     for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-        for (int s : cfg.blocks[b].succs)
-            cfg.blocks[static_cast<std::size_t>(s)].preds.push_back(
-                static_cast<int>(b));
+        for (int s : cfg.blocks[b].succs) {
+            auto& preds = cfg.blocks[static_cast<std::size_t>(s)].preds;
+            if (preds.empty())
+                preds.reserve(2); // a join's two arms, one allocation
+            preds.push_back(static_cast<int>(b));
+        }
     }
     return cfg;
 }

@@ -1,7 +1,6 @@
 #include "cfg/cfg_cache.h"
 
 #include <algorithm>
-#include <set>
 
 #include "obs/metrics.h"
 #include "support/error.h"
@@ -64,12 +63,15 @@ CfgCache::build_all(support::ThreadPool& pool)
     built_ = true;
 
     // Pure functions of the image: deterministic counters.
-    std::set<std::pair<std::uint32_t, std::uint64_t>> unique;
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> bodies(n);
     for (std::size_t i = 0; i < n; ++i)
-        unique.emplace(image_.functions[i].size, hashes_[i]);
+        bodies[i] = {image_.functions[i].size, hashes_[i]};
+    std::sort(bodies.begin(), bodies.end());
+    std::size_t unique = static_cast<std::size_t>(
+        std::unique(bodies.begin(), bodies.end()) - bodies.begin());
     obs::Registry& reg = obs::Registry::global();
     reg.counter("cfg.cache.functions").add(n);
-    reg.counter("cfg.cache.unique_bodies").add(unique.size());
+    reg.counter("cfg.cache.unique_bodies").add(unique);
 }
 
 const Cfg&

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -42,56 +43,74 @@ struct BlockFacts {
     Domain out;
 };
 
-/** Blocks of @p cfg reachable from the entry, in reverse postorder
- *  (entry first): the sweep order of solve(). */
-inline std::vector<int>
-reverse_postorder(const Cfg& cfg)
-{
-    std::vector<int> order;
-    if (cfg.blocks.empty())
-        return order;
-    std::vector<int> state(cfg.blocks.size(), 0); // 0 new 1 open 2 done
-    // Iterative DFS with an explicit stack of (block, next-succ).
-    std::vector<std::pair<int, std::size_t>> stack{{0, 0}};
-    state[0] = 1;
-    while (!stack.empty()) {
-        auto& [b, next] = stack.back();
-        const auto& succs = cfg.blocks[static_cast<std::size_t>(b)].succs;
-        if (next < succs.size()) {
-            int s = succs[next++];
-            if (state[static_cast<std::size_t>(s)] == 0) {
-                state[static_cast<std::size_t>(s)] = 1;
-                stack.emplace_back(s, 0);
+/**
+ * The blocks of one CFG reachable from its entry, in reverse postorder
+ * (entry first): the sweep order of solve(). A worker that walks many
+ * functions keeps one BlockOrder and recomputes it per function, so
+ * its buffers stop allocating once they fit the largest function.
+ */
+class BlockOrder {
+  public:
+    /** Walk @p cfg from its entry block. */
+    void compute(const Cfg& cfg)
+    {
+        order_.clear();
+        state_.assign(cfg.blocks.size(), 0); // 0 new 1 open 2 done
+        if (cfg.blocks.empty())
+            return;
+        // Iterative DFS with an explicit stack of (block, next-succ).
+        stack_.clear();
+        stack_.emplace_back(0, 0);
+        state_[0] = 1;
+        while (!stack_.empty()) {
+            auto& [b, next] = stack_.back();
+            const auto& succs =
+                cfg.blocks[static_cast<std::size_t>(b)].succs;
+            if (next < succs.size()) {
+                int s = succs[next++];
+                if (state_[static_cast<std::size_t>(s)] == 0) {
+                    state_[static_cast<std::size_t>(s)] = 1;
+                    stack_.emplace_back(s, 0);
+                }
+            } else {
+                state_[static_cast<std::size_t>(b)] = 2;
+                order_.push_back(b);
+                stack_.pop_back();
             }
-        } else {
-            state[static_cast<std::size_t>(b)] = 2;
-            order.push_back(b);
-            stack.pop_back();
         }
+        std::reverse(order_.begin(), order_.end());
     }
-    std::reverse(order.begin(), order.end());
-    return order;
-}
+
+    /** Reachable blocks in reverse postorder. */
+    const std::vector<int>& order() const { return order_; }
+
+    /** Is block @p b reachable from the entry? */
+    bool reachable(int b) const
+    {
+        return state_[static_cast<std::size_t>(b)] != 0;
+    }
+
+  private:
+    std::vector<int> order_;
+    std::vector<std::uint8_t> state_;
+    std::vector<std::pair<int, std::size_t>> stack_;
+};
 
 /**
- * Solve the forward @p problem over @p cfg to fixpoint.
- *
- * @return one BlockFacts per block, indexed by block id: `in` is the
- *         fact at block entry, `out` the fact at block exit.
+ * Solve the forward @p problem over @p cfg to fixpoint, sweeping the
+ * blocks in @p order (a BlockOrder's) and writing one BlockFacts per
+ * block, indexed by block id, into @p facts (its buffer is reused):
+ * `in` is the fact at block entry, `out` the fact at block exit.
  */
 template <class P>
-std::vector<BlockFacts<typename P::Domain>>
-solve(const Cfg& cfg, const P& problem)
+void
+solve(const Cfg& cfg, const P& problem, const std::vector<int>& order,
+      std::vector<BlockFacts<typename P::Domain>>& facts)
 {
     using Domain = typename P::Domain;
-    const std::size_t n = cfg.blocks.size();
-    std::vector<BlockFacts<Domain>> facts(
-        n, BlockFacts<Domain>{problem.top(), problem.top()});
-    if (n == 0)
-        return facts;
-
-    const std::vector<int> order = reverse_postorder(cfg);
-    bool changed = true;
+    facts.assign(cfg.blocks.size(),
+                 BlockFacts<Domain>{problem.top(), problem.top()});
+    bool changed = !order.empty();
     while (changed) {
         changed = false;
         for (int b : order) {
@@ -108,6 +127,17 @@ solve(const Cfg& cfg, const P& problem)
             }
         }
     }
+}
+
+/** solve() in a fresh reverse postorder into a fresh vector. */
+template <class P>
+std::vector<BlockFacts<typename P::Domain>>
+solve(const Cfg& cfg, const P& problem)
+{
+    BlockOrder order;
+    order.compute(cfg);
+    std::vector<BlockFacts<typename P::Domain>> facts;
+    solve(cfg, problem, order.order(), facts);
     return facts;
 }
 

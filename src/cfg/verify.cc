@@ -1,8 +1,8 @@
 #include "cfg/verify.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <array>
+#include <compare>
 
 #include "cfg/analyses.h"
 #include "cfg/cfg_cache.h"
@@ -130,7 +130,7 @@ struct EverDefinedProblem {
 };
 
 static_assert(bir::kNumRegs <= 32,
-              "EverDefinedProblem packs one bit per register");
+              "register sets pack one bit per register");
 
 void
 check_transfers(const bir::BinaryImage& image, const Cfg& cfg,
@@ -183,31 +183,43 @@ check_transfers(const bir::BinaryImage& image, const Cfg& cfg,
     }
 }
 
-/** Stored-vtable-pointer candidates: data address -> storing function
- *  (the signature analysis::scan_vtables matches). */
-using VtableCandidates = std::map<std::uint32_t, std::uint32_t>;
+/** A stored vtable-pointer candidate: a data address one function
+ *  materializes and stores (the signature analysis::scan_vtables
+ *  matches), with that function's table index. */
+struct VtableCandidate {
+    std::uint32_t addr = 0;
+    std::size_t function = 0;
 
-/**
- * Scan @p cfg for addresses the function materializes and stores.
- * emplace keeps the first storer, so merging per-function maps in
- * table order is deterministic.
- */
+    auto operator<=>(const VtableCandidate&) const = default;
+};
+
+/** Append the addresses @p cfg materializes and stores to @p out. */
 void
 collect_vtable_candidates(const bir::BinaryImage& image, const Cfg& cfg,
-                          VtableCandidates& out)
+                          std::size_t function,
+                          std::vector<VtableCandidate>& out)
 {
-    std::set<int> stored_regs;
+    std::uint32_t stored_regs = 0; // one bit per register
     for (const Slot& slot : cfg.slots) {
         if (slot.instr && slot.instr->op == bir::Op::Store)
-            stored_regs.insert(slot.instr->b);
+            stored_regs |= 1u << slot.instr->b;
     }
     for (const Slot& slot : cfg.slots) {
         if (slot.instr && slot.instr->op == bir::Op::MovImm &&
             image.in_data(slot.instr->imm) &&
-            stored_regs.count(slot.instr->a))
-            out.emplace(slot.instr->imm, cfg.func.addr);
+            ((stored_regs >> slot.instr->a) & 1u))
+            out.push_back({slot.instr->imm, function});
     }
 }
+
+/** One worker's verifier buffers, reused from function to function:
+ *  the block order and the dataflow facts of the three solves. */
+struct VerifyScratch {
+    BlockOrder order;
+    std::vector<BlockFacts<std::uint32_t>> ever_defined;
+    std::vector<BlockFacts<bool>> call_seen;
+    ConstProp consts;
+};
 
 } // namespace
 
@@ -243,20 +255,16 @@ to_string(const Diagnostic& diag)
 namespace {
 
 /**
- * verify_function over an already-recovered CFG, plus (when
- * @p candidates is non-null) the stored vtable-pointer scan over the
- * same CFG. verify_image feeds CFGs from a shared CfgCache, so each
- * function's CFG is built exactly once per image regardless of how
- * many stages consume it.
+ * verify_function over an already-recovered CFG. verify_image feeds
+ * CFGs from a shared CfgCache, so each function's CFG is built
+ * exactly once per image regardless of how many stages consume it.
  */
 std::vector<Diagnostic>
 verify_function_impl(const bir::BinaryImage& image, const Cfg& cfg,
-                     VtableCandidates* candidates)
+                     VerifyScratch& scratch)
 {
     std::vector<Diagnostic> out;
     const bir::FunctionEntry& fn = cfg.func;
-    if (candidates)
-        collect_vtable_candidates(image, cfg, *candidates);
 
     if (cfg.truncated) {
         out.push_back(
@@ -314,18 +322,20 @@ verify_function_impl(const bir::BinaryImage& image, const Cfg& cfg,
         return out;
     }
 
-    EverDefinedProblem def_problem;
-    auto ever_defined = solve(cfg, def_problem);
-    ConstProp consts = constant_propagation(cfg);
-    CallSeenProblem call_problem;
-    auto call_seen = solve(cfg, call_problem);
-
-    std::vector<int> reachable = cfg.reachable();
-    std::set<int> reachable_set(reachable.begin(), reachable.end());
+    const BlockOrder& order = scratch.order;
+    scratch.order.compute(cfg);
+    solve(cfg, EverDefinedProblem{}, order.order(),
+          scratch.ever_defined);
+    solve(cfg, CallSeenProblem{}, order.order(), scratch.call_seen);
+    const auto& ever_defined = scratch.ever_defined;
+    const auto& call_seen = scratch.call_seen;
+    // Constants matter only to an icall through a defined register:
+    // propagate them on the first one.
+    bool consts_solved = false;
 
     for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
         const BasicBlock& block = cfg.blocks[b];
-        if (!reachable_set.count(static_cast<int>(b))) {
+        if (!order.reachable(static_cast<int>(b))) {
             out.push_back(
                 {DiagKind::UnreachableBlock, fn.addr, block.start,
                  format("block [%s, %s) is unreachable from the "
@@ -354,7 +364,13 @@ verify_function_impl(const bir::BinaryImage& image, const Cfg& cfg,
                                 "defined on any path",
                                 instr.a)});
                 } else {
-                    ConstVal val = consts.value_at(cfg, s, instr.a);
+                    if (!consts_solved) {
+                        constant_propagation(cfg, order,
+                                             scratch.consts);
+                        consts_solved = true;
+                    }
+                    ConstVal val =
+                        scratch.consts.value_at(cfg, s, instr.a);
                     if (val.kind == ConstVal::Const &&
                         !image.is_function_start(val.value)) {
                         out.push_back(
@@ -411,7 +427,8 @@ verify_function(const bir::BinaryImage& image,
                 const bir::FunctionEntry& fn)
 {
     Cfg cfg = build_cfg(image, fn);
-    return verify_function_impl(image, cfg, nullptr);
+    VerifyScratch scratch;
+    return verify_function_impl(image, cfg, scratch);
 }
 
 std::vector<Diagnostic>
@@ -421,21 +438,17 @@ verify_image(const bir::BinaryImage& image, support::ThreadPool& pool,
     cache.build_all(pool);
 
     // Per-function lints: one slot per function, merged in table
-    // order so the result is independent of the worker count. The
-    // same pass collects each function's stored vtable-pointer
-    // candidates so the image-level lint below needs no second,
-    // serial CFG rebuild. Chunked by instruction count: lint cost is
-    // roughly linear in it, so one huge function no longer pins the
-    // sweep to a single worker's pace.
+    // order so the result is independent of the worker count.
+    // Chunked by instruction count: lint cost is roughly linear in it,
+    // so one huge function no longer pins the sweep to a single
+    // worker's pace. Each worker reuses one set of dataflow buffers.
     std::vector<std::vector<Diagnostic>> per_function(
-        image.functions.size());
-    std::vector<VtableCandidates> per_function_candidates(
         image.functions.size());
     support::ChunkPlan plan;
     plan.costs = cache.costs().data();
     pool.parallel_for(image.functions.size(), plan, [&](std::size_t f) {
-        per_function[f] = verify_function_impl(
-            image, cache.at(f), &per_function_candidates[f]);
+        thread_local VerifyScratch scratch;
+        per_function[f] = verify_function_impl(image, cache.at(f), scratch);
     });
     std::vector<Diagnostic> out;
     for (auto& diags : per_function)
@@ -445,11 +458,19 @@ verify_image(const bir::BinaryImage& image, support::ThreadPool& pool,
 
     // Image-level lint: every address a function materializes and
     // stores (the vtable-pointer signature, matching
-    // analysis::scan_vtables) must lead with a function entry.
-    VtableCandidates candidates; // addr -> first storing function
-    for (const auto& per_fn : per_function_candidates)
-        candidates.insert(per_fn.begin(), per_fn.end());
-    for (const auto& [addr, func] : candidates) {
+    // analysis::scan_vtables) must lead with a function entry. One
+    // finding per address, anchored to the first storing function in
+    // table order.
+    std::vector<VtableCandidate> candidates;
+    for (std::size_t f = 0; f < cache.size(); ++f)
+        collect_vtable_candidates(image, cache.at(f), f, candidates);
+    std::sort(candidates.begin(), candidates.end());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        std::uint32_t addr = candidates[i].addr;
+        if (i > 0 && candidates[i - 1].addr == addr)
+            continue;
+        std::uint32_t func =
+            image.functions[candidates[i].function].addr;
         std::optional<std::uint32_t> slot0 = image.read_data_word(addr);
         if (!slot0) {
             out.push_back(
@@ -471,12 +492,17 @@ verify_image(const bir::BinaryImage& image, support::ThreadPool& pool,
     obs::Registry& reg = obs::Registry::global();
     reg.counter("verify.functions").add(image.functions.size());
     reg.counter("verify.diagnostics").add(out.size());
-    std::map<DiagKind, std::uint64_t> by_kind;
+    std::array<std::uint64_t,
+               static_cast<std::size_t>(DiagKind::SubtypeInconsistent) + 1>
+        by_kind{};
     for (const Diagnostic& diag : out)
-        ++by_kind[diag.kind];
-    for (const auto& [kind, count] : by_kind) {
-        reg.counter(std::string("verify.diagnostics.") + diag_name(kind))
-            .add(count);
+        ++by_kind[static_cast<std::size_t>(diag.kind)];
+    for (std::size_t kind = 0; kind < by_kind.size(); ++kind) {
+        if (by_kind[kind] == 0)
+            continue;
+        reg.counter(std::string("verify.diagnostics.") +
+                    diag_name(static_cast<DiagKind>(kind)))
+            .add(by_kind[kind]);
     }
     return out;
 }

@@ -117,9 +117,10 @@ pick_covering_spec(std::uint64_t case_seed, int pool,
                 toyc::compile(prog, config.compile);
             std::vector<analysis::VTableInfo> vtables =
                 analysis::scan_vtables(compiled.image);
-            std::set<std::uint32_t> callees;
+            std::vector<std::uint32_t> callees;
             for (const auto& vt : vtables)
-                callees.insert(vt.slots.begin(), vt.slots.end());
+                callees.insert(callees.end(), vt.slots.begin(),
+                               vt.slots.end());
             vm::Interpreter interp(compiled.image, vtables, callees,
                                    vm::VmConfig{});
             vm::VmResult run = interp.run_image(1);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "support/error.h"
 
@@ -82,17 +81,9 @@ classify_function_receiver(const ReconstructionResult& result,
     // Treat every known vtable member and ctor as a this-callee so
     // argument-passing events classify the same way they did during
     // reconstruction.
-    std::set<std::uint32_t> this_callees;
-    for (const auto& vt : result.analysis.vtables) {
-        for (std::uint32_t f : vt.slots)
-            this_callees.insert(f);
-    }
-    for (const auto& [addr, vt] : result.analysis.ctor_types) {
-        (void)vt;
-        this_callees.insert(addr);
-    }
     analysis::FunctionAnalysis fa =
-        exec.run(*fn, this_callees, /*arg0_is_object=*/true);
+        exec.run(*fn, analysis::this_callee_set(result.analysis),
+                 /*arg0_is_object=*/true);
     return classify_tracelets(result, fa.untyped_this);
 }
 

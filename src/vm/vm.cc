@@ -1,5 +1,7 @@
 #include "vm/vm.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 #include "support/parallel.h"
 #include "vm/coverage.h"
@@ -97,11 +99,15 @@ struct Interpreter::Machine {
 
 Interpreter::Interpreter(const bir::BinaryImage& image,
                          const std::vector<analysis::VTableInfo>& vtables,
-                         const std::set<std::uint32_t>& this_callees,
+                         std::vector<std::uint32_t> this_callees,
                          const VmConfig& config)
     : image_(image), config_(config), vtables_(vtables),
-      this_callees_(this_callees), cache_(image)
+      this_callees_(std::move(this_callees)), cache_(image)
 {
+    std::sort(this_callees_.begin(), this_callees_.end());
+    this_callees_.erase(
+        std::unique(this_callees_.begin(), this_callees_.end()),
+        this_callees_.end());
     support::ThreadPool pool(1);
     cache_.build_all(pool);
     fingerprints_.reserve(cache_.size());
@@ -200,9 +206,10 @@ Interpreter::run_frame(Machine& m, Frame& frame, int depth,
     const bir::FunctionEntry& fn = image_.functions[frame.fn_index];
     const cfg::Cfg& cfg = cache_.at(frame.fn_index);
     const auto& fps = fingerprints_[frame.fn_index];
-    const analysis::Transfer shadow(image_, vtables_, config_.symexec,
-                                    this_callees_, fn.addr,
-                                    this_callees_.count(fn.addr) != 0);
+    const analysis::Transfer shadow(
+        image_, vtables_, config_.symexec, this_callees_, fn.addr,
+        std::binary_search(this_callees_.begin(), this_callees_.end(),
+                           fn.addr));
 
     auto trap = [&](TrapKind kind, std::uint32_t addr,
                     std::uint32_t detail) {
@@ -216,14 +223,15 @@ Interpreter::run_frame(Machine& m, Frame& frame, int depth,
     auto finish_frame = [&] {
         shadow.finish_path(
             frame.shadow, [&](std::optional<std::uint32_t> type,
-                              const std::vector<Tracelet>& windows) {
+                              const analysis::ObjectEvents& events) {
                 auto& dst = type ? out.type_tracelets[*type]
                                  : out.untyped_tracelets;
-                dst.insert(dst.end(), windows.begin(), windows.end());
-                for (const auto& w : windows)
+                std::size_t first = dst.size();
+                events.cut_into(dst);
+                for (std::size_t w = first; w < dst.size(); ++w)
                     out.records.push_back(
                         TraceRecord{m.entry_addr, m.entry_opaque,
-                                    type.value_or(0), w});
+                                    type.value_or(0), dst[w]});
             });
     };
 
@@ -468,7 +476,8 @@ Interpreter::run_entry(std::size_t fn_index, std::uint32_t opaque) const
     frame.fn_index = fn_index;
     frame.is_entry = true;
     frame.opaque = opaque;
-    if (this_callees_.count(fn.addr) != 0) {
+    if (std::binary_search(this_callees_.begin(), this_callees_.end(),
+                           fn.addr)) {
         // Methods/ctors get a real zeroed object as `this`, so field
         // and vptr traffic hits allocated storage.
         frame.in_args[0] = alloc(m, config_.this_object_bytes);

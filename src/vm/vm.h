@@ -201,13 +201,14 @@ class Interpreter {
      * @param vtables       discovered vtables (scan_vtables order)
      * @param this_callees  functions whose first argument is `this`
      *                      (analysis phase B set: vtable members +
-     *                      ctors -- use analysis::this_callee_set)
+     *                      ctors -- use analysis::this_callee_set),
+     *                      in any order
      * @param config        bounds, and the static run's SymExecConfig
      *                      when diffing
      */
     Interpreter(const bir::BinaryImage& image,
                 const std::vector<analysis::VTableInfo>& vtables,
-                const std::set<std::uint32_t>& this_callees,
+                std::vector<std::uint32_t> this_callees,
                 const VmConfig& config);
 
     /** Convenience: vtables + this-callee set from a static result. */
@@ -258,7 +259,8 @@ class Interpreter {
     const bir::BinaryImage& image_;
     const VmConfig config_;
     analysis::VTableIndex vtables_;
-    std::set<std::uint32_t> this_callees_;
+    /** Sorted ascending, distinct. */
+    std::vector<std::uint32_t> this_callees_;
     cfg::CfgCache cache_;
     /** Per function-table entry, per block: coverage fingerprint. */
     std::vector<std::vector<std::uint64_t>> fingerprints_;

@@ -186,7 +186,7 @@ TEST(SymExec, ExtractsTypedEvents)
     SymExecConfig config;
     SymbolicExecutor exec(crafted.image, tables, config);
 
-    std::set<std::uint32_t> this_callees{crafted.method_addr};
+    std::vector<std::uint32_t> this_callees{crafted.method_addr};
     const FunctionEntry* user =
         crafted.image.function_at(crafted.user_addr);
     ASSERT_NE(user, nullptr);

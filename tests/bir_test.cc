@@ -119,24 +119,34 @@ TEST(Isa, DecodeToleratesStaleIgnoredFields)
     EXPECT_TRUE(decode(bytes, 0).has_value());
 }
 
+/** The registers @p instr reads, as a vector for comparison. */
+std::vector<int>
+uses_of(const Instr& instr)
+{
+    RegUses uses = reg_uses(instr);
+    return {uses.begin(), uses.end()};
+}
+
 TEST(Isa, RegisterOperandClassification)
 {
     Instr instr;
     instr.op = Op::Store;
     instr.a = 4;
     instr.b = 9;
-    EXPECT_EQ(reg_uses(instr), (std::vector<int>{4, 9}));
+    EXPECT_EQ(uses_of(instr), (std::vector<int>{4, 9}));
+    EXPECT_EQ(reg_uses(instr).size(), 2u);
     EXPECT_EQ(reg_def(instr), -1);
 
     instr.op = Op::GetRet;
     instr.a = 6;
     EXPECT_TRUE(reg_uses(instr).empty());
+    EXPECT_EQ(reg_uses(instr).size(), 0u);
     EXPECT_EQ(reg_def(instr), 6);
 
     instr.op = Op::SetArg; // a is a slot, b the source register
     instr.a = 3;
     instr.b = 7;
-    EXPECT_EQ(reg_uses(instr), (std::vector<int>{7}));
+    EXPECT_EQ(uses_of(instr), (std::vector<int>{7}));
     EXPECT_EQ(reg_def(instr), -1);
 
     EXPECT_TRUE(is_jump(Op::Jz));

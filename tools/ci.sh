@@ -16,10 +16,11 @@
 #     gated against the committed BENCH_pipeline_scaling.json /
 #     BASELINE_rockhier_counters.json baselines with tools/rockstat
 #     (>25% wall-time growth or *any* deterministic-counter drift
-#     fails); micro_slm/micro_graph/micro_typeinf google-benchmark
-#     runs gated at 3x against BENCH_micro_slm.json /
-#     BENCH_micro_graph.json / BENCH_micro_typeinf.json (order-of-
-#     magnitude detector, not a noise gate); a skype_scale
+#     fails); micro_slm/micro_graph/micro_typeinf/micro_pipeline
+#     google-benchmark runs gated at 3x against BENCH_micro_slm.json /
+#     BENCH_micro_graph.json / BENCH_micro_typeinf.json /
+#     BENCH_micro_pipeline.json (order-of-magnitude detector, not a
+#     noise gate); a skype_scale
 #     speedup gate (`rockstat --check --min-speedup 4:2.5`) that
 #     binds only on hosts with >= 4 hardware threads; and a
 #     warm-cache gate (`skype_scale --warm-runs 2` +
@@ -132,7 +133,8 @@ leg_perf() {
     # --only perf skipped tier1).
     cmake -B build -S .
     cmake --build build -j "$JOBS" --target pipeline_scaling rockhier \
-        rockstat rockc micro_slm micro_graph micro_typeinf skype_scale
+        rockstat rockc micro_slm micro_graph micro_typeinf micro_pipeline \
+        skype_scale
     perf_dir="$(mktemp -d "${TMPDIR:-/tmp}/rockperf.XXXXXX")"
     ./build/bench/pipeline_scaling > "$perf_dir/bench.jsonl"
     ./build/tools/rockc --benchmark Smoothing -o "$perf_dir/smoothing.vmi"
@@ -164,6 +166,10 @@ leg_perf() {
         --benchmark_min_time=0.05 > "$perf_dir/micro_typeinf.json"
     ./build/tools/rockstat --baseline BENCH_micro_typeinf.json \
         "$perf_dir/micro_typeinf.json" --time-tol 3.0 --abs-slack-ms 1
+    ./build/bench/micro_pipeline --benchmark_format=json \
+        --benchmark_min_time=0.05 > "$perf_dir/micro_pipeline.json"
+    ./build/tools/rockstat --baseline BENCH_micro_pipeline.json \
+        "$perf_dir/micro_pipeline.json" --time-tol 3.0 --abs-slack-ms 1
     # Parallel-speedup gate: a Skype-scale corpus (2000 classes keeps
     # the leg ~10s / <1 GB) reconstructed serially and at 4 workers
     # must hit >= 2.5x. Hardware-aware: rockstat --check skips the
