@@ -735,18 +735,14 @@ check_relaxed_consistent(const OracleContext& ctx)
                         "node %d",
                         k, p, v));
             }
-            // The cycle guard must hold: no node descends from
-            // itself through a relaxed edge, i.e. no parent the
-            // relaxation added is also its successor (successors(v)
-            // never holds v). A strict multiple-inheritance extra
-            // parent can already close a cycle; that is not the
-            // relaxation's doing.
+            // The cycle guards must hold: no node descends from
+            // itself, i.e. no parent of a node is also its successor
+            // (successors(v) never holds v).
             const std::set<int> below = relaxed.successors(v);
             for (int p : rp) {
-                if (below.count(p) &&
-                    std::find(sp.begin(), sp.end(), p) == sp.end())
+                if (below.count(p))
                     return fail(support::format(
-                        "relaxed k=%d created a cycle through node %d "
+                        "relaxed k=%d has a cycle through node %d "
                         "and its parent %d",
                         k, v, p));
             }

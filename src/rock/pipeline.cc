@@ -848,10 +848,11 @@ ReconstructionResult::hierarchy_with(const std::vector<int>& pick) const
             h.set_parent(fam.members[m], parents[m]);
     }
     // Multiple inheritance: a secondary vtable's parent is an extra
-    // parent of its primary type.
+    // parent of its primary type, unless it already descends from
+    // that type (the cycle guard relaxed_hierarchy applies too).
     for (const auto& [sec, prim] : structural.secondary_of) {
         int p = h.parent(sec);
-        if (p >= 0 && p != prim)
+        if (p >= 0 && p != prim && h.successors(prim).count(p) == 0)
             h.add_extra_parent(prim, p);
     }
     return h;

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -131,6 +132,28 @@ TEST(Pipeline, HierarchyWithRebuildsAlternatives)
         }
     }
     EXPECT_TRUE(found_different);
+}
+
+TEST(Pipeline, NoParentIsAlsoASuccessor)
+{
+    // A secondary vtable's parent becomes an extra parent of its
+    // primary type. In these generated images some such parent is
+    // already below the primary type, and adding it closed a cycle.
+    for (std::uint64_t seed : {25u, 129u}) {
+        SCOPED_TRACE("sample_spec " + std::to_string(seed));
+        ReconstructionResult result = reconstruct(
+            toyc::compile(corpus::generate_program(fuzz::sample_spec(seed)))
+                .image);
+        ASSERT_FALSE(result.structural.secondary_of.empty());
+        const Hierarchy& h = result.hierarchy;
+        for (int v = 0; v < h.size(); ++v) {
+            const std::set<int> below = h.successors(v);
+            for (int p : h.parents(v))
+                EXPECT_EQ(below.count(p), 0u)
+                    << "node " << v << " has parent " << p
+                    << " among its successors";
+        }
+    }
 }
 
 TEST(Pipeline, MetricIsConfigurable)
