@@ -1,7 +1,8 @@
 /**
  * @file
- * google-benchmark microbenchmarks for the arborescence solver, the
- * co-optimal enumerator and the structural-ambiguity test.
+ * google-benchmark microbenchmarks for the arborescence solver and its
+ * certificate, the co-optimal enumerator and the structural-ambiguity
+ * test.
  */
 #include <benchmark/benchmark.h>
 
@@ -71,6 +72,39 @@ BENCHMARK(BM_MinForestDeep)
     ->Arg(500)
     ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_CertifyMinForest(benchmark::State& state)
+{
+    // The tie engine's seed solve at giant-family scale: 3000 nodes and
+    // 300k random edges (weights 1-11), over a chain of 2-cycles on
+    // 128 nodes at weight 0.5 that contracts one 2-cycle per level, so
+    // the solve runs through at least 127 contraction levels (1,643
+    // with this seed; the "levels" counter reports them).
+    const int n = static_cast<int>(state.range(0));
+    const int chain = 128;
+    graph::Digraph g(n);
+    for (int i = 0; i + 1 < chain; ++i) {
+        g.add_edge(i, i + 1, 0.5);
+        g.add_edge(i + 1, i, 0.5);
+    }
+    support::Rng rng(17);
+    const auto nodes = static_cast<std::size_t>(n);
+    while (static_cast<int>(g.edges().size()) < 100 * n) {
+        const auto u = static_cast<int>(rng.index(nodes));
+        const auto v = static_cast<int>(rng.index(nodes));
+        if (u != v)
+            g.add_edge(u, v, 1.0 + rng.real() * 10.0);
+    }
+    int levels = 0;
+    for (auto _ : state) {
+        graph::ForestCertificate cert = graph::certify_min_forest(g);
+        levels = cert.levels;
+        benchmark::DoNotOptimize(cert);
+    }
+    state.counters["levels"] = levels;
+}
+BENCHMARK(BM_CertifyMinForest)->Arg(3000)->Unit(benchmark::kMillisecond);
 
 void
 BM_EnumerateCoOptimal(benchmark::State& state)

@@ -5,6 +5,8 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "divergence/family_words.h"
 #include "divergence/metrics.h"
 #include "divergence/word_set.h"
@@ -100,7 +102,11 @@ BENCHMARK(BM_KlDivergence)->Arg(32)->Arg(128)->Arg(512);
  * 64 children has all 256 parents as weighed candidates (edges in
  * (child, parent) order, as the candidate table lists them), over a
  * 32-symbol alphabet. Each type draws five tracelets from an
- * inherited pool and adds one of its own.
+ * inherited pool and adds one of its own. With @p twins, the types
+ * share 80 such behaviors instead (type t takes behavior t % 80's
+ * tracelets, rotated by t): 80 parent and 64 child twin classes, so
+ * the 16,384 edges hold 5,120 distinct (parent class, child class)
+ * keys.
  */
 struct FamilyInput {
     std::vector<std::vector<std::vector<int>>> seqs;
@@ -108,41 +114,57 @@ struct FamilyInput {
     std::vector<std::pair<int, int>> edges;
 };
 
-const FamilyInput&
-family_input()
+FamilyInput
+make_family_input(bool twins)
 {
-    static const FamilyInput input = [] {
-        const int alphabet = 32;
-        const int parents = 256;
-        const int children = 64;
-        const auto pool = random_sequences(48, 7, alphabet, 3);
-        support::Rng rng(4);
-        FamilyInput in;
-        for (int t = 0; t < parents + children; ++t) {
-            auto own = random_sequences(1, 7, alphabet,
-                                        100 + static_cast<std::uint64_t>(t));
-            for (int k = 0; k < 5; ++k)
-                own.push_back(pool[rng.index(pool.size())]);
-            in.models.push_back(
-                slm::train_model(slm::ModelConfig{}, alphabet, own));
-            in.seqs.push_back(std::move(own));
-        }
-        for (int c = parents; c < parents + children; ++c) {
-            for (int p = 0; p < parents; ++p)
-                in.edges.emplace_back(p, c);
-        }
-        return in;
-    }();
-    return input;
+    const int alphabet = 32;
+    const int parents = 256;
+    const int children = 64;
+    const int behaviors = twins ? 80 : parents + children;
+    const auto pool = random_sequences(48, 7, alphabet, 3);
+    support::Rng rng(4);
+    std::vector<std::vector<std::vector<int>>> behavior;
+    for (int b = 0; b < behaviors; ++b) {
+        auto own = random_sequences(1, 7, alphabet,
+                                    100 + static_cast<std::uint64_t>(b));
+        for (int k = 0; k < 5; ++k)
+            own.push_back(pool[rng.index(pool.size())]);
+        behavior.push_back(std::move(own));
+    }
+    FamilyInput in;
+    for (int t = 0; t < parents + children; ++t) {
+        auto own = behavior[static_cast<std::size_t>(t % behaviors)];
+        if (twins)
+            std::rotate(own.begin(),
+                        own.begin() + t % static_cast<int>(own.size()),
+                        own.end());
+        in.models.push_back(
+            slm::train_model(slm::ModelConfig{}, alphabet, own));
+        in.seqs.push_back(std::move(own));
+    }
+    for (int c = parents; c < parents + children; ++c) {
+        for (int p = 0; p < parents; ++p)
+            in.edges.emplace_back(p, c);
+    }
+    return in;
+}
+
+const FamilyInput&
+family_input(bool twins)
+{
+    static const FamilyInput distinct = make_family_input(false);
+    static const FamilyInput twin = make_family_input(true);
+    return twins ? twin : distinct;
 }
 
 /** Arg 0: the per-pair path (merge_word_sets() + pair_distance() per
- *  edge); arg 1: the memoized kernel (FamilyWords) on the same
- *  edges, table and fills included. */
+ *  edge); arg 1: the memoized kernel (FamilyWords) on the same edges,
+ *  table, fills and key weighing included; arg 2: the memoized kernel
+ *  on the twin-heavy family. */
 void
 BM_FamilyDistances(benchmark::State& state)
 {
-    const FamilyInput& in = family_input();
+    const FamilyInput& in = family_input(state.range(0) == 2);
     const auto kind = divergence::MetricKind::KL;
     for (auto _ : state) {
         double total = 0.0;
@@ -166,10 +188,9 @@ BM_FamilyDistances(benchmark::State& state)
             divergence::FamilyWords::Scratch scratch;
             for (std::size_t i = 0; i < in.models.size(); ++i)
                 memo.fill(i, *in.models[i], scratch);
-            for (const auto& [p, c] : in.edges)
-                total += memo.distance(kind, static_cast<std::size_t>(p),
-                                       static_cast<std::size_t>(c),
-                                       scratch);
+            memo.weigh(kind, 0, memo.num_keys(), scratch);
+            for (std::size_t e = 0; e < in.edges.size(); ++e)
+                total += memo.weight(e);
         }
         benchmark::DoNotOptimize(total);
     }
@@ -179,6 +200,7 @@ BM_FamilyDistances(benchmark::State& state)
 BENCHMARK(BM_FamilyDistances)
     ->Arg(0)
     ->Arg(1)
+    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

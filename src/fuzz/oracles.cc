@@ -20,6 +20,7 @@
 #include "cfg/verify.h"
 #include "eval/ground_truth.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rock/classify.h"
 #include "rock/relaxed.h"
 #include "serve/protocol.h"
@@ -1133,6 +1134,9 @@ check_serve_differential(const OracleContext& ctx)
     namespace protocol = serve::protocol;
     const FuzzCase& fc = ctx.fuzz_case;
 
+    // Child spans split the check's time: the second image, the
+    // direct reconstructions, daemon start and stop, socket round trips.
+    obs::Span image_span("fuzz.serve.other_image");
     // A second, structurally different image for the shared wave.
     GeneratorSpec other_spec = fc.spec;
     other_spec.seed = fc.spec.seed * 2654435761u + 1;
@@ -1143,10 +1147,13 @@ check_serve_differential(const OracleContext& ctx)
         bir::save_image(fc.compiled.image);
     std::vector<std::uint8_t> bytes_b =
         bir::save_image(other.image);
+    image_span.end();
+    obs::Span direct_span("fuzz.serve.direct");
     std::string expected_a = serve::submit_response_text(
         fc.compiled.image, ctx.config.rock);
     std::string expected_b =
         serve::submit_response_text(other.image, ctx.config.rock);
+    direct_span.end();
 
     static std::atomic<unsigned> socket_serial{0};
     serve::ServerOptions options;
@@ -1161,8 +1168,10 @@ check_serve_differential(const OracleContext& ctx)
     options.batch_window_ms = 60000;
     options.collapse_dedup_for_testing =
         ctx.config.hooks.serve_collapse_dedup;
+    obs::Span start_span("fuzz.serve.daemon_start");
     serve::Server server(options);
     server.start();
+    start_span.end();
 
     OracleVerdict verdict = pass();
     int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -1180,6 +1189,7 @@ check_serve_differential(const OracleContext& ctx)
         auto submit_pair = [&](std::int64_t first,
                                const std::vector<std::uint8_t>& x,
                                const std::vector<std::uint8_t>& y) {
+            obs::Span roundtrip_span("fuzz.serve.roundtrip");
             protocol::write_frame(
                 fd, protocol::request_header(first, "submit"),
                 x.data(), x.size());
@@ -1231,6 +1241,7 @@ check_serve_differential(const OracleContext& ctx)
                          "artifact store");
         }
     }
+    obs::Span stop_span("fuzz.serve.daemon_stop");
     if (fd >= 0)
         ::close(fd);
     server.request_shutdown();

@@ -1,5 +1,6 @@
 #include "graph/edmonds.h"
 
+#include <algorithm>
 #include <limits>
 #include <numeric>
 
@@ -9,33 +10,73 @@ namespace rock::graph {
 
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 /** Contractions performed on this thread
  *  (thread_contraction_tally()). */
 thread_local std::uint64_t tls_contraction_tally = 0;
 
-/** One input edge as the solver sees it: endpoints and weight at the
- *  current contraction level, plus the input edge it stands for. */
-struct WorkEdge {
+/** One entry of a node's in-edge list: the edge's weight at the
+ *  current contraction level, its input index, and its input-level
+ *  tail (node_of maps that to the current level). */
+struct InEdge {
+    double weight = kInf;
+    int input = -1;
     int src = 0;
-    int dst = 0;
-    double weight = 0.0;
-    int input = 0;     ///< index of the input edge
-    int input_dst = 0; ///< that edge's input-level head
 };
 
-/** A chosen in-edge, named by its input edge. */
-struct Pick {
-    int input = -1;
-    int input_dst = -1;
+/** A current node: its in-edge list buf[lo, hi) and its pick, the
+ *  cheapest entry of that list (input -1 while it has none). */
+struct NodeState {
+    int lo = 0;
+    int hi = 0;
+    InEdge pick;
 };
 
 /** What unwinding needs from one contracted level: O(V) each. */
 struct Level {
-    std::vector<Pick> in_pick;  ///< per level node: cheapest in-edge
-    std::vector<int> cycle_id;  ///< per level node: its cycle, or -1
-    std::vector<int> node_of;   ///< per input node: its node here
+    std::vector<int> pick;    ///< per level node: its pick's input
+    std::vector<int> cycle;   ///< per level node: its cycle, or -1
+    std::vector<int> node_of; ///< per input node: its level node
     int num_cycles = 0;
 };
+
+/**
+ * One thread's solver buffers, reused from solve to solve so that a
+ * small graph's solve allocates almost nothing; release() frees them
+ * after a large one.
+ */
+struct Workspace {
+    std::vector<NodeState> state;
+    std::vector<NodeState> next;
+    std::vector<InEdge> buf;
+    std::vector<int> node_of;
+    /** The contracted levels, levels[0, num_levels) in use. */
+    std::vector<Level> levels;
+    std::size_t num_levels = 0;
+    std::vector<int> cycle_id;
+    std::vector<int> color;
+    std::vector<int> comp;
+    std::vector<int> member_begin;
+    std::vector<int> members;
+    std::vector<int> entry;
+    /** The solve's answer: input indices of the chosen in-edges. */
+    std::vector<int> chosen;
+
+    /** Free every buffer once a solve has grown them past 64 KB, so
+     *  that a long-lived thread keeps no large solve's memory. */
+    void release()
+    {
+        std::size_t ints = 4 * buf.capacity();
+        for (const Level& level : levels)
+            ints += level.pick.capacity() + level.cycle.capacity() +
+                    level.node_of.capacity();
+        if (ints > (1u << 14))
+            *this = Workspace();
+    }
+};
+
+thread_local Workspace tls_workspace;
 
 /** What a certified solve records besides its picks. */
 struct Duals {
@@ -46,13 +87,59 @@ struct Duals {
 };
 
 /**
- * Chu-Liu/Edmonds as a loop over one working edge array, compacted in
- * place at every contraction level. Returns the input indices of the
- * chosen in-edges, one per non-root node, or nullopt when some node
- * has no incoming edge at all.
+ * Does @p e replace @p best as its head's pick? The pick is the first
+ * minimum in input order: a lower weight, or an equal one at a smaller
+ * input index. With no pick yet (weight +inf, input -1), only a weight
+ * below +inf qualifies, so a NaN or +inf edge is never picked.
+ */
+bool
+beats(const InEdge& e, const InEdge& best)
+{
+    return e.weight < best.weight ||
+           (e.weight == best.weight && e.input < best.input);
+}
+
+/**
+ * Slide every current node's list down to the front of @p buf, in
+ * node order. The lists always lie in node order: level 0 is one run
+ * per node, a contraction renumbers the surviving nodes in order and
+ * appends the supernodes' lists after them, numbered last.
+ */
+void
+compact(std::vector<NodeState>& state, std::vector<InEdge>& buf)
+{
+    int write = 0;
+    for (NodeState& s : state) {
+        const auto begin = buf.begin();
+        std::copy(begin + s.lo, begin + s.hi, begin + write);
+        s.hi = write + (s.hi - s.lo);
+        s.lo = write;
+        write = s.hi;
+    }
+    buf.resize(static_cast<std::size_t>(write));
+}
+
+/**
+ * Chu-Liu/Edmonds over per-node in-edge lists. The input is
+ * @p graph's edges, then, when @p penalty is set, a super-root (node
+ * graph.num_nodes(), which must be @p root) with one edge of that
+ * weight into every node v, input index num_edges + v. Leaves the
+ * input indices of the chosen in-edges, one per non-root node, in
+ * @p ws.chosen; returns false when some node has no incoming edge at
+ * all.
+ *
+ * A contraction level changes only its supernodes: a node outside
+ * every cycle keeps its list and its pick (its in-edges keep their
+ * weights and their order), while a supernode's list is its members'
+ * lists minus the edges internal to the cycle, each kept edge reduced
+ * by its head's pick weight -- the one subtraction per level an
+ * edge-array rescan gives it. So a level costs O(V) plus its
+ * supernodes' in-edges, and only supernodes are re-picked. The lists
+ * live in one buffer of twice the edge count, compacted in place when
+ * a level's new lists would not fit.
  *
  * Every pick follows one fixed order: the first minimum in-edge in
- * edge order, cycles numbered in start-order discovery, non-cycle
+ * input order, cycles numbered in start-order discovery, non-cycle
  * nodes numbered before supernodes, and reduced weights computed by
  * one subtraction each. The chosen list holds the deepest level's
  * in-edges by node, then each shallower level's non-entry cycle
@@ -60,49 +147,90 @@ struct Duals {
  *
  * With @p duals, each input edge's reduced weight is its weight at the
  * level that drops it as internal to a cycle, or at the last level,
- * minus its head's cheapest in-edge weight there. Recording it reads
- * what the solve computes anyway and changes no pick. @p count adds
- * the contractions to thread_contraction_tally().
+ * minus its head's pick weight there (+inf for an edge into the root).
+ * Recording it reads what the solve computes anyway and changes no
+ * pick. @p count adds the contractions to thread_contraction_tally().
  */
-std::optional<std::vector<int>>
-solve(int n, int root, std::vector<WorkEdge>& work, Duals* duals,
-      bool count)
+bool
+solve(const Digraph& graph, int root, const double* penalty,
+      Duals* duals, bool count, Workspace& ws)
 {
-    constexpr double kInf = std::numeric_limits<double>::infinity();
     const auto idx = [](int i) { return static_cast<std::size_t>(i); };
+    const std::vector<Edge>& real = graph.edges();
+    const int num_real = static_cast<int>(real.size());
+    const auto input_dst = [&](int input) {
+        return input < num_real ? real[idx(input)].dst : input - num_real;
+    };
+    int n = graph.num_nodes() + (penalty ? 1 : 0);
 
-    std::vector<int> node_of(idx(n));
+    // Level 0: one run of buf per head, in input order.
+    std::vector<NodeState>& state = ws.state;
+    std::vector<InEdge>& buf = ws.buf;
+    state.assign(idx(n), NodeState{});
+    std::size_t listed = 0;
+    for (int i = 0; i < num_real; ++i) {
+        const int dst = real[idx(i)].dst;
+        if (dst != root) {
+            ++state[idx(dst)].hi;
+            ++listed;
+        } else if (duals) {
+            duals->reduced[idx(i)] = kInf;
+        }
+    }
+    if (penalty) {
+        for (int v = 0; v < root; ++v)
+            ++state[idx(v)].hi;
+        listed += idx(root);
+    }
+    int run = 0;
+    for (NodeState& s : state) {
+        s.lo = run;
+        run += s.hi;
+        s.hi = s.lo;
+    }
+    buf.clear();
+    buf.reserve(2 * listed);
+    buf.resize(listed);
+    for (int i = 0; i < num_real; ++i) {
+        const Edge& e = real[idx(i)];
+        if (e.dst != root)
+            buf[idx(state[idx(e.dst)].hi++)] = {e.weight, i, e.src};
+    }
+    if (penalty) {
+        for (int v = 0; v < root; ++v)
+            buf[idx(state[idx(v)].hi++)] = {*penalty, num_real + v, root};
+    }
+    for (int v = 0; v < n; ++v) {
+        if (v == root)
+            continue;
+        NodeState& s = state[idx(v)];
+        for (int k = s.lo; k < s.hi; ++k) {
+            if (beats(buf[idx(k)], s.pick))
+                s.pick = buf[idx(k)];
+        }
+        if (s.pick.input < 0)
+            return false;
+    }
+
+    std::vector<int>& node_of = ws.node_of;
+    std::vector<int>& cycle_id = ws.cycle_id;
+    std::vector<int>& color = ws.color;
+    std::vector<int>& comp = ws.comp;
+    std::vector<int>& member_begin = ws.member_begin;
+    std::vector<int>& members = ws.members;
+    std::vector<int>& chosen = ws.chosen;
+    node_of.resize(idx(n));
     std::iota(node_of.begin(), node_of.end(), 0);
-    std::vector<Level> levels;
-    std::vector<Pick> chosen;
-    std::vector<int> in_pos;
-    std::vector<double> in_w;
-    std::vector<int> color;
-    std::vector<int> comp;
+    ws.num_levels = 0;
+    chosen.clear();
     while (true) {
-        // Cheapest in-edge per node (deterministic: first minimum wins).
-        in_pos.assign(idx(n), -1);
-        in_w.assign(idx(n), kInf);
-        for (std::size_t i = 0; i < work.size(); ++i) {
-            const WorkEdge& e = work[i];
-            if (e.dst == root || e.src == e.dst)
-                continue;
-            if (e.weight < in_w[idx(e.dst)]) {
-                in_w[idx(e.dst)] = e.weight;
-                in_pos[idx(e.dst)] = static_cast<int>(i);
-            }
-        }
-        for (int v = 0; v < n; ++v) {
-            if (v != root && in_pos[idx(v)] < 0)
-                return std::nullopt;
-        }
         const auto pred = [&](int v) {
-            return work[idx(in_pos[idx(v)])].src;
+            return node_of[idx(state[idx(v)].pick.src)];
         };
 
         // Detect cycles in the picked-edge functional graph.
-        Level level;
-        level.cycle_id.assign(idx(n), -1);
+        int num_cycles = 0;
+        cycle_id.assign(idx(n), -1);
         color.assign(idx(n), 0);
         for (int start = 0; start < n; ++start) {
             if (color[idx(start)] != 0)
@@ -116,10 +244,10 @@ solve(int n, int root, std::vector<WorkEdge>& work, Duals* duals,
                 // Found a new cycle; label its members.
                 int u = v;
                 do {
-                    level.cycle_id[idx(u)] = level.num_cycles;
+                    cycle_id[idx(u)] = num_cycles;
                     u = pred(u);
                 } while (u != v);
-                ++level.num_cycles;
+                ++num_cycles;
             }
             // Seal the walked path.
             int u = start;
@@ -129,20 +257,23 @@ solve(int n, int root, std::vector<WorkEdge>& work, Duals* duals,
             }
         }
 
-        if (level.num_cycles == 0) {
+        if (num_cycles == 0) {
             if (duals) {
-                for (const WorkEdge& e : work) {
-                    duals->reduced[idx(e.input)] =
-                        e.dst == root ? kInf : e.weight - in_w[idx(e.dst)];
+                for (int v = 0; v < n; ++v) {
+                    if (v == root)
+                        continue;
+                    const NodeState& s = state[idx(v)];
+                    for (int k = s.lo; k < s.hi; ++k) {
+                        const InEdge& e = buf[idx(k)];
+                        duals->reduced[idx(e.input)] =
+                            e.weight - s.pick.weight;
+                    }
                 }
-                duals->levels = static_cast<int>(levels.size());
+                duals->levels = static_cast<int>(ws.num_levels);
             }
-            chosen.reserve(idx(n) - 1);
             for (int v = 0; v < n; ++v) {
-                if (v != root) {
-                    const WorkEdge& e = work[idx(in_pos[idx(v)])];
-                    chosen.push_back({e.input, e.input_dst});
-                }
+                if (v != root)
+                    chosen.push_back(state[idx(v)].pick.input);
             }
             break;
         }
@@ -151,92 +282,108 @@ solve(int n, int root, std::vector<WorkEdge>& work, Duals* duals,
         // count is a pure function of the input graph (deterministic).
         if (count) {
             tls_contraction_tally +=
-                static_cast<std::uint64_t>(level.num_cycles);
+                static_cast<std::uint64_t>(num_cycles);
         }
 
-        // Contract every cycle into a supernode.
+        // Number non-cycle nodes first, then the supernodes; group
+        // each cycle's members in node order.
         comp.assign(idx(n), -1);
-        int next = 0;
+        member_begin.assign(idx(num_cycles) + 1, 0);
+        int next_id = 0;
         for (int v = 0; v < n; ++v) {
-            if (level.cycle_id[idx(v)] < 0)
-                comp[idx(v)] = next++;
+            if (cycle_id[idx(v)] < 0)
+                comp[idx(v)] = next_id++;
+            else
+                ++member_begin[idx(cycle_id[idx(v)]) + 1];
         }
-        const int cycle_base = next;
-        level.in_pick.resize(idx(n));
+        const int cycle_base = next_id;
+        for (int c = 0; c < num_cycles; ++c)
+            member_begin[idx(c) + 1] += member_begin[idx(c)];
+        members.resize(idx(member_begin[idx(num_cycles)]));
+        if (ws.num_levels == ws.levels.size())
+            ws.levels.emplace_back();
+        Level& level = ws.levels[ws.num_levels++];
+        level.pick.resize(idx(n));
+        level.num_cycles = num_cycles;
+        std::size_t incoming = 0;
         for (int v = 0; v < n; ++v) {
-            if (level.cycle_id[idx(v)] >= 0)
-                comp[idx(v)] = cycle_base + level.cycle_id[idx(v)];
-            if (v != root) {
-                const WorkEdge& e = work[idx(in_pos[idx(v)])];
-                level.in_pick[idx(v)] = {e.input, e.input_dst};
-            }
-        }
-
-        std::size_t kept = 0;
-        for (const WorkEdge& e : work) {
-            const int cu = comp[idx(e.src)];
-            const int cv = comp[idx(e.dst)];
-            if (cu == cv) {
-                if (duals)
-                    duals->reduced[idx(e.input)] = e.weight - in_w[idx(e.dst)];
+            const int c = cycle_id[idx(v)];
+            level.pick[idx(v)] = state[idx(v)].pick.input;
+            if (c < 0)
                 continue;
-            }
-            double w = e.weight;
-            if (level.cycle_id[idx(e.dst)] >= 0)
-                w -= in_w[idx(e.dst)];
-            work[kept++] = WorkEdge{cu, cv, w, e.input, e.input_dst};
+            comp[idx(v)] = cycle_base + c;
+            members[idx(member_begin[idx(c)]++)] = v;
+            incoming += idx(state[idx(v)].hi - state[idx(v)].lo);
         }
-        work.resize(kept);
+        level.cycle.assign(cycle_id.begin(), cycle_id.end());
+        level.node_of.assign(node_of.begin(), node_of.end());
 
-        level.node_of = node_of;
+        if (buf.size() + incoming > buf.capacity())
+            compact(state, buf);
+        std::vector<NodeState>& next = ws.next;
+        next.resize(idx(cycle_base + num_cycles));
+        for (int v = 0; v < n; ++v) {
+            if (cycle_id[idx(v)] < 0)
+                next[idx(comp[idx(v)])] = state[idx(v)];
+        }
+        // Each supernode's list: its members' external in-edges, in
+        // member order, reduced by the member's pick weight.
+        int first = 0;
+        for (int c = 0; c < num_cycles; ++c) {
+            NodeState& super = next[idx(cycle_base + c)];
+            super = NodeState{};
+            super.lo = static_cast<int>(buf.size());
+            for (; first < member_begin[idx(c)]; ++first) {
+                const NodeState& member =
+                    state[idx(members[idx(first)])];
+                const double in_w = member.pick.weight;
+                for (int k = member.lo; k < member.hi; ++k) {
+                    InEdge e = buf[idx(k)];
+                    if (cycle_id[idx(node_of[idx(e.src)])] == c) {
+                        if (duals)
+                            duals->reduced[idx(e.input)] = e.weight - in_w;
+                        continue;
+                    }
+                    e.weight -= in_w;
+                    buf.push_back(e);
+                    if (beats(e, super.pick))
+                        super.pick = e;
+                }
+            }
+            super.hi = static_cast<int>(buf.size());
+            if (super.pick.input < 0)
+                return false;
+        }
+
         for (int& v : node_of)
             v = comp[idx(v)];
         root = comp[idx(root)];
-        n = cycle_base + level.num_cycles;
-        levels.push_back(std::move(level));
+        n = cycle_base + num_cycles;
+        state.swap(next);
     }
 
     // Unwind, deepest level first: the picks so far are exactly the
     // next level's solution, so the one entering a supernode names
     // the cycle's entry node; every other cycle node keeps its
     // cheapest in-edge.
-    std::vector<int> entry;
-    for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
-        const Level& level = *it;
+    std::vector<int>& entry = ws.entry;
+    for (std::size_t l = ws.num_levels; l-- > 0;) {
+        const Level& level = ws.levels[l];
         entry.assign(idx(level.num_cycles), -1);
-        for (const Pick& pick : chosen) {
-            const int v = level.node_of[idx(pick.input_dst)];
-            const int c = level.cycle_id[idx(v)];
+        for (int input : chosen) {
+            const int v = level.node_of[idx(input_dst(input))];
+            const int c = level.cycle[idx(v)];
             if (c >= 0)
                 entry[idx(c)] = v;
         }
-        const int level_n = static_cast<int>(level.cycle_id.size());
+        const int level_n = static_cast<int>(level.cycle.size());
         for (int v = 0; v < level_n; ++v) {
-            const int c = level.cycle_id[idx(v)];
+            const int c = level.cycle[idx(v)];
             if (c >= 0 && entry[idx(c)] != v)
-                chosen.push_back(level.in_pick[idx(v)]);
+                chosen.push_back(level.pick[idx(v)]);
         }
     }
-
-    std::vector<int> inputs;
-    inputs.reserve(chosen.size());
-    for (const Pick& pick : chosen)
-        inputs.push_back(pick.input);
-    return inputs;
-}
-
-/** The working copy of @p graph's edges, input index = edge index. */
-std::vector<WorkEdge>
-work_edges(const Digraph& graph, std::size_t extra)
-{
-    std::vector<WorkEdge> work;
-    work.reserve(graph.edges().size() + extra);
-    for (std::size_t i = 0; i < graph.edges().size(); ++i) {
-        const Edge& e = graph.edges()[i];
-        work.push_back(
-            WorkEdge{e.src, e.dst, e.weight, static_cast<int>(i), e.dst});
-    }
-    return work;
+    return true;
 }
 
 /**
@@ -253,21 +400,19 @@ solve_forest(const Digraph& graph, ForestCertificate* cert)
     const double penalty = graph.total_abs_weight() + 1.0;
 
     const int num_real = static_cast<int>(graph.edges().size());
-    std::vector<WorkEdge> work =
-        work_edges(graph, static_cast<std::size_t>(n));
-    for (int v = 0; v < n; ++v)
-        work.push_back(WorkEdge{n, v, penalty, num_real + v, v});
     Duals duals;
     if (cert)
-        duals.reduced.resize(work.size());
-    auto chosen = solve(n + 1, n, work, cert ? &duals : nullptr, true);
-    ROCK_ASSERT(chosen.has_value(),
-                "augmented graph must always be solvable");
+        duals.reduced.resize(graph.edges().size() +
+                             static_cast<std::size_t>(n));
+    Workspace& ws = tls_workspace;
+    const bool solved =
+        solve(graph, n, &penalty, cert ? &duals : nullptr, true, ws);
+    ROCK_ASSERT(solved, "augmented graph must always be solvable");
 
     Arborescence result;
     result.parent.assign(static_cast<std::size_t>(n), -1);
     double total = 0.0;
-    for (int i : *chosen) {
+    for (int i : ws.chosen) {
         if (i >= num_real) {
             ++result.num_roots;
             total += penalty;
@@ -282,7 +427,7 @@ solve_forest(const Digraph& graph, ForestCertificate* cert)
         total - penalty * static_cast<double>(result.num_roots);
     if (cert) {
         cert->in_edge.assign(static_cast<std::size_t>(n), -1);
-        for (int i : *chosen) {
+        for (int i : ws.chosen) {
             if (i < num_real)
                 cert->in_edge[static_cast<std::size_t>(
                     graph.edges()[static_cast<std::size_t>(i)].dst)] = i;
@@ -291,6 +436,7 @@ solve_forest(const Digraph& graph, ForestCertificate* cert)
         cert->penalty = penalty;
         cert->levels = duals.levels;
     }
+    ws.release();
     return result;
 }
 
@@ -301,19 +447,21 @@ min_arborescence(const Digraph& graph, int root)
 {
     ROCK_ASSERT(root >= 0 && root < graph.num_nodes(),
                 "root out of range");
-    std::vector<WorkEdge> work = work_edges(graph, 0);
-    auto chosen = solve(graph.num_nodes(), root, work, nullptr, false);
-    if (!chosen)
+    Workspace& ws = tls_workspace;
+    if (!solve(graph, root, nullptr, nullptr, false, ws)) {
+        ws.release();
         return std::nullopt;
+    }
 
     Arborescence result;
     result.parent.assign(
         static_cast<std::size_t>(graph.num_nodes()), -1);
-    for (int i : *chosen) {
+    for (int i : ws.chosen) {
         const Edge& e = graph.edges()[static_cast<std::size_t>(i)];
         result.parent[static_cast<std::size_t>(e.dst)] = e.src;
         result.weight += e.weight;
     }
+    ws.release();
     result.num_roots = 1;
     return result;
 }

@@ -19,15 +19,23 @@
  *    adds the solve's reduced edge weights, which the exact tie
  *    enumeration (graph/enumerate.h) prunes by.
  *
- * The solver is one loop over a single working edge array that each
- * contraction level compacts in place; a level keeps only O(V) state
- * for unwinding (each node's cheapest in-edge, its cycle id and the
- * input-node map), so memory is O(E + V * levels) rather than a copy
- * of the edge list per level. Ties break one fixed way: the first
- * minimum in-edge in edge order, cycles numbered in the order a
- * start-node sweep discovers them, non-cycle nodes numbered before
- * supernodes, and chosen edges unwound deepest level first (which
- * also fixes the order Arborescence::weight is summed in).
+ * The solver keeps each current node's in-edges as a list in one
+ * flat buffer and re-picks only what a contraction changed: a node
+ * outside every cycle keeps its list and its cheapest in-edge, and a
+ * new supernode's list is its members' lists minus the edges inside
+ * the cycle, each kept edge reduced once by its head's pick weight. A
+ * level therefore costs O(V) plus its supernodes' in-edges instead of
+ * a rescan of every edge (a chain of 2-cycles, one absorbed per level,
+ * still re-merges its growing supernode at every level). A level
+ * keeps only O(V) state for unwinding (each node's cheapest in-edge,
+ * its cycle id and the input-node map), so memory is
+ * O(E + V * levels). Ties break one fixed way: the first minimum
+ * in-edge in edge order (the smallest input index among equal
+ * weights), cycles numbered in the order a start-node sweep discovers
+ * them, non-cycle nodes numbered before supernodes, and chosen edges
+ * unwound deepest level first (which also fixes the order
+ * Arborescence::weight is summed in). An O(E log V) solver with
+ * mergeable in-edge heaps would pick among ties in another order.
  */
 #pragma once
 

@@ -84,11 +84,13 @@ slm_fingerprint(const slm::ModelConfig& config, int alphabet_size,
 }
 
 /** Generation of the distance stage's algorithm. A famdist blob
- *  replays the escape tally of the run that wrote it, so a stage that
- *  walks the models a different number of times for the same weights
- *  bumps this rather than kSchemaVersion (2: each member's model is
- *  walked once per needed word instead of twice per pair and word). */
-constexpr std::uint64_t kDistanceGeneration = 2;
+ *  replays the work tallies of the run that wrote it, so a stage that
+ *  walks the models or weighs pairs a different number of times for
+ *  the same weights bumps this rather than kSchemaVersion (2: each
+ *  member's model is walked once per needed word instead of twice per
+ *  pair and word; 3: one walk per twin class and one weighing per
+ *  distinct (parent class, child class) key). */
+constexpr std::uint64_t kDistanceGeneration = 3;
 
 std::uint64_t
 distance_fingerprint(const RockConfig& config, int alphabet_size,

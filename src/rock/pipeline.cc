@@ -107,9 +107,10 @@ struct FamilyPlan {
     /** "famdist" key; loaded when its probe pre-filled the weights. */
     std::uint64_t famdist_content = 0;
     bool famdist_loaded = false;
-    /** ObservedUnion word table and raw-probability memo: interned,
-     *  filled by the train chunks, read by the distance chunks and
-     *  freed before the solve. */
+    /** ObservedUnion word table, twin classes, keys and raw-probability
+     *  memo: interned, filled by the train chunks, weighed by the
+     *  distance chunks, copied to the edges and freed before the
+     *  solve. */
     divergence::FamilyWords memo;
     /** Memo-fill and distance-chunk work tallies, or a famdist hit's
      *  stored ones; solve_stage() adds them to the registry. */
@@ -410,8 +411,9 @@ train_type(RunContext& ctx, std::size_t t)
 }
 
 /** Word-table task, first in an ObservedUnion family's chain: intern
- *  the members' tracelets and the weighed edges, unless the family's
- *  "famdist" probe already filled its weights. */
+ *  the members' tracelets, group them into twin classes and key the
+ *  weighed edges, unless the family's "famdist" probe already filled
+ *  its weights. */
 void
 intern_family(RunContext& ctx, std::size_t f)
 {
@@ -436,7 +438,8 @@ intern_family(RunContext& ctx, std::size_t f)
 }
 
 /** Train task: the models of family @p f's members in @p chunk, then
- *  their memo fills when the family has a word table to fill. */
+ *  their twin classes' memo fills when the family has a word table to
+ *  fill. */
 void
 train_chunk(RunContext& ctx, std::size_t f, support::Chunk chunk,
             bool fill_memo)
@@ -461,43 +464,24 @@ train_chunk(RunContext& ctx, std::size_t f, support::Chunk chunk,
     fam.escapes += slm::thread_escape_tally() - escapes_before;
 }
 
-/** Distance of weighed edge @p e of family @p fam under the configured
- *  metric: from the family's memo under ObservedUnion, else over a word
- *  set built for the pair. */
+/** Weighed edge @p e's distance @p weight after the solved-subtype
+ *  agreement: cheapened, without ever touching the zero-cost floor
+ *  forced edges stand on. */
 double
-edge_weight(const RunContext& ctx, const FamilyPlan& fam, std::size_t e,
-            divergence::FamilyWords::Scratch& scratch)
+discounted(const RunContext& ctx, std::size_t e, double weight)
 {
-    const ReconstructionResult& result = ctx.result;
-    const auto [parent, child] = result.distances[e].first;
-    const auto p = static_cast<std::size_t>(parent);
-    const auto c = static_cast<std::size_t>(child);
-    double weight = 0.0;
-    if (ctx.observed_union) {
-        weight = fam.memo.distance(
-            ctx.config.metric,
-            static_cast<std::size_t>(ctx.member_pos[p]),
-            static_cast<std::size_t>(ctx.member_pos[c]), scratch);
-    } else {
-        const divergence::WordSet words = divergence::build_word_set(
-            ctx.config.words, result.type_sequences[p],
-            result.type_sequences[c], result.models[p].get(),
-            ctx.alphabet_size);
-        if (!words.empty()) {
-            weight = divergence::pair_distance(ctx.config.metric,
-                                               *result.models[p],
-                                               *result.models[c], words);
-        }
-    }
-    // Solved-subtype agreement: cheapen the edge without ever touching
-    // the zero-cost floor forced edges stand on.
     if (ctx.edge_discounted[e] && weight > 0.0)
         weight *= ctx.config.typeinf_discount;
     return weight;
 }
 
-/** Distance task: weigh family @p f's slots in @p chunk (relative to
- *  its edge_begin), unless its "famdist" probe already filled them. */
+/**
+ * Distance task: weigh family @p f's share of @p chunk (slots relative
+ * to its edge_begin), unless its "famdist" probe already filled them.
+ * Under ObservedUnion that is the memo's keys whose first edge lies in
+ * the chunk, which solve_stage() copies to their edges; otherwise each
+ * slot over a word set built for its pair.
+ */
 void
 weigh_chunk(RunContext& ctx, std::size_t f, support::Chunk chunk)
 {
@@ -507,10 +491,31 @@ weigh_chunk(RunContext& ctx, std::size_t f, support::Chunk chunk)
         return;
     const auto before = divergence::thread_pair_tally();
     const std::uint64_t escapes_before = slm::thread_escape_tally();
-    divergence::FamilyWords::Scratch scratch;
-    for (std::size_t e = fam.edge_begin + chunk.begin;
-         e < fam.edge_begin + chunk.end; ++e)
-        ctx.result.distances[e].second = edge_weight(ctx, fam, e, scratch);
+    ReconstructionResult& result = ctx.result;
+    if (ctx.observed_union) {
+        const auto [first, last] =
+            fam.memo.keys_first_in(chunk.begin, chunk.end);
+        divergence::FamilyWords::Scratch scratch;
+        fam.memo.weigh(ctx.config.metric, first, last, scratch);
+    } else {
+        for (std::size_t e = fam.edge_begin + chunk.begin;
+             e < fam.edge_begin + chunk.end; ++e) {
+            const auto [parent, child] = result.distances[e].first;
+            const auto p = static_cast<std::size_t>(parent);
+            const auto c = static_cast<std::size_t>(child);
+            const divergence::WordSet words = divergence::build_word_set(
+                ctx.config.words, result.type_sequences[p],
+                result.type_sequences[c], result.models[p].get(),
+                ctx.alphabet_size);
+            double weight = 0.0;
+            if (!words.empty()) {
+                weight = divergence::pair_distance(
+                    ctx.config.metric, *result.models[p],
+                    *result.models[c], words);
+            }
+            result.distances[e].second = discounted(ctx, e, weight);
+        }
+    }
     const auto after = divergence::thread_pair_tally();
     fam.pairs += after.pairs - before.pairs;
     fam.words += after.words - before.words;
@@ -607,8 +612,16 @@ solve_stage(RunContext& ctx, std::size_t f)
     FamilyPlan& fam = ctx.families[f];
     FamilyResult& out = ctx.result.families[f];
     const int m = static_cast<int>(out.members.size());
-    // Every distance chunk has read the memo: free it before the solve
-    // allocates.
+    if (ctx.observed_union && fam.edge_end > fam.edge_begin &&
+        !fam.famdist_loaded) {
+        // Every key is weighed: copy each key's weight to its edges.
+        obs::Span span("pipeline.distances");
+        for (std::size_t e = fam.edge_begin; e < fam.edge_end; ++e)
+            ctx.result.distances[e].second =
+                discounted(ctx, e, fam.memo.weight(e - fam.edge_begin));
+    }
+    // Every distance chunk is done with the memo: free it before the
+    // solve allocates.
     fam.memo.clear();
     obs::Span span("pipeline.arborescence");
     if (ctx.store && fam.edge_end > fam.edge_begin &&

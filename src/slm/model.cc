@@ -25,6 +25,16 @@ LanguageModel::sequence_log_prob(const std::vector<int>& seq) const
     return log_p;
 }
 
+void
+LanguageModel::sequence_log_probs(
+    std::span<const std::vector<int>* const> words,
+    std::span<double> out) const
+{
+    ROCK_ASSERT(out.size() == words.size(), "one output per word");
+    for (std::size_t i = 0; i < words.size(); ++i)
+        out[i] = sequence_log_prob(*words[i]);
+}
+
 double
 LanguageModel::sequence_prob(const std::vector<int>& seq) const
 {

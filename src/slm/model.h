@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,17 @@ class LanguageModel {
      * escapes (PpmModel does for finalized models without exclusion).
      */
     virtual double sequence_log_prob(const std::vector<int>& seq) const;
+
+    /**
+     * sequence_log_prob() of each of @p words, in order, into @p out
+     * (same size): the same bits and the same escapes as one call per
+     * word. A family may override it with a walk that shares work
+     * between consecutive words (PpmModel reuses the prefix each word
+     * shares with the previous one), so sorted words walk fastest.
+     */
+    virtual void sequence_log_probs(
+        std::span<const std::vector<int>* const> words,
+        std::span<double> out) const;
 
     /** Probability of a whole sequence. */
     double sequence_prob(const std::vector<int>& seq) const;

@@ -109,6 +109,53 @@ PpmModel::sequence_log_prob(const std::vector<int>& seq) const
     return log_p;
 }
 
+void
+PpmModel::sequence_log_probs(std::span<const std::vector<int>* const> words,
+                             std::span<double> out) const
+{
+    if (!finalized_ || exclusion_) {
+        LanguageModel::sequence_log_probs(words, out);
+        return;
+    }
+    ROCK_ASSERT(out.size() == words.size(), "one output per word");
+    thread_local std::vector<ContextTrie::NodeId> chain;
+    // Per prefix length k of the previous word: the log-sum of its
+    // first k terms and the escapes they took.
+    thread_local std::vector<double> partial;
+    thread_local std::vector<std::uint64_t> escapes;
+    partial.assign(1, 0.0);
+    escapes.assign(1, 0);
+    const std::vector<int>* prev = nullptr;
+    for (std::size_t w = 0; w < words.size(); ++w) {
+        const std::vector<int>& seq = *words[w];
+        std::size_t shared = 0;
+        if (prev) {
+            const std::size_t limit = std::min(prev->size(), seq.size());
+            while (shared < limit && (*prev)[shared] == seq[shared])
+                ++shared;
+        }
+        partial.resize(shared + 1);
+        escapes.resize(shared + 1);
+        tls_escape_tally += escapes[shared];
+        double log_p = partial[shared];
+        for (std::size_t i = shared; i < seq.size(); ++i) {
+            const int symbol = seq[i];
+            ROCK_ASSERT(symbol >= 0 && symbol < alphabet_size_,
+                        "symbol outside alphabet");
+            chain.clear();
+            trie_.context_chain(std::span<const int>(seq.data(), i), chain);
+            const std::uint64_t before = tls_escape_tally;
+            double p = chain_prob(symbol, chain);
+            ROCK_ASSERT(p > 0.0, "model returned non-positive probability");
+            log_p += std::log(p);
+            partial.push_back(log_p);
+            escapes.push_back(escapes.back() + (tls_escape_tally - before));
+        }
+        out[w] = log_p;
+        prev = &seq;
+    }
+}
+
 double
 PpmModel::chain_prob(int symbol,
                      const std::vector<ContextTrie::NodeId>& chain) const

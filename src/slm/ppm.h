@@ -21,7 +21,9 @@
  * binary search and one or two contiguous-array reads per order -- no
  * maps. The whole-word query sequence_log_prob() (the divergence
  * stage's inner loop) reuses one chain buffer across its symbols, so
- * it allocates nothing. The precomputed values are the *same* IEEE
+ * it allocates nothing; the batch query sequence_log_probs() also
+ * reuses the walk of the prefix each word shares with the previous
+ * one. The precomputed values are the *same* IEEE
  * expressions the on-demand path evaluates, so finalization never
  * changes a probability (tests/flat_trie_test.cc pins byte-identity
  * against the original pointer-trie implementation).
@@ -54,6 +56,16 @@ class PpmModel final : public LanguageModel {
      * allocates nothing. Other models take the generic loop.
      */
     double sequence_log_prob(const std::vector<int>& seq) const override;
+    /**
+     * Batch query on the same fast path: each word restarts from the
+     * partial log-sum and escape count of the prefix it shares with
+     * the previous word, since a symbol's probability depends only on
+     * the symbols before it. The prefix's escapes are added to the
+     * tally again, so values and tally equal one sequence_log_prob()
+     * per word; ascending (lexicographic) words share the most.
+     */
+    void sequence_log_probs(std::span<const std::vector<int>* const> words,
+                            std::span<double> out) const override;
     /** Build the per-context probability vectors (idempotent). */
     void finalize() override;
     int alphabet_size() const override { return alphabet_size_; }

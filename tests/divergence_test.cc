@@ -352,62 +352,114 @@ TEST(FamilyWords, IdsMergeToMergeWordSetsOrder)
     EXPECT_TRUE(table.word_ids(3).empty());
 }
 
-TEST(FamilyWords, DistancesMatchPairDistanceBitForBit)
+/** @p seqs as a sorted multiset: equal for behavioral twins. */
+std::vector<std::vector<int>>
+multiset_of(std::vector<std::vector<int>> seqs)
 {
-    const int alphabet = 6;
-    rock::support::Rng rng(3);
-    const auto shared = random_tracelets(rng, {}, 5, alphabet);
-    std::vector<std::vector<std::vector<int>>> seqs;
-    for (int i = 0; i < 9; ++i)
-        seqs.push_back(random_tracelets(rng, shared, 6, alphabet));
-    seqs[4].clear();  // a type with no tracelets
-    seqs[7].clear();  // another: edge 4 -> 7 integrates no word
-    seqs[5] = {{2}};  // a one-word set
+    std::sort(seqs.begin(), seqs.end());
+    return seqs;
+}
+
+/**
+ * FamilyWords over the family @p seqs with edges @p edges against the
+ * per-pair path: twin classes are exactly the equal multisets, each
+ * class's fill walks the union of its members' needs with the escapes
+ * of one sequence_log_prob() per word, and every edge's key weight
+ * equals pair_distance() bit for bit, with one counted pair per key.
+ */
+void
+expect_family_matches_pair_path(
+    const std::vector<std::vector<std::vector<int>>>& seqs,
+    const std::vector<std::pair<int, int>>& edges, int alphabet)
+{
+    const std::size_t m = seqs.size();
     std::vector<std::unique_ptr<LanguageModel>> models;
     std::vector<const std::vector<std::vector<int>>*> members;
     for (const auto& member : seqs) {
         models.push_back(model_from(member, alphabet));
         members.push_back(&member);
     }
-    // Member 8 is on no edge; 4 -> 7 has an empty union.
-    std::vector<std::pair<int, int>> edges{{4, 7}};
-    for (int p = 0; p < 8; ++p) {
-        for (int c = 0; c < 8; ++c) {
-            if (p != c && (p + 2 * c) % 3 != 0 && !(p == 4 && c == 7))
-                edges.emplace_back(p, c);
-        }
-    }
-
     FamilyWords memo;
     memo.intern(members, edges);
-    FamilyWords::Scratch scratch;
-    for (std::size_t i = 0; i < seqs.size(); ++i)
-        memo.fill(i, *models[i], scratch);
 
-    // One walk per (member, needed word): its words and its
-    // neighbours'.
-    for (std::size_t i = 0; i < seqs.size(); ++i) {
-        std::set<std::vector<int>> need;
-        bool on_edge = false;
-        for (const auto& [p, c] : edges) {
-            const auto pi = static_cast<std::size_t>(p);
-            const auto ci = static_cast<std::size_t>(c);
-            if (pi != i && ci != i)
-                continue;
-            on_edge = true;
-            for (const auto& w : sorted_unique_words(seqs[pi == i ? ci : pi]))
-                need.insert(w);
+    // Twin classes: equal multisets, numbered by first member.
+    std::size_t classes = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+        SCOPED_TRACE(i);
+        bool first = true;
+        for (std::size_t j = 0; j < i; ++j) {
+            const bool twins = multiset_of(seqs[i]) == multiset_of(seqs[j]);
+            EXPECT_EQ(memo.twin_class(i) == memo.twin_class(j), twins) << j;
+            first = first && !twins;
         }
-        if (on_edge) {
-            for (const auto& w : sorted_unique_words(seqs[i]))
-                need.insert(w);
+        if (first) {
+            EXPECT_EQ(memo.twin_class(i), classes);
+            ++classes;
         }
-        EXPECT_EQ(memo.memo_size(i), need.size()) << "member " << i;
     }
-    EXPECT_EQ(memo.memo_size(8), 0u);
+    EXPECT_EQ(memo.num_classes(), classes);
+
+    // One key per distinct (parent class, child class), numbered by
+    // first edge; any split of the edges covers each key once.
+    std::set<std::pair<std::size_t, std::size_t>> keys;
+    for (const auto& [p, c] : edges)
+        keys.emplace(memo.twin_class(static_cast<std::size_t>(p)),
+                     memo.twin_class(static_cast<std::size_t>(c)));
+    EXPECT_EQ(memo.num_keys(), keys.size());
+    std::size_t covered = 0;
+    for (std::size_t begin = 0; begin < edges.size(); begin += 7) {
+        const auto [first, last] = memo.keys_first_in(
+            begin, std::min(begin + 7, edges.size()));
+        EXPECT_EQ(first, covered);
+        covered = last;
+    }
+    EXPECT_EQ(covered, memo.num_keys());
+
+    // Per class: the union of its members' needs (their own words and
+    // their edge neighbours'), walked once.
+    std::vector<std::set<std::vector<int>>> need(classes);
+    std::vector<bool> on_edge(classes, false);
+    for (const auto& [p, c] : edges) {
+        const auto pi = static_cast<std::size_t>(p);
+        const auto ci = static_cast<std::size_t>(c);
+        for (const auto& [who, other] :
+             {std::pair{pi, ci}, std::pair{ci, pi}}) {
+            on_edge[memo.twin_class(who)] = true;
+            for (const auto& w : sorted_unique_words(seqs[other]))
+                need[memo.twin_class(who)].insert(w);
+        }
+    }
+    // Each class's first member walks its own model over the need.
+    std::uint64_t want_escapes = 0;
+    std::vector<bool> walked(classes, false);
+    for (std::size_t i = 0; i < m; ++i) {
+        const std::size_t cls = memo.twin_class(i);
+        if (!on_edge[cls] || walked[cls])
+            continue;
+        walked[cls] = true;
+        for (const auto& w : sorted_unique_words(seqs[i]))
+            need[cls].insert(w);
+        const std::uint64_t before = thread_escape_tally();
+        for (const auto& w : need[cls])
+            (void)models[i]->sequence_log_prob(w);
+        want_escapes += thread_escape_tally() - before;
+    }
+    FamilyWords::Scratch scratch;
+    const std::uint64_t escapes_before = thread_escape_tally();
+    for (std::size_t i = 0; i < m; ++i)
+        memo.fill(i, *models[i], scratch);
+    EXPECT_EQ(thread_escape_tally() - escapes_before, want_escapes);
+    for (std::size_t i = 0; i < m; ++i) {
+        EXPECT_EQ(memo.memo_size(i), need[memo.twin_class(i)].size())
+            << "member " << i;
+    }
 
     for (MetricKind kind : kAllMetrics) {
         SCOPED_TRACE(metric_name(kind));
+        std::vector<double> want_of_edge;
+        std::set<std::pair<std::size_t, std::size_t>> counted;
+        std::uint64_t want_pairs = 0;
+        std::uint64_t want_words = 0;
         for (const auto& [p, c] : edges) {
             const auto pi = static_cast<std::size_t>(p);
             const auto ci = static_cast<std::size_t>(c);
@@ -418,16 +470,100 @@ TEST(FamilyWords, DistancesMatchPairDistanceBitForBit)
                 words.empty()
                     ? 0.0
                     : pair_distance(kind, *models[pi], *models[ci], words);
-            const PairTally before = thread_pair_tally();
-            const double got = memo.distance(kind, pi, ci, scratch);
-            const PairTally after = thread_pair_tally();
-            EXPECT_TRUE(same_bits(got, want)) << p << " -> " << c;
-            EXPECT_EQ(after.pairs - before.pairs, words.empty() ? 0u : 1u);
-            EXPECT_EQ(after.words - before.words, words.size());
+            want_of_edge.push_back(want);
+            if (counted.emplace(memo.twin_class(pi), memo.twin_class(ci))
+                    .second) {
+                want_pairs += words.empty() ? 0 : 1;
+                want_words += words.size();
+            }
+        }
+        // Weighed the way the distance chunks do: the keys first seen
+        // in each run of 7 edges.
+        const PairTally before = thread_pair_tally();
+        for (std::size_t begin = 0; begin < edges.size(); begin += 7) {
+            const auto [first, last] = memo.keys_first_in(
+                begin, std::min(begin + 7, edges.size()));
+            memo.weigh(kind, first, last, scratch);
+        }
+        const PairTally after = thread_pair_tally();
+        EXPECT_EQ(after.pairs - before.pairs, want_pairs);
+        EXPECT_EQ(after.words - before.words, want_words);
+        for (std::size_t e = 0; e < edges.size(); ++e) {
+            EXPECT_TRUE(same_bits(memo.weight(e), want_of_edge[e]))
+                << edges[e].first << " -> " << edges[e].second;
         }
     }
     memo.clear();
     EXPECT_EQ(memo.vocabulary_size(), 0u);
+    EXPECT_EQ(memo.num_keys(), 0u);
+}
+
+TEST(FamilyWords, DistancesMatchPairDistanceBitForBit)
+{
+    const int alphabet = 6;
+    rock::support::Rng rng(3);
+    const auto shared = random_tracelets(rng, {}, 5, alphabet);
+    std::vector<std::vector<std::vector<int>>> seqs;
+    for (int i = 0; i < 9; ++i)
+        seqs.push_back(random_tracelets(rng, shared, 6, alphabet));
+    seqs[4].clear();  // a type with no tracelets
+    seqs[7].clear();  // its twin: edge 4 -> 7 integrates no word
+    seqs[5] = {{2}};  // a one-word set
+    // Twins of member 1 with its sequences in other orders.
+    seqs.push_back(seqs[1]);
+    std::reverse(seqs.back().begin(), seqs.back().end());
+    seqs.push_back(seqs[1]);
+    std::rotate(seqs.back().begin(), seqs.back().begin() + 2,
+                seqs.back().end());
+    // Empty-tracelet twins {[]}, {[]}; not twins of 4 and 7 (no
+    // tracelets) nor of {[], []}.
+    seqs.push_back({{}});
+    seqs.push_back({{}});
+    seqs.push_back({{}, {}});
+    // Member 2's words plus an empty tracelet: no twin of 2.
+    seqs.push_back(seqs[2]);
+    seqs.back().push_back({});
+    const int m = static_cast<int>(seqs.size());
+    // Member 8 is on no edge; 4 -> 7 has an empty union.
+    std::vector<std::pair<int, int>> edges{{4, 7}};
+    for (int p = 0; p < m; ++p) {
+        for (int c = 0; c < m; ++c) {
+            if (p != c && p != 8 && c != 8 && (p + 2 * c) % 3 != 0 &&
+                !(p == 4 && c == 7))
+                edges.emplace_back(p, c);
+        }
+    }
+    expect_family_matches_pair_path(seqs, edges, alphabet);
+}
+
+TEST(FamilyWords, FamilyOfTwinsWeighsOneKey)
+{
+    const int alphabet = 5;
+    rock::support::Rng rng(11);
+    const auto base = random_tracelets(rng, {}, 7, alphabet);
+    std::vector<std::vector<std::vector<int>>> seqs;
+    for (int i = 0; i < 6; ++i) {
+        seqs.push_back(base);
+        std::rotate(seqs.back().begin(),
+                    seqs.back().begin() + i % static_cast<int>(base.size()),
+                    seqs.back().end());
+    }
+    std::vector<std::pair<int, int>> edges;
+    for (int c = 0; c < 6; ++c) {
+        for (int p = 0; p < 6; ++p) {
+            if (p != c)
+                edges.emplace_back(p, c);
+        }
+    }
+    expect_family_matches_pair_path(seqs, edges, alphabet);
+
+    std::vector<const std::vector<std::vector<int>>*> members;
+    for (const auto& member : seqs)
+        members.push_back(&member);
+    FamilyWords memo;
+    memo.intern(members, edges);
+    EXPECT_EQ(memo.num_classes(), 1u);
+    EXPECT_EQ(memo.num_keys(), 1u);
 }
 
 /**

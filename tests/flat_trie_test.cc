@@ -21,12 +21,15 @@
  *  - sampled random corpora x {alphabet, depth} for Katz,
  *  - DKL values through divergence::kl_divergence,
  *  - PPM's whole-word sequence_log_prob() against the per-symbol
- *    prob() loop (same bits, same escape tally),
+ *    prob() loop (same bits, same escape tally), and its
+ *    prefix-sharing batch sequence_log_probs() against one
+ *    sequence_log_prob() per word,
  *  - corpora from sampled GeneratorSpecs pushed through the real
  *    pipeline (the models reconstruct() trains and ships).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -500,6 +503,71 @@ TEST(FlatTrie, PpmSequenceWalkMatchesPerSymbolLoop)
     }
     EXPECT_EQ(cases, 20);
     EXPECT_GT(exclusion_differs, 0);
+}
+
+TEST(FlatTrie, PpmBatchWalkMatchesPerWordWalk)
+{
+    // sequence_log_probs() restarts each word from the prefix it shares
+    // with the previous one; its values and escapes must equal one
+    // sequence_log_prob() per word, in sorted order (the memo fill's)
+    // and in any other.
+    const int alphabet = 7;
+    int shared_words = 0;
+    for (int depth = 0; depth <= 4; ++depth) {
+        for (bool exclusion : {false, true}) {
+            for (bool finalized : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << "depth " << depth << " exclusion "
+                             << exclusion << " finalized " << finalized);
+                rock::support::Rng rng(static_cast<std::uint64_t>(
+                    1000 + 100 * depth + (exclusion ? 10 : 0) +
+                    (finalized ? 1 : 0)));
+                const auto corpus = random_corpus(rng, alphabet, 30, 10);
+                rock::slm::PpmModel model(alphabet, depth, exclusion);
+                for (const auto& seq : corpus)
+                    model.train(seq);
+                if (finalized)
+                    model.finalize();
+                // Trained and unseen words, every prefix of a trained
+                // word, repeats and the empty word.
+                auto words = corpus;
+                const auto unseen = random_corpus(rng, alphabet, 20, 10);
+                words.insert(words.end(), unseen.begin(), unseen.end());
+                for (const auto& seq : corpus) {
+                    for (std::size_t k = 0; k < seq.size(); ++k)
+                        words.emplace_back(seq.begin(),
+                                           seq.begin() +
+                                               static_cast<long>(k));
+                }
+                words.push_back(corpus.front());
+                for (bool sorted : {true, false}) {
+                    auto list = words;
+                    if (sorted)
+                        std::sort(list.begin(), list.end());
+                    std::vector<const std::vector<int>*> ptrs;
+                    for (const auto& w : list)
+                        ptrs.push_back(&w);
+                    std::vector<double> got(list.size());
+                    const auto t0 = rock::slm::thread_escape_tally();
+                    model.sequence_log_probs(ptrs, got);
+                    const auto t1 = rock::slm::thread_escape_tally();
+                    for (std::size_t i = 0; i < list.size(); ++i) {
+                        const double want = model.sequence_log_prob(list[i]);
+                        ASSERT_TRUE(bit_identical(got[i], want))
+                            << "word " << i << ": " << got[i] << " vs "
+                            << want;
+                        if (sorted && i > 0 && !list[i].empty() &&
+                            !list[i - 1].empty() &&
+                            list[i][0] == list[i - 1][0])
+                            ++shared_words;
+                    }
+                    const auto t2 = rock::slm::thread_escape_tally();
+                    ASSERT_EQ(t1 - t0, t2 - t1) << "escape tally differs";
+                }
+            }
+        }
+    }
+    EXPECT_GT(shared_words, 100);
 }
 
 // ---------------------------------------------------------------------

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -372,6 +374,392 @@ TEST(EdmondsTieOrder, TwoCycleChainContractsOncePerLevel)
     for (int v = 1; v < n; ++v)
         EXPECT_EQ(forest.parent[static_cast<std::size_t>(v)], v - 1);
     EXPECT_NEAR(forest.weight, static_cast<double>(n - 1), 1e-6);
+}
+
+// ---------------------------------------------------------------------
+// Edmonds against the full-rescan solver it replaced
+// ---------------------------------------------------------------------
+
+/**
+ * The Chu-Liu/Edmonds loop min_forest() ran before it re-picked only
+ * contracted nodes, kept as the reference: one working edge array,
+ * rescanned for every node's cheapest in-edge and compacted in place
+ * at every contraction level. It counts its contractions into its
+ * result instead of the thread tally.
+ */
+namespace full_rescan {
+
+struct WorkEdge {
+    int src = 0;
+    int dst = 0;
+    double weight = 0.0;
+    int input = 0;
+    int input_dst = 0;
+};
+
+struct Pick {
+    int input = -1;
+    int input_dst = -1;
+};
+
+struct Level {
+    std::vector<Pick> in_pick;
+    std::vector<int> cycle_id;
+    std::vector<int> node_of;
+    int num_cycles = 0;
+};
+
+struct Solved {
+    std::optional<std::vector<int>> chosen;
+    std::vector<double> reduced;
+    int levels = 0;
+    std::uint64_t contractions = 0;
+};
+
+Solved
+solve(int n, int root, std::vector<WorkEdge>& work, bool duals)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const auto idx = [](int i) { return static_cast<std::size_t>(i); };
+    Solved out;
+    if (duals)
+        out.reduced.resize(work.size());
+
+    std::vector<int> node_of(idx(n));
+    std::iota(node_of.begin(), node_of.end(), 0);
+    std::vector<Level> levels;
+    std::vector<Pick> chosen;
+    std::vector<int> in_pos;
+    std::vector<double> in_w;
+    std::vector<int> color;
+    std::vector<int> comp;
+    while (true) {
+        in_pos.assign(idx(n), -1);
+        in_w.assign(idx(n), kInf);
+        for (std::size_t i = 0; i < work.size(); ++i) {
+            const WorkEdge& e = work[i];
+            if (e.dst == root || e.src == e.dst)
+                continue;
+            if (e.weight < in_w[idx(e.dst)]) {
+                in_w[idx(e.dst)] = e.weight;
+                in_pos[idx(e.dst)] = static_cast<int>(i);
+            }
+        }
+        for (int v = 0; v < n; ++v) {
+            if (v != root && in_pos[idx(v)] < 0)
+                return out;
+        }
+        const auto pred = [&](int v) {
+            return work[idx(in_pos[idx(v)])].src;
+        };
+
+        Level level;
+        level.cycle_id.assign(idx(n), -1);
+        color.assign(idx(n), 0);
+        for (int start = 0; start < n; ++start) {
+            if (color[idx(start)] != 0)
+                continue;
+            int v = start;
+            while (v != root && color[idx(v)] == 0) {
+                color[idx(v)] = 1;
+                v = pred(v);
+            }
+            if (v != root && color[idx(v)] == 1) {
+                int u = v;
+                do {
+                    level.cycle_id[idx(u)] = level.num_cycles;
+                    u = pred(u);
+                } while (u != v);
+                ++level.num_cycles;
+            }
+            int u = start;
+            while (u != root && color[idx(u)] == 1) {
+                color[idx(u)] = 2;
+                u = pred(u);
+            }
+        }
+
+        if (level.num_cycles == 0) {
+            if (duals) {
+                for (const WorkEdge& e : work) {
+                    out.reduced[idx(e.input)] =
+                        e.dst == root ? kInf : e.weight - in_w[idx(e.dst)];
+                }
+                out.levels = static_cast<int>(levels.size());
+            }
+            for (int v = 0; v < n; ++v) {
+                if (v != root) {
+                    const WorkEdge& e = work[idx(in_pos[idx(v)])];
+                    chosen.push_back({e.input, e.input_dst});
+                }
+            }
+            break;
+        }
+        out.contractions += static_cast<std::uint64_t>(level.num_cycles);
+
+        comp.assign(idx(n), -1);
+        int next = 0;
+        for (int v = 0; v < n; ++v) {
+            if (level.cycle_id[idx(v)] < 0)
+                comp[idx(v)] = next++;
+        }
+        const int cycle_base = next;
+        level.in_pick.resize(idx(n));
+        for (int v = 0; v < n; ++v) {
+            if (level.cycle_id[idx(v)] >= 0)
+                comp[idx(v)] = cycle_base + level.cycle_id[idx(v)];
+            if (v != root) {
+                const WorkEdge& e = work[idx(in_pos[idx(v)])];
+                level.in_pick[idx(v)] = {e.input, e.input_dst};
+            }
+        }
+
+        std::size_t kept = 0;
+        for (const WorkEdge& e : work) {
+            const int cu = comp[idx(e.src)];
+            const int cv = comp[idx(e.dst)];
+            if (cu == cv) {
+                if (duals)
+                    out.reduced[idx(e.input)] = e.weight - in_w[idx(e.dst)];
+                continue;
+            }
+            double w = e.weight;
+            if (level.cycle_id[idx(e.dst)] >= 0)
+                w -= in_w[idx(e.dst)];
+            work[kept++] = WorkEdge{cu, cv, w, e.input, e.input_dst};
+        }
+        work.resize(kept);
+
+        level.node_of = node_of;
+        for (int& v : node_of)
+            v = comp[idx(v)];
+        root = comp[idx(root)];
+        n = cycle_base + level.num_cycles;
+        levels.push_back(std::move(level));
+    }
+
+    std::vector<int> entry;
+    for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
+        const Level& level = *it;
+        entry.assign(idx(level.num_cycles), -1);
+        for (const Pick& pick : chosen) {
+            const int v = level.node_of[idx(pick.input_dst)];
+            const int c = level.cycle_id[idx(v)];
+            if (c >= 0)
+                entry[idx(c)] = v;
+        }
+        const int level_n = static_cast<int>(level.cycle_id.size());
+        for (int v = 0; v < level_n; ++v) {
+            const int c = level.cycle_id[idx(v)];
+            if (c >= 0 && entry[idx(c)] != v)
+                chosen.push_back(level.in_pick[idx(v)]);
+        }
+    }
+    std::vector<int> inputs;
+    for (const Pick& pick : chosen)
+        inputs.push_back(pick.input);
+    out.chosen = std::move(inputs);
+    return out;
+}
+
+std::vector<WorkEdge>
+work_edges(const Digraph& graph)
+{
+    std::vector<WorkEdge> work;
+    for (std::size_t i = 0; i < graph.edges().size(); ++i) {
+        const Edge& e = graph.edges()[i];
+        work.push_back(
+            WorkEdge{e.src, e.dst, e.weight, static_cast<int>(i), e.dst});
+    }
+    return work;
+}
+
+/** certify_min_forest() as the full-rescan solver computed it, plus
+ *  its contraction count. */
+std::pair<ForestCertificate, std::uint64_t>
+certify(const Digraph& graph)
+{
+    ForestCertificate cert;
+    const int n = graph.num_nodes();
+    if (n == 0)
+        return {cert, 0};
+    const double penalty = graph.total_abs_weight() + 1.0;
+    const int num_real = static_cast<int>(graph.edges().size());
+    std::vector<WorkEdge> work = work_edges(graph);
+    for (int v = 0; v < n; ++v)
+        work.push_back(WorkEdge{n, v, penalty, num_real + v, v});
+    Solved solved = solve(n + 1, n, work, true);
+    Arborescence& result = cert.forest;
+    result.parent.assign(static_cast<std::size_t>(n), -1);
+    cert.in_edge.assign(static_cast<std::size_t>(n), -1);
+    double total = 0.0;
+    for (int i : *solved.chosen) {
+        if (i >= num_real) {
+            ++result.num_roots;
+            total += penalty;
+            continue;
+        }
+        const Edge& e = graph.edges()[static_cast<std::size_t>(i)];
+        result.parent[static_cast<std::size_t>(e.dst)] = e.src;
+        cert.in_edge[static_cast<std::size_t>(e.dst)] = i;
+        total += e.weight;
+    }
+    result.weight =
+        total - penalty * static_cast<double>(result.num_roots);
+    cert.reduced = std::move(solved.reduced);
+    cert.penalty = penalty;
+    cert.levels = solved.levels;
+    return {cert, solved.contractions};
+}
+
+std::optional<Arborescence>
+arborescence(const Digraph& graph, int root)
+{
+    std::vector<WorkEdge> work = work_edges(graph);
+    Solved solved = solve(graph.num_nodes(), root, work, false);
+    if (!solved.chosen)
+        return std::nullopt;
+    Arborescence result;
+    result.parent.assign(
+        static_cast<std::size_t>(graph.num_nodes()), -1);
+    for (int i : *solved.chosen) {
+        const Edge& e = graph.edges()[static_cast<std::size_t>(i)];
+        result.parent[static_cast<std::size_t>(e.dst)] = e.src;
+        result.weight += e.weight;
+    }
+    result.num_roots = 1;
+    return result;
+}
+
+} // namespace full_rescan
+
+bool
+same_bits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+void
+expect_same_arborescence(const Arborescence& got, const Arborescence& want)
+{
+    EXPECT_EQ(got.parent, want.parent);
+    EXPECT_EQ(got.num_roots, want.num_roots);
+    EXPECT_TRUE(same_bits(got.weight, want.weight))
+        << got.weight << " vs " << want.weight;
+}
+
+/**
+ * Seeded digraph for the solver equivalence sweep. The seed picks the
+ * shape: ties from a small weight palette that holds both zeros and
+ * negative weights, all-equal weights, or continuous ones; parallel
+ * edges; isolated and unreachable nodes (no in-edges at all); and
+ * sometimes a 2-cycle chain underneath, which contracts one 2-cycle
+ * per level.
+ */
+Digraph
+equivalence_graph(std::uint64_t seed)
+{
+    static constexpr double kPalette[] = {0.0, -0.0, 0.1, 0.2,
+                                          0.3, 0.7,  1.0, -0.4};
+    SplitMix rng{seed};
+    const int n = 1 + rng.below(seed % 10 == 0 ? 120 : 30);
+    Digraph g(n);
+    const int weights = rng.below(3); // 0 palette, 1 all equal, 2 real
+    auto weight = [&] {
+        if (weights == 0)
+            return kPalette[rng.below(8)];
+        if (weights == 1)
+            return 1.0;
+        return static_cast<double>(rng.below(1000000)) / 7919.0;
+    };
+    if (rng.below(3) == 0) {
+        const int chain = 1 + rng.below(n);
+        const double w = weights == 2 ? 0.05 : weight();
+        for (int i = 0; i + 1 < chain; ++i) {
+            g.add_edge(i, i + 1, w);
+            g.add_edge(i + 1, i, w);
+        }
+    }
+    // Nodes >= open get in-edges; the rest are sources, so a root
+    // other than them leaves them unreachable.
+    const int open = rng.below(4) == 0 ? rng.below(n) : 0;
+    const int density = 1 + rng.below(9); // tenths
+    for (int u = 0; u < n; ++u) {
+        for (int v = open; v < n; ++v) {
+            if (u == v || rng.below(10) >= density)
+                continue;
+            g.add_edge(u, v, weight());
+            while (rng.below(6) == 0) // parallel edges
+                g.add_edge(u, v, weight());
+        }
+    }
+    return g;
+}
+
+TEST(EdmondsEquivalence, MatchesTheFullRescanSolver)
+{
+    int deep = 0;
+    int unsolvable = 0;
+    for (std::uint64_t seed = 1; seed <= 1500; ++seed) {
+        SCOPED_TRACE(seed);
+        const Digraph g = equivalence_graph(seed);
+        const auto [want, want_contractions] = full_rescan::certify(g);
+
+        std::uint64_t before = thread_contraction_tally();
+        const ForestCertificate cert = certify_min_forest(g);
+        EXPECT_EQ(thread_contraction_tally() - before, want_contractions);
+        expect_same_arborescence(cert.forest, want.forest);
+        EXPECT_EQ(cert.in_edge, want.in_edge);
+        EXPECT_EQ(cert.levels, want.levels);
+        EXPECT_TRUE(same_bits(cert.penalty, want.penalty));
+        ASSERT_EQ(cert.reduced.size(), want.reduced.size());
+        for (std::size_t i = 0; i < cert.reduced.size(); ++i) {
+            EXPECT_TRUE(same_bits(cert.reduced[i], want.reduced[i]))
+                << "edge " << i << ": " << cert.reduced[i] << " vs "
+                << want.reduced[i];
+        }
+        deep += want.levels >= 5 ? 1 : 0;
+
+        before = thread_contraction_tally();
+        expect_same_arborescence(min_forest(g), want.forest);
+        EXPECT_EQ(thread_contraction_tally() - before, want_contractions);
+
+        if (g.num_nodes() == 0)
+            continue;
+        SplitMix pick{seed};
+        for (int root : {0, pick.below(g.num_nodes())}) {
+            before = thread_contraction_tally();
+            const auto got = min_arborescence(g, root);
+            EXPECT_EQ(thread_contraction_tally(), before);
+            const auto ref = full_rescan::arborescence(g, root);
+            ASSERT_EQ(got.has_value(), ref.has_value()) << "root " << root;
+            if (ref)
+                expect_same_arborescence(*got, *ref);
+            else
+                ++unsolvable;
+        }
+    }
+    // The sweep reaches the cases it is meant to cover.
+    EXPECT_GT(deep, 50);
+    EXPECT_GT(unsolvable, 100);
+}
+
+TEST(EdmondsEquivalence, MatchesOnDeepTwoCycleChains)
+{
+    for (int n : {2, 3, 17, 120}) {
+        SCOPED_TRACE(n);
+        const Digraph g = two_cycle_chain(n, 20 * n, 5);
+        const auto [want, want_contractions] = full_rescan::certify(g);
+        const std::uint64_t before = thread_contraction_tally();
+        const ForestCertificate cert = certify_min_forest(g);
+        EXPECT_EQ(thread_contraction_tally() - before, want_contractions);
+        EXPECT_EQ(cert.levels, n - 1);
+        expect_same_arborescence(cert.forest, want.forest);
+        EXPECT_EQ(cert.in_edge, want.in_edge);
+        ASSERT_EQ(cert.reduced.size(), want.reduced.size());
+        for (std::size_t i = 0; i < cert.reduced.size(); ++i)
+            EXPECT_TRUE(same_bits(cert.reduced[i], want.reduced[i])) << i;
+    }
 }
 
 // ---------------------------------------------------------------------
