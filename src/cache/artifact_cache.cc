@@ -148,31 +148,22 @@ bool
 ArtifactCache::get(const ArtifactKey& key,
                    std::vector<std::uint8_t>& out)
 {
-    // Take the shared blob under the lock and copy it after unlocking,
-    // so concurrent hits do not serialize on the copy.
-    Blob blob;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = entries_.find(key);
         if (it != entries_.end()) {
             lru_.splice(lru_.begin(), lru_, it->second.lru);
-            blob = it->second.blob;
+            out = it->second.blob;
             ++hits_;
+            cache_metrics().hits.add();
+            return true;
         }
-    }
-    if (blob) {
-        cache_metrics().hits.add();
-        out = *blob;
-        return true;
     }
     if (!options_.dir.empty() && read_disk(key, out)) {
-        blob = std::make_shared<const std::vector<std::uint8_t>>(out);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (entries_.find(key) == entries_.end())
-                insert_locked(key, std::move(blob));
-            ++hits_;
-        }
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (entries_.find(key) == entries_.end())
+            insert_locked(key, out);
+        ++hits_;
         cache_metrics().hits.add();
         return true;
     }
@@ -188,28 +179,24 @@ void
 ArtifactCache::put(const ArtifactKey& key,
                    std::vector<std::uint8_t> blob)
 {
-    // Keep no growth slack: the budget counts only the blob's bytes.
-    blob.shrink_to_fit();
-    auto shared =
-        std::make_shared<const std::vector<std::uint8_t>>(std::move(blob));
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (entries_.find(key) != entries_.end())
             return; // first-wins
-        cache_metrics().bytes.add(shared->size());
-        insert_locked(key, shared);
+        cache_metrics().bytes.add(blob.size());
+        insert_locked(key, blob);
     }
     if (!options_.dir.empty())
-        write_disk(key, *shared);
+        write_disk(key, blob);
 }
 
 void
-ArtifactCache::insert_locked(const ArtifactKey& key, Blob blob)
+ArtifactCache::insert_locked(const ArtifactKey& key,
+                             std::vector<std::uint8_t> blob)
 {
-    resident_bytes_ += blob->size();
-    auto it = entries_.emplace(key, Entry{std::move(blob), {}}).first;
-    lru_.push_front(&it->first);
-    it->second.lru = lru_.begin();
+    resident_bytes_ += blob.size();
+    lru_.push_front(key);
+    entries_.emplace(key, Entry{std::move(blob), lru_.begin()});
     evict_locked();
 }
 
@@ -217,10 +204,11 @@ void
 ArtifactCache::evict_locked()
 {
     while (resident_bytes_ > options_.max_bytes) {
-        auto it = entries_.find(*lru_.back());
-        resident_bytes_ -= it->second.blob->size();
-        lru_.pop_back();
+        const ArtifactKey& victim = lru_.back();
+        auto it = entries_.find(victim);
+        resident_bytes_ -= it->second.blob.size();
         entries_.erase(it);
+        lru_.pop_back();
         ++evictions_;
         cache_metrics().evictions.add();
     }
@@ -358,10 +346,9 @@ ArtifactCache::corrupt_for_testing(const ArtifactKey& key,
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = entries_.find(key);
         if (it != entries_.end()) {
-            resident_bytes_ -= it->second.blob->size();
+            resident_bytes_ -= it->second.blob.size();
             resident_bytes_ += blob.size();
-            it->second.blob =
-                std::make_shared<const std::vector<std::uint8_t>>(blob);
+            it->second.blob = blob;
         }
     }
     if (!options_.dir.empty()) {

@@ -22,10 +22,8 @@
  *    contract), so a warm hit from a 1-thread run must serve an
  *    8-thread run and vice versa.
  *
- * Tiers: a mutex-protected in-memory map of shared immutable blobs
- * with LRU eviction under `max_bytes` (a hit takes the blob's pointer
- * under the lock and copies it after unlocking), plus an optional
- * on-disk tier (`dir`) holding one file
+ * Tiers: a mutex-protected in-memory map with LRU eviction under
+ * `max_bytes`, plus an optional on-disk tier (`dir`) holding one file
  * per entry. Disk entries carry a magic, the schema version, a key
  * echo, the payload length and an FNV checksum; any mismatch --
  * truncation, bit flips, stale schema -- demotes the read to a miss
@@ -278,12 +276,9 @@ class ArtifactCache {
                              std::vector<std::uint8_t> blob);
 
   private:
-    /** An immutable payload, shared so that get() copies it outside
-     *  the lock. */
-    using Blob = std::shared_ptr<const std::vector<std::uint8_t>>;
     struct Entry {
-        Blob blob;
-        std::list<const ArtifactKey*>::iterator lru;
+        std::vector<std::uint8_t> blob;
+        std::list<ArtifactKey>::iterator lru;
     };
 
     std::string path_for(const ArtifactKey& key) const;
@@ -291,16 +286,16 @@ class ArtifactCache {
                    std::vector<std::uint8_t>& out);
     void write_disk(const ArtifactKey& key,
                     const std::vector<std::uint8_t>& blob);
-    /** Insert into the memory map + LRU with mutex_ held. */
-    void insert_locked(const ArtifactKey& key, Blob blob);
+    /** Insert into the memory map + LRU under @p lock held. */
+    void insert_locked(const ArtifactKey& key,
+                       std::vector<std::uint8_t> blob);
     void evict_locked();
 
     CacheOptions options_;
     mutable std::mutex mutex_;
     std::map<ArtifactKey, Entry> entries_;
-    /** The keys of entries_, most-recently-used first: pointers into
-     *  the map's nodes, which never move. */
-    std::list<const ArtifactKey*> lru_;
+    /** Most-recently-used first. */
+    std::list<ArtifactKey> lru_;
     std::uint64_t resident_bytes_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -99,14 +99,19 @@ metric_from_raw(MetricKind kind, std::span<const double> a,
     support::panic("unknown metric kind");
 }
 
-/** sequence_prob() of @p model for each word of @p words, in order. */
+/** sequence_prob() of @p model for each word of @p words, in order:
+ *  one batch query, so a sorted word set shares its prefixes' walks. */
 std::vector<double>
 raw_word_probs(const slm::LanguageModel& model, const WordSet& words)
 {
-    std::vector<double> raw;
-    raw.reserve(words.size());
+    std::vector<const std::vector<int>*> ptrs;
+    ptrs.reserve(words.size());
     for (const auto& word : words)
-        raw.push_back(model.sequence_prob(word));
+        ptrs.push_back(&word);
+    std::vector<double> raw(words.size());
+    model.sequence_log_probs(ptrs, raw);
+    for (double& p : raw)
+        p = std::exp(p);
     return raw;
 }
 

@@ -110,8 +110,13 @@ compact(std::vector<NodeState>& state, std::vector<InEdge>& buf)
 {
     int write = 0;
     for (NodeState& s : state) {
-        const auto begin = buf.begin();
-        std::copy(begin + s.lo, begin + s.hi, begin + write);
+        // A list only ever moves down (write <= lo). One already in
+        // place stays put: std::copy's destination may not start
+        // inside its source.
+        if (write != s.lo) {
+            const auto begin = buf.begin();
+            std::copy(begin + s.lo, begin + s.hi, begin + write);
+        }
         s.hi = write + (s.hi - s.lo);
         s.lo = write;
         write = s.hi;

@@ -92,20 +92,9 @@ PpmModel::prob(int symbol, const std::vector<int>& context) const
 double
 PpmModel::sequence_log_prob(const std::vector<int>& seq) const
 {
-    if (!finalized_ || exclusion_)
-        return LanguageModel::sequence_log_prob(seq);
-    thread_local std::vector<ContextTrie::NodeId> chain;
+    const std::vector<int>* word = &seq;
     double log_p = 0.0;
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-        const int symbol = seq[i];
-        ROCK_ASSERT(symbol >= 0 && symbol < alphabet_size_,
-                    "symbol outside alphabet");
-        chain.clear();
-        trie_.context_chain(std::span<const int>(seq.data(), i), chain);
-        double p = chain_prob(symbol, chain);
-        ROCK_ASSERT(p > 0.0, "model returned non-positive probability");
-        log_p += std::log(p);
-    }
+    sequence_log_probs({&word, 1}, {&log_p, 1});
     return log_p;
 }
 
@@ -113,11 +102,14 @@ void
 PpmModel::sequence_log_probs(std::span<const std::vector<int>* const> words,
                              std::span<double> out) const
 {
+    ROCK_ASSERT(out.size() == words.size(), "one output per word");
     if (!finalized_ || exclusion_) {
-        LanguageModel::sequence_log_probs(words, out);
+        // The generic per-symbol loop (not the virtual, which lands
+        // back here).
+        for (std::size_t w = 0; w < words.size(); ++w)
+            out[w] = LanguageModel::sequence_log_prob(*words[w]);
         return;
     }
-    ROCK_ASSERT(out.size() == words.size(), "one output per word");
     thread_local std::vector<ContextTrie::NodeId> chain;
     // Per prefix length k of the previous word: the log-sum of its
     // first k terms and the escapes they took.

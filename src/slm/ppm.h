@@ -19,11 +19,10 @@
  * probability into contiguous vectors indexed by the flat trie's
  * node ids. A finalized query is then a context-chain walk plus one
  * binary search and one or two contiguous-array reads per order -- no
- * maps. The whole-word query sequence_log_prob() (the divergence
- * stage's inner loop) reuses one chain buffer across its symbols, so
- * it allocates nothing; the batch query sequence_log_probs() also
- * reuses the walk of the prefix each word shares with the previous
- * one. The precomputed values are the *same* IEEE
+ * maps. The batch query sequence_log_probs() (the divergence stage's
+ * inner loop, and sequence_log_prob()'s for one word) reuses one chain
+ * buffer across its symbols and the walk of the prefix each word
+ * shares with the previous one. The precomputed values are the *same* IEEE
  * expressions the on-demand path evaluates, so finalization never
  * changes a probability (tests/flat_trie_test.cc pins byte-identity
  * against the original pointer-trie implementation).
@@ -48,21 +47,19 @@ class PpmModel final : public LanguageModel {
     void train(const std::vector<int>& seq) override;
     double prob(int symbol,
                 const std::vector<int>& context) const override;
-    /**
-     * Whole-word query. A finalized model without exclusion walks each
-     * symbol's context chain once into a buffer reused across the
-     * word, with prob()'s fast-path arithmetic and escapes, so the
-     * result is bit-identical to the generic per-symbol loop and
-     * allocates nothing. Other models take the generic loop.
-     */
+    /** Whole-word query: the one-word case of sequence_log_probs(). */
     double sequence_log_prob(const std::vector<int>& seq) const override;
     /**
-     * Batch query on the same fast path: each word restarts from the
+     * Batch query. A finalized model without exclusion walks each
+     * symbol's context chain into a buffer reused across the batch,
+     * with prob()'s fast-path arithmetic and escapes, and allocates
+     * nothing once its buffers have grown. Each word restarts from the
      * partial log-sum and escape count of the prefix it shares with
      * the previous word, since a symbol's probability depends only on
-     * the symbols before it. The prefix's escapes are added to the
-     * tally again, so values and tally equal one sequence_log_prob()
-     * per word; ascending (lexicographic) words share the most.
+     * the symbols before it; the prefix's escapes are added to the
+     * tally again. So values and tally equal the generic per-symbol
+     * loop over each word, and ascending (lexicographic) words share
+     * the most. Other models take that generic loop.
      */
     void sequence_log_probs(std::span<const std::vector<int>* const> words,
                             std::span<double> out) const override;

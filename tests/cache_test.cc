@@ -3,10 +3,10 @@
  * Tests for the content-addressed artifact store (cache/) and its
  * integration with reconstruct(): disk-tier robustness (truncation,
  * bit flips, stale schema versions are misses, never crashes),
- * LRU eviction under a byte budget, first-wins insertion and hits
- * racing evictions under concurrency, fingerprint discipline (config
- * knobs invalidate, thread counts never do), and end-to-end warm
- * bit-identity at several worker counts.
+ * LRU eviction under a byte budget, first-wins insertion under
+ * concurrency, fingerprint discipline (config knobs invalidate,
+ * thread counts never do), and end-to-end warm bit-identity at
+ * several worker counts.
  */
 #include <gtest/gtest.h>
 
@@ -284,45 +284,6 @@ TEST(ArtifactCache, ConcurrentSameKeyInsertionIsFirstWinsStable)
         EXPECT_EQ(again, first);
     }
     EXPECT_EQ(store.stats().entries, 1u);
-}
-
-TEST(ArtifactCache, HitsStayIntactWhileOtherThreadsEvict)
-{
-    // A hit copies its blob after unlocking, so evictions running on
-    // other threads meanwhile must neither free nor change what it
-    // copies (the sanitizer builds run this too).
-    constexpr std::size_t kBlobBytes = 16384;
-    cache::CacheOptions opts;
-    opts.max_bytes = 4 * kBlobBytes;
-    cache::ArtifactCache store{opts};
-    std::vector<std::thread> workers;
-    std::vector<int> hits(4, 0);
-    std::vector<int> wrong(4, 0);
-    for (int t = 0; t < 4; ++t) {
-        workers.emplace_back([&store, &hits, &wrong, t] {
-            const auto slot = static_cast<std::size_t>(t);
-            for (int i = 0; i < 2000; ++i) {
-                const auto content =
-                    static_cast<std::uint64_t>(100 * t + i % 20);
-                const std::vector<std::uint8_t> blob(
-                    kBlobBytes, static_cast<std::uint8_t>(content));
-                store.put(key_of("famdist", content, 0), blob);
-                std::vector<std::uint8_t> out;
-                if (store.get(key_of("famdist", content, 0), out)) {
-                    ++hits[slot];
-                    wrong[slot] += out != blob ? 1 : 0;
-                }
-            }
-        });
-    }
-    for (auto& w : workers)
-        w.join();
-    for (std::size_t t = 0; t < 4; ++t) {
-        EXPECT_GT(hits[t], 0) << t;
-        EXPECT_EQ(wrong[t], 0) << t;
-    }
-    EXPECT_LE(store.stats().bytes, opts.max_bytes);
-    EXPECT_GT(store.stats().evictions, 0u);
 }
 
 TEST(ArtifactFingerprints, ConfigKnobsInvalidateThreadsDoNot)

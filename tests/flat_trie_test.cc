@@ -20,10 +20,9 @@
  *    path),
  *  - sampled random corpora x {alphabet, depth} for Katz,
  *  - DKL values through divergence::kl_divergence,
- *  - PPM's whole-word sequence_log_prob() against the per-symbol
- *    prob() loop (same bits, same escape tally), and its
- *    prefix-sharing batch sequence_log_probs() against one
- *    sequence_log_prob() per word,
+ *  - PPM's whole-word sequence_log_prob() and its prefix-sharing
+ *    batch sequence_log_probs() against the per-symbol prob() loop
+ *    (same bits, same escape tally),
  *  - corpora from sampled GeneratorSpecs pushed through the real
  *    pipeline (the models reconstruct() trains and ships).
  */
@@ -508,9 +507,9 @@ TEST(FlatTrie, PpmSequenceWalkMatchesPerSymbolLoop)
 TEST(FlatTrie, PpmBatchWalkMatchesPerWordWalk)
 {
     // sequence_log_probs() restarts each word from the prefix it shares
-    // with the previous one; its values and escapes must equal one
-    // sequence_log_prob() per word, in sorted order (the memo fill's)
-    // and in any other.
+    // with the previous one; its values and escapes must equal the
+    // per-symbol prob() loop over each word, in sorted order (the memo
+    // fill's) and in any other.
     const int alphabet = 7;
     int shared_words = 0;
     for (int depth = 0; depth <= 4; ++depth) {
@@ -552,7 +551,8 @@ TEST(FlatTrie, PpmBatchWalkMatchesPerWordWalk)
                     model.sequence_log_probs(ptrs, got);
                     const auto t1 = rock::slm::thread_escape_tally();
                     for (std::size_t i = 0; i < list.size(); ++i) {
-                        const double want = model.sequence_log_prob(list[i]);
+                        const double want =
+                            per_symbol_log_prob(model, list[i]);
                         ASSERT_TRUE(bit_identical(got[i], want))
                             << "word " << i << ": " << got[i] << " vs "
                             << want;
